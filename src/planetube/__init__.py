@@ -14,12 +14,12 @@ from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         cyclic_order, trace_cycle, turning_number, restrict,
                         reflect, map_points, standard_curve, standard_star,
                         planar_k4, to_svg)
-from .invariant import (WuVector, WindingError, PairPath, pair_path, winding,
-                        wu, prepare, evaluate_on_tube_cycle, equivalent,
-                        star_wu, rotation_number_on_cycle)
+from .invariant import (WuVector, WindingError, wu, prepare,
+                        evaluate_on_tube_cycle, equivalent, star_wu,
+                        rotation_number_on_cycle)
 from .moves import (MoveRecord, MoveError, insert_curl, whitney_pair,
                     perturb, apply_moves)
-from .oracles import (CellCensus, cell_census, betti_oracle,
-                      dense_winding_oracle)
+from .oracles import (CellCensus, cell_census, betti_oracle, PairPath,
+                      pair_path, winding, dense_winding_oracle)
 
 __version__ = "0.1.0"

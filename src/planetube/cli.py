@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation failure (malformed input or non-generic
-immersion), 2 numeric failure (winding trace did not certify).  Payloads go
-to stdout; machine-readable error objects go to stderr.
+Exit codes: 0 success, 1 validation failure (malformed input, a non-finite
+coordinate or a non-generic immersion), 2 numeric failure (an `--eps` out of
+range, or a tube-cochain total that is not a whole number of half-turns).
+Payloads go to stdout; machine-readable error objects go to stderr.
 """
 from __future__ import annotations
 
@@ -146,8 +147,8 @@ def _add_tol(p) -> None:
 
 def _add_eps(p) -> None:
     p.add_argument("--eps", type=float, default=None,
-                   help="pair-tracing scale override (must not exceed the "
-                        "suggested scale)")
+                   help="pair scale override, range-checked against the "
+                        "suggested scale (the result does not depend on it)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,6 @@ from bisect import bisect_right
 
 Point = tuple[float, float]
 
-TWO_PI = 2.0 * math.pi
-
 
 def sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
@@ -55,16 +53,6 @@ def rot90(a: Point) -> Point:
 
 def angle_of(a: Point) -> float:
     return math.atan2(a[1], a[0])
-
-
-def wrap_to_pi(theta: float) -> float:
-    """Representative of theta in (-pi, pi]."""
-    t = math.fmod(theta, TWO_PI)
-    if t <= -math.pi:
-        t += TWO_PI
-    elif t > math.pi:
-        t -= TWO_PI
-    return t
 
 
 def wrap_to_half_pi(theta: float) -> float:

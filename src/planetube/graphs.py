@@ -66,10 +66,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.incident_edges(v))
 
-    def neighbors_in_edge_order(self, v: int) -> list[int]:
-        """Neighbors of v ordered by increasing incident edge id."""
-        return [self.edge(i).other(v) for i in self.incident_edges(v)]
-
     def betti(self) -> int:
         return self.num_edges - self.num_vertices + 1
 

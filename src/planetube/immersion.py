@@ -47,10 +47,14 @@ class PlaneImmersion:
         for v in self.graph.vertices():
             if v not in self.positions:
                 raise ImmersionError(f"missing position for vertex {v}")
+            if not all(map(math.isfinite, self.positions[v])):
+                raise ImmersionError(f"vertex {v}: non-finite position")
         for e in self.graph.edges:
             pl = self.polylines.get(e.id)
             if pl is None:
                 raise ImmersionError(f"missing polyline for edge {e.id}")
+            if not all(math.isfinite(c) for p in pl.points for c in p):
+                raise ImmersionError(f"edge {e.id}: non-finite coordinate")
             if pl.points[0] != tuple(self.positions[e.tail]):
                 raise ImmersionError(
                     f"edge {e.id}: polyline does not start at tail position")
@@ -120,7 +124,6 @@ class Crossing:
     point: Point
     first: StrandPoint        # ordered by (edge, segment, t)
     second: StrandPoint
-    sign: int                 # orientation of (first dir, second dir)
 
 
 @dataclass(frozen=True)
@@ -150,18 +153,15 @@ class GenericityReport:
 
 
 def _all_segments(f: PlaneImmersion):
+    """(edge id, index, start, end, graph vertices the segment ends at)."""
     out = []
     for e in f.graph.edges:
-        pl = f.polylines[e.id]
-        for i, (a, b) in enumerate(pl.segments()):
-            out.append((e.id, i, a, b))
+        segs = f.polylines[e.id].segments()
+        for i, (a, b) in enumerate(segs):
+            ends = frozenset(([e.tail] if i == 0 else [])
+                             + ([e.head] if i == len(segs) - 1 else []))
+            out.append((e.id, i, a, b, ends))
     return out
-
-
-def _segments_share_point(f, e1, i1, a1, b1, e2, i2, a2, b2) -> bool:
-    if e1 == e2:
-        return abs(i1 - i2) <= 1
-    return bool({a1, b1} & {a2, b2})
 
 
 def find_crossings(f: PlaneImmersion, tau: float, angle_tol: float):
@@ -170,11 +170,13 @@ def find_crossings(f: PlaneImmersion, tau: float, angle_tol: float):
     crossings = []
     violations = []
     for i in range(len(segs)):
-        e1, i1, a1, b1 = segs[i]
+        e1, i1, a1, b1, ends1 = segs[i]
         pl1 = f.polylines[e1]
         for j in range(i + 1, len(segs)):
-            e2, i2, a2, b2 = segs[j]
-            if _segments_share_point(f, e1, i1, a1, b1, e2, i2, a2, b2):
+            e2, i2, a2, b2, ends2 = segs[j]
+            # only neighbours in the graph may touch: consecutive segments
+            # of one edge, and germs at a common vertex
+            if (e1 == e2 and i2 - i1 <= 1) or ends1 & ends2:
                 continue
             hit = geo.segment_intersection(a1, b1, a2, b2)
             if hit is None:
@@ -199,10 +201,8 @@ def find_crossings(f: PlaneImmersion, tau: float, angle_tol: float):
             pl2 = f.polylines[e2]
             s1 = pl1.cum[i1] + t1 * (pl1.cum[i1 + 1] - pl1.cum[i1])
             s2 = pl2.cum[i2] + t2 * (pl2.cum[i2 + 1] - pl2.cum[i2])
-            sp1 = StrandPoint(e1, i1, t1, s1)
-            sp2 = StrandPoint(e2, i2, t2, s2)
-            sign = 1 if geo.cross(d1, d2) > 0 else -1
-            crossings.append(Crossing(pt, sp1, sp2, sign))
+            crossings.append(Crossing(pt, StrandPoint(e1, i1, t1, s1),
+                                      StrandPoint(e2, i2, t2, s2)))
     return crossings, violations
 
 
@@ -326,16 +326,9 @@ def _min_clearance(f: PlaneImmersion, crossings) -> float:
     segs = _all_segments(f)
     for v in f.graph.vertices():
         pos = tuple(f.positions[v])
-        inc = set(f.graph.incident_edges(v))
-        for eid, i, a, b in segs:
-            e = f.graph.edge(eid)
-            n_seg = len(f.polylines[eid].points) - 1
-            if eid in inc:
-                germ_at_v = (i == 0 and e.tail == v) or \
-                            (i == n_seg - 1 and e.head == v)
-                if germ_at_v:
-                    continue
-            best = min(best, geo.point_segment_distance(pos, a, b))
+        for _, _, a, b, ends in segs:
+            if v not in ends:           # germs at v leave it by definition
+                best = min(best, geo.point_segment_distance(pos, a, b))
     for c in crossings:
         for v in f.graph.vertices():
             best = min(best, geo.dist(c.point, tuple(f.positions[v])))

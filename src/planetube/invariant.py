@@ -1,9 +1,12 @@
 """Wu invariant of a generic plane immersion.
 
-A tube cycle is realized geometrically as a closed path of unordered point
-pairs at scale eps; the undirected direction of each pair is tracked around
-the cycle and must advance by an integer multiple of pi (the "winding", in
-half-turn units).  Coordinates over the cohomology basis:
+The invariant is a 1-cochain on the symmetric tube.  Across each tube edge
+the chord of the point pair turns by one exact angle omega: for X(e), the
+sum of the turn angles at e's bends, tail to head; for Y(v, a, b), the angle
+from -g_a to g_b - g_a (g the unit germs at v), from the Z cell to the W
+cell.  The winding of a tube cycle is the signed sum of omega over its
+steps, in units of pi, and must be an integer.  Coordinates over the
+cohomology basis:
 
   X labels: the pair sweeps once around the graph cycle attached to the
             non-tree edge; that winding is always even and half of it is the
@@ -12,6 +15,10 @@ half-turn units).  Coordinates over the cohomology basis:
   Y labels: the block cycle at the vertex, traversed so the moving point of
             the non-tree cell leaves the vertex first; the winding is odd
             and stored as-is.  A counterclockwise three-spoke star gives +1.
+
+No angle depends on the pair scale eps, which is only range-checked.  The
+certified pair-path tracer and the dense sampler in `oracles` realize the
+same windings at scale eps and serve as references.
 
 These normalizations, together with the canonical orderings and edge
 orientations, are hashed into a conventions fingerprint; vectors are only
@@ -22,168 +29,35 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import geometry as geo
 from .graphs import EdgeCycle
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         NotGenericError, validate_generic, standard_star)
-from .tube import (SymmetricTube, TubeComplex, WuBasis, BasisLabel,
+from .tube import (SymmetricTube, TubeComplex, TubeEdge, WuBasis, BasisLabel,
                    build_symmetric_tube, tube_spanning_tree, wu_basis,
                    basis_cycle, fundamental_cycle_tube,
-                   tube_cycle_over_graph_cycle, swap_parity)
+                   tube_cycle_over_graph_cycle, cycle_is_closed, swap_parity)
 
 
 class WindingError(ArithmeticError):
-    """A pair-path trace failed its numeric certificates."""
+    """A tube cycle's winding is not an integer number of half-turns."""
 
 
-MAX_REFINE_DEPTH = 40
-INTEGER_TOL = 1e-6          # of pi, for the closed-trace certificate
+INTEGER_TOL = 1e-6          # of pi, for the closed-cycle certificate
 
 
-@dataclass
-class PairPath:
-    """Closed path of unordered point pairs realizing a tube cycle."""
-    immersion: PlaneImmersion
-    tube: SymmetricTube
-    steps: list                 # (TubeEdge, +1/-1)
-    eps: float
-    tau: float
-
-    def pair_at(self, idx: int, t: float):
-        """Unordered pair for traversal parameter t in [0,1] of step idx."""
-        edge, d = self.steps[idx]
-        if d < 0:
-            t = 1.0 - t
-        f = self.immersion
-        g = f.graph
-        if edge.kind == "X":
-            pl = f.polylines[edge.edge_a]
-            s = t * (pl.length - self.eps)
-            return pl.point_at(s), pl.point_at(s + self.eps)
-        v = edge.vertex
-        fixed = f.point_from(edge.edge_a, v, self.eps)
-        # positive direction runs from edge.u to edge.v
-        if edge.u.kind == "Z":
-            moving = f.point_from(edge.edge_b, v, t * self.eps)
-        else:
-            moving = f.point_from(edge.edge_b, v, (1.0 - t) * self.eps)
-        return fixed, moving
-
-    def seed_parameters(self, idx: int) -> list[float]:
-        """Initial sample parameters for a step: cell endpoints, parameters
-        where either pair point crosses a polyline bend, and a uniform
-        refinement of each gap."""
-        edge, _ = self.steps[idx]
-        seeds = {0.0, 1.0}
-        if edge.kind == "X":
-            pl = self.immersion.polylines[edge.edge_a]
-            span = pl.length - self.eps
-            for c in pl.cum[1:-1]:
-                for s in (c, c - self.eps):
-                    if 0.0 < s < span:
-                        seeds.add(s / span)
-        ordered = sorted(seeds)
-        out = []
-        for a, b in zip(ordered, ordered[1:]):
-            for k in range(8):
-                out.append(a + (b - a) * k / 8.0)
-        out.append(1.0)
-        return out
-
-    def rate_bound(self, idx: int) -> float:
-        """Upper bound on the speed of the relative vector q - p with
-        respect to the traversal parameter of step idx."""
-        edge, _ = self.steps[idx]
-        if edge.kind == "X":
-            return 2.0 * (self.immersion.polylines[edge.edge_a].length
-                          - self.eps)
-        return self.eps
-
-    def samples(self, per_cell: int):
-        """Uniform samples: (step index, t, pair) triples."""
-        out = []
-        for idx in range(len(self.steps)):
-            for k in range(per_cell):
-                t = k / per_cell
-                out.append((idx, t, self.pair_at(idx, t)))
-        last = len(self.steps) - 1
-        out.append((last, 1.0, self.pair_at(last, 1.0)))
-        return out
-
-
-def pair_path(tube: SymmetricTube, steps, f: PlaneImmersion, eps: float,
-              tau: float = 0.0) -> PairPath:
-    from .tube import cycle_is_closed
-    if not cycle_is_closed(steps):
-        raise WindingError("tube cycle is not closed")
-    for e in f.graph.edges:
-        if f.polylines[e.id].length <= 2 * eps:
-            raise WindingError(
-                f"eps {eps} too large for edge {e.id} of length "
-                f"{f.polylines[e.id].length}")
-    return PairPath(f, tube, list(steps), eps, tau)
-
-
-def _chord(pair, tau: float):
-    """(direction angle, length) of the pair's difference vector."""
-    p, q = pair
-    d = geo.sub(q, p)
-    n = geo.norm(d)
-    if n <= max(tau, 1e-300):
-        raise WindingError(f"coincident pair near {p}")
-    return math.atan2(d[1], d[0]), n
-
-
-def winding(path: PairPath) -> int:
-    """Total advance of the undirected pair direction, in units of pi.
-
-    Intervals are refined until the certified rotation bound (pair speed
-    bound over a certified chord-length lower bound) rules out aliasing of
-    the half-pi wrap; every accepted increment is then exact.  The closed
-    total must be an integer multiple of pi within tolerance.
-    """
-    total = 0.0
-    for idx in range(len(path.steps)):
-        rate = path.rate_bound(idx)
-        seeds = path.seed_parameters(idx)
-        probes = [_chord(path.pair_at(idx, t), path.tau) for t in seeds]
-        for (t0, p0), (t1, p1) in zip(zip(seeds, probes),
-                                      zip(seeds[1:], probes[1:])):
-            total += _refine(path, idx, rate, t0, p0, t1, p1,
-                             MAX_REFINE_DEPTH)
-    k = total / math.pi
-    if abs(k - round(k)) > INTEGER_TOL:
-        raise WindingError(
-            f"trace total {total} is not an integer multiple of pi")
-    return int(round(k))
-
-
-# largest certified per-half-interval rotation we accept; must stay below
-# pi/2, where the mod-pi wrap of an increment becomes ambiguous
-ROTATION_CAP = 1.4
-
-
-def _refine(path: PairPath, idx: int, rate: float, t0: float, p0, t1: float,
-            p1, depth: int) -> float:
-    a0, l0 = p0
-    a1, l1 = p1
-    tm = 0.5 * (t0 + t1)
-    am, lm = _chord(path.pair_at(idx, tm), path.tau)
-    w = t1 - t0
-    # chord length is Lipschitz in t with constant `rate`; every parameter
-    # is within w/4 of one of the three probes
-    floor = min(l0, lm, l1) - rate * w / 4.0
-    if floor > 0.0 and rate * (w / 2.0) / floor <= ROTATION_CAP:
-        # true rotation over each half interval is below pi/2, so the
-        # wrapped increments are the true ones
-        return geo.wrap_to_half_pi(am - a0) + geo.wrap_to_half_pi(a1 - am)
-    if depth <= 0:
-        raise WindingError(
-            f"refinement depth exhausted in cell {path.steps[idx][0].label()}")
-    return (_refine(path, idx, rate, t0, p0, tm, (am, lm), depth - 1)
-            + _refine(path, idx, rate, tm, (am, lm), t1, p1, depth - 1))
+def omega(f: PlaneImmersion, edge: TubeEdge) -> float:
+    """Exact turn of the pair chord across a tube edge, traversed u -> v."""
+    if edge.kind == "X":
+        pts = f.polylines[edge.edge_a].points
+        return sum(geo.turn_angle(geo.sub(b, a), geo.sub(c, b))
+                   for a, b, c in zip(pts, pts[1:], pts[2:]))
+    ga = f.germ_direction(edge.vertex, edge.edge_a)
+    gb = f.germ_direction(edge.vertex, edge.edge_b)
+    turn = geo.turn_angle(geo.scale(ga, -1.0), geo.sub(gb, ga))
+    return -turn if edge.u.kind == "W" else turn
 
 
 @dataclass(frozen=True)
@@ -254,15 +128,26 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
     return InvariantContext(f, report, tc, basis, use_eps)
 
 
-def _winding_over(ctx: InvariantContext, steps) -> int:
-    path = pair_path(ctx.tube, steps, ctx.immersion, ctx.eps,
-                     tau=ctx.report.tau)
-    return winding(path)
+def evaluate_on_tube_cycle(ctx: InvariantContext, steps) -> int:
+    """Winding of a closed tube cycle, in units of pi.
+
+    This is the cochain's value on the cycle: it is additive, and equals the
+    signed sum of non-tree-edge multiplicities times the windings of their
+    fundamental tube cycles.
+    """
+    if not cycle_is_closed(steps):
+        raise WindingError("tube cycle is not closed")
+    total = sum(d * omega(ctx.immersion, e) for e, d in steps)
+    k = total / math.pi
+    if not math.isfinite(k) or abs(k - round(k)) > INTEGER_TOL:
+        raise WindingError(
+            f"cochain total {total} is not an integer multiple of pi")
+    return int(round(k))
 
 
 def coordinate(ctx: InvariantContext, label: BasisLabel) -> int:
     steps = basis_cycle(ctx.complex, label)
-    k = _winding_over(ctx, steps)
+    k = evaluate_on_tube_cycle(ctx, steps)
     parity = swap_parity(steps)
     if label.kind == "X":
         if parity != 0 or k % 2 != 0:
@@ -283,24 +168,12 @@ def wu(f: PlaneImmersion, tol: Tolerances | None = None,
     return WuVector(names, coords, conventions_fingerprint(ctx.complex, ctx.basis))
 
 
-def evaluate_on_tube_cycle(ctx: InvariantContext, steps) -> int:
-    """Raw winding of the cycle's pair path, in units of pi.
-
-    This is the honest cocycle evaluation: it is additive, and equals the
-    signed sum of non-tree-edge multiplicities times the windings of their
-    fundamental tube cycles.
-    """
-    return _winding_over(ctx, steps)
-
-
 def raw_basis_windings(ctx: InvariantContext) -> dict:
     """Winding of the fundamental tube cycle of each non-tree edge, keyed by
     basis label name (stored-orientation convention)."""
-    out = {}
-    for b in ctx.basis.labels:
-        steps = fundamental_cycle_tube(ctx.complex, b.edge)
-        out[b.name] = _winding_over(ctx, steps)
-    return out
+    return {b.name: evaluate_on_tube_cycle(
+                ctx, fundamental_cycle_tube(ctx.complex, b.edge))
+            for b in ctx.basis.labels}
 
 
 def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
@@ -315,9 +188,9 @@ def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
 
 def rotation_number_on_cycle(ctx: InvariantContext, c: EdgeCycle) -> int:
     """Rotation number of the immersed closed curve over a simple graph
-    cycle, computed from the tube trace (winding is even; half of it)."""
+    cycle, computed from the tube cochain (winding is even; half of it)."""
     steps = tube_cycle_over_graph_cycle(ctx.tube, c)
-    k = _winding_over(ctx, steps)
+    k = evaluate_on_tube_cycle(ctx, steps)
     if k % 2 != 0:
         raise WindingError("graph-cycle trace winding must be even")
     return k // 2
@@ -342,11 +215,3 @@ def star_wu(order, tol: Tolerances | None = None) -> tuple[int, ...]:
         return ()
     return wu(f, tol).coords
 
-
-def star_coordinates_of_vertex(ctx: InvariantContext, v: int) -> tuple[int, ...]:
-    """The Y coordinates of wu at one vertex, in basis order."""
-    out = []
-    for b in ctx.basis.labels:
-        if b.kind == "Y" and b.vertex == v:
-            out.append(coordinate(ctx, b))
-    return tuple(out)

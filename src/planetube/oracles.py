@@ -3,20 +3,22 @@
 cell_census enumerates the cells of the quotient of the deleted product by
 the point swap and checks the tube counts against closed forms.
 betti_oracle recomputes the tube's first Betti number from the boundary
-matrix by exact elimination.  dense_winding_oracle re-traces pair paths
-with fixed uniform sampling and naive angle accumulation.
+matrix by exact elimination.  The windings that `invariant` sums exactly
+are realized here as closed paths of point pairs at scale eps: `winding`
+traces a PairPath with certified Lipschitz refinement, and
+dense_winding_oracle re-traces it with fixed uniform sampling and naive
+angle accumulation.  Both are references only; their cost grows as 1/eps.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry as geo
 from .graphs import Graph
+from .immersion import PlaneImmersion
 from .tube import SymmetricTube
-from .invariant import PairPath, WindingError, _chord
+from .invariant import WindingError, INTEGER_TOL
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,8 @@ def _matrix_rank(rows: list[list[int]]) -> int:
     equals the rational rank, so vectorized elimination mod p is exact.
     Graph incidence matrices, our only input, are totally unimodular.
     """
+    import numpy as np      # here, so that `import planetube` skips numpy
+
     p = 2_147_483_647
     mat = np.array(rows, dtype=np.int64) % p
     rank = 0
@@ -96,6 +100,155 @@ def betti_oracle(tube: SymmetricTube) -> int:
     r = _matrix_rank(rows)
     components = len(tube.vertices) - r
     return len(tube.edges) - len(tube.vertices) + components
+
+
+MAX_REFINE_DEPTH = 40
+
+
+@dataclass
+class PairPath:
+    """Closed path of unordered point pairs realizing a tube cycle."""
+    immersion: PlaneImmersion
+    tube: SymmetricTube
+    steps: list                 # (TubeEdge, +1/-1)
+    eps: float
+    tau: float
+
+    def pair_at(self, idx: int, t: float):
+        """Unordered pair for traversal parameter t in [0,1] of step idx."""
+        edge, d = self.steps[idx]
+        if d < 0:
+            t = 1.0 - t
+        f = self.immersion
+        g = f.graph
+        if edge.kind == "X":
+            pl = f.polylines[edge.edge_a]
+            s = t * (pl.length - self.eps)
+            return pl.point_at(s), pl.point_at(s + self.eps)
+        v = edge.vertex
+        fixed = f.point_from(edge.edge_a, v, self.eps)
+        # positive direction runs from edge.u to edge.v
+        if edge.u.kind == "Z":
+            moving = f.point_from(edge.edge_b, v, t * self.eps)
+        else:
+            moving = f.point_from(edge.edge_b, v, (1.0 - t) * self.eps)
+        return fixed, moving
+
+    def seed_parameters(self, idx: int) -> list[float]:
+        """Initial sample parameters for a step: cell endpoints, parameters
+        where either pair point crosses a polyline bend, and a uniform
+        refinement of each gap."""
+        edge, _ = self.steps[idx]
+        seeds = {0.0, 1.0}
+        if edge.kind == "X":
+            pl = self.immersion.polylines[edge.edge_a]
+            span = pl.length - self.eps
+            for c in pl.cum[1:-1]:
+                for s in (c, c - self.eps):
+                    if 0.0 < s < span:
+                        seeds.add(s / span)
+        ordered = sorted(seeds)
+        out = []
+        for a, b in zip(ordered, ordered[1:]):
+            for k in range(8):
+                out.append(a + (b - a) * k / 8.0)
+        out.append(1.0)
+        return out
+
+    def rate_bound(self, idx: int) -> float:
+        """Upper bound on the speed of the relative vector q - p with
+        respect to the traversal parameter of step idx."""
+        edge, _ = self.steps[idx]
+        if edge.kind == "X":
+            return 2.0 * (self.immersion.polylines[edge.edge_a].length
+                          - self.eps)
+        return self.eps
+
+    def samples(self, per_cell: int):
+        """Uniform samples: (step index, t, pair) triples."""
+        out = []
+        for idx in range(len(self.steps)):
+            for k in range(per_cell):
+                t = k / per_cell
+                out.append((idx, t, self.pair_at(idx, t)))
+        last = len(self.steps) - 1
+        out.append((last, 1.0, self.pair_at(last, 1.0)))
+        return out
+
+
+def pair_path(tube: SymmetricTube, steps, f: PlaneImmersion, eps: float,
+              tau: float = 0.0) -> PairPath:
+    from .tube import cycle_is_closed
+    if not cycle_is_closed(steps):
+        raise WindingError("tube cycle is not closed")
+    for e in f.graph.edges:
+        if f.polylines[e.id].length <= 2 * eps:
+            raise WindingError(
+                f"eps {eps} too large for edge {e.id} of length "
+                f"{f.polylines[e.id].length}")
+    return PairPath(f, tube, list(steps), eps, tau)
+
+
+def _chord(pair, tau: float):
+    """(direction angle, length) of the pair's difference vector."""
+    p, q = pair
+    d = geo.sub(q, p)
+    n = geo.norm(d)
+    if n <= max(tau, 1e-300):
+        raise WindingError(f"coincident pair near {p}")
+    return math.atan2(d[1], d[0]), n
+
+
+def winding(path: PairPath) -> int:
+    """Total advance of the undirected pair direction, in units of pi.
+
+    Intervals are refined until the certified rotation bound (pair speed
+    bound over a certified chord-length lower bound) rules out aliasing of
+    the half-pi wrap; every accepted increment is then exact.  The closed
+    total must be an integer multiple of pi within tolerance.
+    """
+    total = 0.0
+    for idx in range(len(path.steps)):
+        rate = path.rate_bound(idx)
+        seeds = path.seed_parameters(idx)
+        probes = [_chord(path.pair_at(idx, t), path.tau) for t in seeds]
+        for (t0, p0), (t1, p1) in zip(zip(seeds, probes),
+                                      zip(seeds[1:], probes[1:])):
+            total += _refine(path, idx, rate, t0, p0, t1, p1,
+                             MAX_REFINE_DEPTH)
+    k = total / math.pi
+    if abs(k - round(k)) > INTEGER_TOL:
+        raise WindingError(
+            f"trace total {total} is not an integer multiple of pi")
+    return int(round(k))
+
+
+# largest certified per-half-interval rotation we accept; must stay below
+# pi/2, where the mod-pi wrap of an increment becomes ambiguous
+ROTATION_CAP = 1.4
+
+
+def _refine(path: PairPath, idx: int, rate: float, t0: float, p0, t1: float,
+            p1, depth: int) -> float:
+    a0, l0 = p0
+    a1, l1 = p1
+    tm = 0.5 * (t0 + t1)
+    am, lm = _chord(path.pair_at(idx, tm), path.tau)
+    w = t1 - t0
+    # chord length is Lipschitz in t with constant `rate`; every parameter
+    # is within w/4 of one of the three probes
+    floor = min(l0, lm, l1) - rate * w / 4.0
+    if floor > 0.0 and rate * (w / 2.0) / floor <= ROTATION_CAP:
+        # true rotation over each half interval is below pi/2, so the
+        # wrapped increments are the true ones
+        return geo.wrap_to_half_pi(am - a0) + geo.wrap_to_half_pi(a1 - am)
+    if depth <= 0:
+        raise WindingError(
+            f"refinement depth exhausted in cell {path.steps[idx][0].label()}")
+    return (_refine(path, idx, rate, t0, p0, tm, (am, lm), depth - 1)
+            + _refine(path, idx, rate, tm, (am, lm), t1, p1, depth - 1))
+
+
 
 
 def dense_winding_oracle(path: PairPath, per_cell: int = 10_000,

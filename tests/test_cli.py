@@ -72,8 +72,18 @@ def test_validate_exit_codes(tmp_path, capsys):
 def test_malformed_file_is_validation_failure(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
-    assert main(["invariant", str(p)]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    nan_bend = planar_k4().to_json_dict()
+    nan_bend["polylines"]["1"].insert(1, [float("nan"), 1.0])
+    # two edges crossing in an X through a bend point they share
+    x_shared_bend = {
+        "graph": {"vertices": 3, "edges": [[1, 2], [2, 3]]},
+        "positions": {"1": [0, 0], "2": [6, 2], "3": [0, 4]},
+        "polylines": {"1": [[0, 0], [2, 2], [4, 4], [6, 2]],
+                      "2": [[6, 2], [4, 0], [2, 2], [0, 4]]}}
+    for f in (str(p), write(tmp_path, "nan.json", nan_bend),
+              write(tmp_path, "x.json", x_shared_bend)):
+        assert main(["invariant", f]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):

@@ -20,6 +20,13 @@ def test_polylines_must_match_endpoints():
     with pytest.raises(ImmersionError, match="start at tail"):
         PlaneImmersion(g, {1: (0, 0), 2: (1, 0)},
                        {1: Polyline([(0.1, 0), (1, 0)])})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ImmersionError, match="non-finite"):
+            PlaneImmersion(g, {1: (0, 0), 2: (1, 0)},
+                           {1: Polyline([(0, 0), (bad, 1), (1, 0)])})
+        with pytest.raises(ImmersionError, match="non-finite"):
+            PlaneImmersion(g, {1: (0, bad), 2: (1, 0)},
+                           {1: Polyline([(0, bad), (1, 0)])})
 
 
 def test_fixtures_are_generic():

@@ -5,15 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planetube.geometry import dist
+from planetube.geometry import angle_of, dist
 from planetube.graphs import EdgeCycle, star, complete_graph
 from planetube.immersion import (trace_cycle, turning_number, cyclic_order,
                                  reflect, map_points, standard_curve,
                                  standard_star, planar_k4)
-from planetube.invariant import (WindingError, pair_path, winding, wu,
-                                 prepare, evaluate_on_tube_cycle, equivalent,
+from planetube.invariant import (WindingError, wu, prepare,
+                                 evaluate_on_tube_cycle, equivalent,
                                  star_wu, rotation_number_on_cycle,
                                  raw_basis_windings, decompose_over_basis)
+from planetube.oracles import pair_path, winding
 from planetube.tube import (basis_cycle, fundamental_cycle_tube,
                             tube_cycle_over_graph_cycle, cycle_is_closed)
 
@@ -55,6 +56,31 @@ def test_star_wu_all_s4_orders():
         rev = (1,) + tuple(reversed(order[1:]))
         assert table[rev] == tuple(-c for c in coords)
     assert len(set(table.values())) == 6    # the six orders are distinguished
+
+
+def _counterclockwise(f, v, a, b, c):
+    """Germs of edges a, b, c at v are met in that order turning
+    counterclockwise."""
+    ang = {e: angle_of(f.germ_direction(v, e)) for e in (a, b, c)}
+    return (ang[b] - ang[a]) % (2 * math.pi) < (ang[c] - ang[a]) % (2 * math.pi)
+
+
+def test_y_coordinate_is_germ_triple_orientation():
+    # Y{v}[k,j] is +1 exactly when the germs of (inc[j-1], inc[k-1],
+    # inc[d-1]) turn counterclockwise, over all 152 star orders, d = 3..6
+    count = 0
+    for d in range(3, 7):
+        for perm in itertools.permutations(range(2, d + 1)):
+            f = standard_star((1,) + perm)
+            v, inc = d + 1, f.graph.incident_edges(d + 1)
+            w = wu(f)
+            for j in range(1, d):
+                for k in range(j + 1, d):
+                    ccw = _counterclockwise(f, v, inc[j - 1], inc[k - 1],
+                                            inc[d - 1])
+                    assert w[f"Y{v}[{k},{j}]"] == (1 if ccw else -1)
+            count += 1
+    assert count == 152
 
 
 def test_star_wu_depends_only_on_cyclic_order():
@@ -117,6 +143,7 @@ def test_wu_stable_under_eps_halving(k4):
     base = wu(k4)
     assert wu(k4, eps=ctx.eps / 2).coords == base.coords
     assert wu(k4, eps=ctx.eps / 4).coords == base.coords
+    assert wu(k4, eps=ctx.eps / 1e4).coords == base.coords
 
 
 def test_wu_stable_under_resampling(k4):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,12 +10,14 @@ from planetube.tube import (build_symmetric_tube, tube_spanning_tree, rank,
                             basis_cycle, wu_basis,
                             tube_cycle_over_graph_cycle)
 from planetube.immersion import standard_curve, standard_star, planar_k4
-from planetube.invariant import prepare, pair_path, winding
+from planetube.invariant import prepare, evaluate_on_tube_cycle
+from planetube.moves import insert_curl
 from planetube.oracles import (cell_census, census_matches_tube,
                                betti_oracle, dense_winding_oracle,
-                               _matrix_rank)
+                               _matrix_rank, pair_path, winding)
 
-from conftest import connected_graphs_upto, random_connected_graph, random_k4
+from conftest import (connected_graphs_upto, random_connected_graph,
+                      random_k4, straight_line_immersion)
 
 
 def test_census_k3():
@@ -65,17 +68,31 @@ def test_matrix_rank_on_incidence_matrices():
 
 
 def dense_equals_adaptive(f, per_cell=1500):
+    """Exact cochain, certified tracer and dense sampler agree on every
+    basis cycle."""
     ctx = prepare(f)
     for label in ctx.basis.labels:
         steps = basis_cycle(ctx.complex, label)
         p = pair_path(ctx.tube, steps, f, ctx.eps, ctx.report.tau)
-        assert winding(p) == dense_winding_oracle(p, per_cell), label.name
+        exact = evaluate_on_tube_cycle(ctx, steps)
+        assert exact == winding(p) == dense_winding_oracle(p, per_cell), \
+            label.name
+
+
+def circle_k5():
+    """Straight-line K5 on a regular pentagon: a pentagram inside."""
+    pos = {v: (10.0 * math.cos(0.4 * math.pi * v),
+               10.0 * math.sin(0.4 * math.pi * v)) for v in range(1, 6)}
+    return straight_line_immersion(complete_graph(5), pos)
 
 
 def test_dense_oracle_agrees_on_fixtures():
+    k4, k5 = planar_k4(), circle_k5()
+    k5 = insert_curl(k5, 3, k5.polylines[3].length / 3, 1)
     for f in (standard_curve(-2), standard_curve(1), standard_curve(3),
-              standard_star((1, 2, 3)), standard_star((2, 1, 4, 3)),
-              planar_k4()):
+              standard_star((1, 2, 3)), standard_star((2, 1, 4, 3)), k4,
+              insert_curl(k4, 4, k4.polylines[4].length / 2, -1),
+              insert_curl(k5, 8, k5.polylines[8].length / 2, -1)):
         dense_equals_adaptive(f)
 
 
