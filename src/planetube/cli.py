@@ -142,7 +142,7 @@ def cmd_render(args) -> int:
 
 def _add_tol(p) -> None:
     p.add_argument("--tol", type=float, default=None,
-                   help="absolute genericity tolerance override")
+                   help="absolute genericity tolerance, finite and > 0")
 
 
 def _add_eps(p) -> None:

@@ -56,6 +56,12 @@ class Graph:
     def edge(self, eid: int) -> Edge:
         return self.edges[eid - 1]
 
+    def steps(self, v: int) -> list[tuple[int, int, int]]:
+        """(edge id, direction, neighbour) leaving v, in increasing edge id
+        order; direction is +1 when the step runs tail -> head."""
+        edges = [self.edge(eid) for eid in self.incident_edges(v)]
+        return [(e.id, +1 if e.tail == v else -1, e.other(v)) for e in edges]
+
     def incident_edges(self, v: int) -> list[int]:
         """Edge ids at v, in increasing id order."""
         try:
@@ -80,8 +86,7 @@ class Graph:
 class SpanningTree:
     graph: Graph
     edge_ids: frozenset
-    root: int
-    parent: dict = field(compare=False, repr=False)
+    parent: dict = field(compare=False, repr=False)     # from bfs_tree
 
     @property
     def non_tree_edges(self) -> list[int]:
@@ -92,33 +97,7 @@ class SpanningTree:
 
         Direction is +1 when the edge is traversed tail -> head.
         """
-        up_u, up_v = self._root_chain(u), self._root_chain(v)
-        su, sv = {x for x, _ in up_u}, {x for x, _ in up_v}
-        # lowest common ancestor: first vertex of u's chain lying on v's chain
-        lca = next(x for x, _ in up_u if x in sv)
-        part1 = []
-        for x, eid in up_u:
-            if x == lca:
-                break
-            e = self.graph.edge(eid)
-            part1.append((eid, +1 if e.tail == x else -1))
-        part2 = []
-        for x, eid in up_v:
-            if x == lca:
-                break
-            e = self.graph.edge(eid)
-            part2.append((eid, +1 if e.head == x else -1))
-        return part1 + list(reversed(part2))
-
-    def _root_chain(self, v: int) -> list[tuple[int, int]]:
-        """(vertex, edge-to-parent) pairs from v to the root, root last."""
-        chain = []
-        while v != self.root:
-            eid = self.parent[v]
-            chain.append((v, eid))
-            v = self.graph.edge(eid).other(v)
-        chain.append((v, 0))
-        return chain
+        return tree_path(self.parent, u, v)
 
 
 @dataclass(frozen=True)
@@ -181,7 +160,7 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
         edges.append(Edge(idx, min(a, b), max(a, b)))
     if not problems:
         g = Graph(num_vertices, tuple(edges))
-        reached = _bfs_order(g, 1)
+        reached = bfs_tree(1, g.steps)
         if len(reached) != num_vertices:
             missing = sorted(set(g.vertices()) - set(reached))
             problems.append(f"disconnected: vertices {missing} unreachable from v1")
@@ -190,19 +169,39 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
     raise GraphError("; ".join(problems))
 
 
-def _bfs_order(g: Graph, root: int) -> list[int]:
-    seen = {root}
-    order = [root]
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        for eid in g.incident_edges(v):
-            w = g.edge(eid).other(v)
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                q.append(w)
-    return order
+def bfs_tree(root, steps) -> dict:
+    """Breadth-first tree from root.  `steps(node)` lists (edge, direction,
+    neighbour) in exploration order, the direction signing the edge as
+    walked from node to neighbour.  Returns node -> (edge, direction, parent
+    node) for every reached node, None at the root; that direction walks
+    from the parent to the node."""
+    parent = {root: None}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for e, d, w in steps(v):
+            if w not in parent:
+                parent[w] = (e, d, v)
+                queue.append(w)
+    return parent
+
+
+def tree_path(parent: dict, a, b) -> list[tuple]:
+    """The path a -> b in a tree given by `bfs_tree`, as (edge, direction)
+    steps; each direction is the one that walks the path from a to b."""
+    def chain(c):
+        out = [c]
+        while parent[c] is not None:
+            c = parent[c][2]
+            out.append(c)
+        return out                                  # root last
+
+    up_a, up_b = chain(a), chain(b)
+    on_b = set(up_b)
+    lca = next(c for c in up_a if c in on_b)        # lowest common ancestor
+    up = [(parent[c][0], -parent[c][1]) for c in up_a[:up_a.index(lca)]]
+    down = [parent[c][:2] for c in reversed(up_b[:up_b.index(lca)])]
+    return up + down
 
 
 def complete_graph(m: int) -> Graph:
@@ -234,20 +233,9 @@ def path_graph(k: int) -> Graph:
 
 def canonical_spanning_tree(g: Graph) -> SpanningTree:
     """Breadth-first tree from v1, neighbors explored in edge-id order."""
-    parent: dict[int, int] = {}
-    tree_edges = set()
-    seen = {1}
-    q = deque([1])
-    while q:
-        v = q.popleft()
-        for eid in g.incident_edges(v):
-            w = g.edge(eid).other(v)
-            if w not in seen:
-                seen.add(w)
-                parent[w] = eid
-                tree_edges.add(eid)
-                q.append(w)
-    return SpanningTree(g, frozenset(tree_edges), 1, parent)
+    parent = bfs_tree(1, g.steps)
+    edge_ids = frozenset(step[0] for step in parent.values() if step)
+    return SpanningTree(g, edge_ids, parent)
 
 
 def fundamental_cycle(t: SpanningTree, eid: int) -> EdgeCycle:

@@ -20,21 +20,31 @@ class NotGenericError(ImmersionError):
     pass
 
 
+TAU_REL = 1e-6
+"""Distance tolerance of the genericity predicates, relative to the drawing:
+tau = TAU_REL * bounding-box diagonal, unless `Tolerances.tau_abs` is set."""
+
+ANGLE_TOL = 1e-6
+"""Angular tolerance of the genericity predicates, in radians, for colliding
+germs, bends that double back and near-parallel crossings."""
+
+
 @dataclass
 class Tolerances:
-    """Numeric policy for genericity predicates.
+    """Numeric policy for genericity predicates: an absolute distance
+    tolerance tau_abs, finite and positive, replaces TAU_REL * bbox
+    diagonal when set."""
+    tau_abs: float | None = None
 
-    tau_rel scales with the drawing (tau = tau_rel * bbox diagonal);
-    angle_tol is an absolute angular tolerance in radians.
-    """
-    tau_rel: float = 1e-6
-    angle_tol: float = 1e-6
-    tau_abs: float | None = None    # overrides tau_rel when set
+    def __post_init__(self):
+        if self.tau_abs is not None and not 0.0 < self.tau_abs < math.inf:
+            raise ImmersionError(
+                f"tolerance must be finite and positive, got {self.tau_abs}")
 
     def tau_for(self, diag: float) -> float:
         if self.tau_abs is not None:
             return self.tau_abs
-        return self.tau_rel * max(diag, 1e-300)
+        return TAU_REL * max(diag, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -114,15 +124,13 @@ def immersion_from_json_dict(data: dict) -> PlaneImmersion:
 @dataclass(frozen=True)
 class StrandPoint:
     edge: int
-    segment: int
-    t: float            # parameter within the segment, in (0, 1)
     arclength: float    # along the edge from its tail
 
 
 @dataclass(frozen=True)
 class Crossing:
     point: Point
-    first: StrandPoint        # ordered by (edge, segment, t)
+    first: StrandPoint        # ordered by (edge, arclength)
     second: StrandPoint
 
 
@@ -164,7 +172,7 @@ def _all_segments(f: PlaneImmersion):
     return out
 
 
-def find_crossings(f: PlaneImmersion, tau: float, angle_tol: float):
+def find_crossings(f: PlaneImmersion, tau: float):
     """Proper transversal crossings plus degeneracy violations."""
     segs = _all_segments(f)
     crossings = []
@@ -193,7 +201,7 @@ def find_crossings(f: PlaneImmersion, tau: float, angle_tol: float):
             pt, t1, t2 = hit
             d1 = geo.unit(geo.sub(b1, a1))
             d2 = geo.unit(geo.sub(b2, a2))
-            if abs(geo.cross(d1, d2)) < angle_tol:
+            if abs(geo.cross(d1, d2)) < ANGLE_TOL:
                 violations.append(
                     ("non-transversal", f"edges {e1}/{e2} cross at {pt} "
                      "with near-parallel strands"))
@@ -201,20 +209,18 @@ def find_crossings(f: PlaneImmersion, tau: float, angle_tol: float):
             pl2 = f.polylines[e2]
             s1 = pl1.cum[i1] + t1 * (pl1.cum[i1 + 1] - pl1.cum[i1])
             s2 = pl2.cum[i2] + t2 * (pl2.cum[i2 + 1] - pl2.cum[i2])
-            crossings.append(Crossing(pt, StrandPoint(e1, i1, t1, s1),
-                                      StrandPoint(e2, i2, t2, s2)))
+            crossings.append(Crossing(pt, StrandPoint(e1, s1),
+                                      StrandPoint(e2, s2)))
     return crossings, violations
 
 
-def cyclic_order(f: PlaneImmersion, v: int,
-                 tol: Tolerances | None = None) -> CyclicOrder:
-    tol = tol or Tolerances()
+def cyclic_order(f: PlaneImmersion, v: int) -> CyclicOrder:
     eids = f.graph.incident_edges(v)
     angles = [(geo.angle_of(f.germ_direction(v, e)), e) for e in eids]
     angles.sort()
     for (a1, e1), (a2, e2) in zip(angles, angles[1:] + [(angles[0][0] + 2 * math.pi,
                                                          angles[0][1])]):
-        if abs(a2 - a1) < tol.angle_tol:
+        if abs(a2 - a1) < ANGLE_TOL:
             raise NotGenericError(
                 f"coincident germ angles at vertex {v}: edges {e1}, {e2}")
     return CyclicOrder.from_sequence(v, [e for _, e in angles])
@@ -240,7 +246,7 @@ def validate_generic(f: PlaneImmersion,
             if geo.norm(u_in) == 0 or geo.norm(u_out) == 0:
                 continue
             turn = geo.turn_angle(geo.unit(u_in), geo.unit(u_out))
-            if abs(turn) >= math.pi - tol.angle_tol:
+            if abs(turn) >= math.pi - ANGLE_TOL:
                 violations.append(
                     ("not-an-immersion",
                      f"edge {e.id} doubles back at bend {pl.points[i]}"))
@@ -249,12 +255,12 @@ def validate_generic(f: PlaneImmersion,
     orders = {}
     for v in f.graph.vertices():
         try:
-            orders[v] = cyclic_order(f, v, tol)
+            orders[v] = cyclic_order(f, v)
         except NotGenericError as exc:
             violations.append(("germ-collision", str(exc)))
 
     # (b) crossings transversal, interior
-    crossings, cviol = find_crossings(f, tau, tol.angle_tol)
+    crossings, cviol = find_crossings(f, tau)
     violations.extend(cviol)
 
     # (c) crossings clear of vertices and bends
@@ -362,7 +368,7 @@ def trace_cycle(f: PlaneImmersion, c: EdgeCycle) -> list[Point]:
     return pts
 
 
-def turning_number(points: list[Point], angle_tol: float = 1e-6) -> int:
+def turning_number(points: list[Point]) -> int:
     """Total signed turning of a closed polyline, in full turns.
 
     The input is cyclic: the last point must equal the first.  Corner turns
@@ -378,7 +384,7 @@ def turning_number(points: list[Point], angle_tol: float = 1e-6) -> int:
     total = 0.0
     for u_in, u_out in zip(dirs, dirs[1:] + dirs[:1]):
         turn = geo.turn_angle(u_in, u_out)
-        if abs(turn) >= math.pi - angle_tol:
+        if abs(turn) >= math.pi - ANGLE_TOL:
             raise ImmersionError("straight-back corner in closed polyline")
         total += turn
     k = total / (2.0 * math.pi)
@@ -432,9 +438,12 @@ def standard_curve(r: int) -> PlaneImmersion:
     e3_points: list[Point] = [v2]
     kinks = abs(r - 1)
     sign = 1 if r > 1 else -1
-    radius = 0.1
+    # curl centers stay within [0.6, 3.6] on the length-4 edge: beyond four
+    # curls they move closer together and shrink with their spacing
+    spacing = min(0.9, 3.0 / max(kinks - 1, 1))
+    radius = min(0.1, spacing / 9)
     for k in range(kinks):
-        center = (0.6 + 0.9 * k, 0.0)
+        center = (0.6 + spacing * k, 0.0)
         e3_points.extend(geo.kink_waypoints(center, (1.0, 0.0), radius, sign))
     e3_points.append(v3)
     polylines = {
@@ -445,7 +454,7 @@ def standard_curve(r: int) -> PlaneImmersion:
     return PlaneImmersion(g, positions, polylines)
 
 
-def standard_star(order, germ_angles=None, spoke: float = 1.0) -> PlaneImmersion:
+def standard_star(order, germ_angles=None) -> PlaneImmersion:
     """Straight-spoke star immersion realizing a cyclic order of edge germs.
 
     `order` lists edge ids counterclockwise; evenly spaced germs unless
@@ -464,7 +473,7 @@ def standard_star(order, germ_angles=None, spoke: float = 1.0) -> PlaneImmersion
     polylines = {}
     for eid in range(1, d + 1):
         a = germ_angles[eid]
-        tip = (spoke * math.cos(a), spoke * math.sin(a))
+        tip = (math.cos(a), math.sin(a))
         positions[eid] = tip
         polylines[eid] = Polyline([tip, center])   # e = (leaf, center)
     return PlaneImmersion(g, positions, polylines)
@@ -483,8 +492,8 @@ def planar_k4() -> PlaneImmersion:
 # rendering
 
 
-def to_svg(f: PlaneImmersion, report: GenericityReport | None = None,
-           size: int = 480) -> str:
+def to_svg(f: PlaneImmersion, report: GenericityReport | None = None) -> str:
+    size = 480
     xs = [p[0] for pl in f.polylines.values() for p in pl.points]
     ys = [p[1] for pl in f.polylines.values() for p in pl.points]
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)

@@ -111,15 +111,13 @@ class InvariantContext:
 
 
 def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
-            eps: float | None = None,
-            tc: TubeComplex | None = None) -> InvariantContext:
+            eps: float | None = None) -> InvariantContext:
     report = validate_generic(f, tol)
     if not report.passed:
         raise NotGenericError(
             "immersion is not generic: "
             + "; ".join(f"{kind}: {msg}" for kind, msg in report.violations))
-    if tc is None:
-        tc = tube_spanning_tree(build_symmetric_tube(f.graph))
+    tc = tube_spanning_tree(build_symmetric_tube(f.graph))
     basis = wu_basis(tc)
     use_eps = report.epsilon if eps is None else eps
     if use_eps <= 0 or use_eps > report.epsilon:
@@ -160,9 +158,8 @@ def coordinate(ctx: InvariantContext, label: BasisLabel) -> int:
 
 
 def wu(f: PlaneImmersion, tol: Tolerances | None = None,
-       eps: float | None = None, ctx: InvariantContext | None = None) -> WuVector:
-    if ctx is None:
-        ctx = prepare(f, tol, eps)
+       eps: float | None = None) -> WuVector:
+    ctx = prepare(f, tol, eps)
     coords = tuple(coordinate(ctx, b) for b in ctx.basis.labels)
     names = tuple(ctx.basis.names())
     return WuVector(names, coords, conventions_fingerprint(ctx.complex, ctx.basis))

@@ -69,19 +69,32 @@ def _local_clearance(f: PlaneImmersion, eid: int, i: int, t: float) -> float:
     return best
 
 
-def _splice(f: PlaneImmersion, eid: int, i: int, chain) -> PlaneImmersion:
-    pl = f.polylines[eid]
-    pts = pl.points[:i + 1] + list(chain) + pl.points[i + 1:]
-    polylines = dict(f.polylines)
-    polylines[eid] = Polyline(pts)
-    return PlaneImmersion(f.graph, dict(f.positions), polylines)
-
-
-def _checked(f: PlaneImmersion, tol: Tolerances | None, what: str) -> PlaneImmersion:
+def _generic(f: PlaneImmersion, tol: Tolerances | None, what: str):
+    """Genericity report of f; raises MoveError starting with `what` when f
+    is not generic."""
     report = validate_generic(f, tol)
     if not report.passed:
-        raise MoveError(f"{what} broke genericity: {report.violations}")
-    return f
+        raise MoveError(f"{what}: {report.violations}")
+    return report
+
+
+def _insert(f: PlaneImmersion, eid: int, t: float, tol: Tolerances | None,
+            what: str, room: float, chain) -> PlaneImmersion:
+    """Splice `chain(center, u, r)` into edge eid at arclength t, where u is
+    the edge direction there and r the room there (the smaller of epsilon
+    and the local clearance) divided by `room`."""
+    report = _generic(f, tol, "cannot move a non-generic immersion")
+    pl, i, u = _locate(f, eid, t)
+    r = min(report.epsilon, _local_clearance(f, eid, i, t)) / room
+    if r <= report.tau:
+        raise MoveError(
+            f"insufficient clearance for a {what} at {t} on edge {eid}")
+    polylines = dict(f.polylines)
+    polylines[eid] = Polyline(pl.points[:i + 1] + chain(pl.point_at(t), u, r)
+                              + pl.points[i + 1:])
+    g = PlaneImmersion(f.graph, dict(f.positions), polylines)
+    _generic(g, tol, f"{what} broke genericity")
+    return g
 
 
 def insert_curl(f: PlaneImmersion, eid: int, t: float, sign: int,
@@ -90,44 +103,27 @@ def insert_curl(f: PlaneImmersion, eid: int, t: float, sign: int,
     turning of any traversal that runs the edge tail to head."""
     if sign not in (+1, -1):
         raise MoveError("curl sign must be +1 or -1")
-    report = validate_generic(f, tol)
-    if not report.passed:
-        raise MoveError("cannot move a non-generic immersion")
-    pl, i, u = _locate(f, eid, t)
-    clearance = _local_clearance(f, eid, i, t)
-    r = min(report.epsilon, clearance) / 4.0
-    if r <= report.tau:
-        raise MoveError(f"insufficient clearance for a curl at {t} on edge {eid}")
-    center = pl.point_at(t)
-    chain = kink_waypoints(center, u, r, sign)
-    return _checked(_splice(f, eid, i, chain), tol, "curl")
+    return _insert(f, eid, t, tol, "curl", 4.0,
+                   lambda c, u, r: kink_waypoints(c, u, r, sign))
+
+
+def _whitney_chain(center, u, r):
+    c1 = geo.add(center, geo.scale(u, -2.5 * r))
+    c2 = geo.add(center, geo.scale(u, +2.5 * r))
+    return kink_waypoints(c1, u, r, +1) + kink_waypoints(c2, u, r, -1)
 
 
 def whitney_pair(f: PlaneImmersion, eid: int, t: float,
                  tol: Tolerances | None = None) -> PlaneImmersion:
     """Two opposite curls side by side; a regular-homotopy move."""
-    report = validate_generic(f, tol)
-    if not report.passed:
-        raise MoveError("cannot move a non-generic immersion")
-    pl, i, u = _locate(f, eid, t)
-    clearance = _local_clearance(f, eid, i, t)
-    r = min(report.epsilon, clearance) / 6.0
-    if r <= report.tau:
-        raise MoveError(
-            f"insufficient clearance for a Whitney pair at {t} on edge {eid}")
-    c1 = geo.add(pl.point_at(t), geo.scale(u, -2.5 * r))
-    c2 = geo.add(pl.point_at(t), geo.scale(u, +2.5 * r))
-    chain = kink_waypoints(c1, u, r, +1) + kink_waypoints(c2, u, r, -1)
-    return _checked(_splice(f, eid, i, chain), tol, "whitney pair")
+    return _insert(f, eid, t, tol, "Whitney pair", 6.0, _whitney_chain)
 
 
 def perturb(f: PlaneImmersion, seed: int, delta: float | None = None,
             tol: Tolerances | None = None) -> PlaneImmersion:
     """Jitter every interior bend point by at most delta, keeping vertices
     fixed; halves delta and retries (up to 8 times) if genericity breaks."""
-    report = validate_generic(f, tol)
-    if not report.passed:
-        raise MoveError("cannot perturb a non-generic immersion")
+    report = _generic(f, tol, "cannot perturb a non-generic immersion")
     if delta is None:
         delta = report.epsilon / 8.0
     if delta < 0 or delta >= report.epsilon / 4.0 + 1e-30:

@@ -13,10 +13,10 @@ from Z toward W when v is b's tail, from W toward Z when v is b's head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
 from itertools import combinations
 
-from .graphs import Graph, SpanningTree, EdgeCycle, GraphError, canonical_spanning_tree
+from .graphs import (Graph, SpanningTree, EdgeCycle, GraphError, bfs_tree,
+                     canonical_spanning_tree, tree_path)
 
 
 class TubeError(ValueError):
@@ -64,9 +64,6 @@ class TubeEdge:
             return f"X[e{self.edge_a}]"
         return f"Y[v{self.vertex};fix e{self.edge_a},move e{self.edge_b}]"
 
-    def ends(self) -> tuple[TubeVertex, TubeVertex]:
-        return (self.u, self.v)
-
 
 @dataclass(frozen=True)
 class SymmetricTube:
@@ -102,10 +99,6 @@ class BasisLabel:
     kind: str              # "X" or "Y"
     edge: TubeEdge
     name: str
-    # Y only: vertex, local neighbor indices (moving j < fixed k)
-    vertex: int = 0
-    local_j: int = 0
-    local_k: int = 0
 
 
 @dataclass(frozen=True)
@@ -126,18 +119,9 @@ class TubeComplex:
     _parent: dict = field(compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        # BFS tree structure over tree edges, rooted at the first tube vertex
-        root = self.tube.vertices[0]
         adj = self.tube.adjacency(self.tree_edges)
-        parent: dict[TubeVertex, tuple] = {root: None}
-        q = deque([root])
-        while q:
-            c = q.popleft()
-            for e, sgn in adj[c]:
-                nxt = e.v if sgn > 0 else e.u
-                if nxt not in parent:
-                    parent[nxt] = (e, sgn, c)
-                    q.append(nxt)
+        parent = bfs_tree(self.tube.vertices[0], lambda c: [
+            (e, sgn, e.v if sgn > 0 else e.u) for e, sgn in adj[c]])
         if len(parent) != len(self.tube.vertices):
             raise TubeError("tube tree does not span the tube")
         object.__setattr__(self, "_parent", parent)
@@ -148,31 +132,7 @@ class TubeComplex:
 
     def tree_path(self, a: TubeVertex, b: TubeVertex):
         """Path a -> b within the tree, as (tube edge, direction) steps."""
-        up_a, up_b = self._chain(a), self._chain(b)
-        set_b = {c for c, _ in up_b}
-        lca = next(c for c, _ in up_a if c in set_b)
-        part1 = []
-        for c, step in up_a:
-            if c == lca:
-                break
-            e, sgn, _ = step
-            part1.append((e, -sgn))   # walk child -> parent: against BFS entry
-        part2 = []
-        for c, step in up_b:
-            if c == lca:
-                break
-            e, sgn, _ = step
-            part2.append((e, sgn))
-        return part1 + list(reversed(part2))
-
-    def _chain(self, c: TubeVertex):
-        out = []
-        while self._parent[c] is not None:
-            step = self._parent[c]
-            out.append((c, step))
-            c = step[2]
-        out.append((c, None))
-        return out
+        return tree_path(self._parent, a, b)
 
 
 def build_symmetric_tube(g: Graph) -> SymmetricTube:
@@ -252,8 +212,7 @@ def wu_basis(tc: TubeComplex) -> WuBasis:
         for j in range(1, d):           # local indices 1..d-1, j < k
             for k in range(j + 1, d):
                 edge = tc.tube.y_edge(v, inc[k - 1], inc[j - 1])
-                labels.append(BasisLabel(
-                    "Y", edge, f"Y{v}[{k},{j}]", vertex=v, local_j=j, local_k=k))
+                labels.append(BasisLabel("Y", edge, f"Y{v}[{k},{j}]"))
     # sanity: labels are exactly the non-tree tube edges
     non_tree = set(tc.non_tree_edges)
     if {b.edge for b in labels} != non_tree or len(labels) != len(non_tree):

@@ -80,9 +80,18 @@ def test_malformed_file_is_validation_failure(tmp_path, capsys):
         "positions": {"1": [0, 0], "2": [6, 2], "3": [0, 4]},
         "polylines": {"1": [[0, 0], [2, 2], [4, 4], [6, 2]],
                       "2": [[6, 2], [4, 0], [2, 2], [0, 4]]}}
-    for f in (str(p), write(tmp_path, "nan.json", nan_bend),
-              write(tmp_path, "x.json", x_shared_bend)):
-        assert main(["invariant", f]) == 1
+    # edge (3,4) ends on edge (1,2) at (1, 0): rejected once tau > 0
+    touching = write(tmp_path, "touch.json", {
+        "graph": {"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
+        "positions": {"1": [0, 0], "2": [2, 0], "3": [1, 2], "4": [1, 0]},
+        "polylines": {"1": [[0, 0], [2, 0]], "2": [[2, 0], [1, 2]],
+                      "3": [[1, 2], [1, 0]]}})
+    for argv in (["invariant", str(p)],
+                 ["invariant", write(tmp_path, "nan.json", nan_bend)],
+                 ["invariant", write(tmp_path, "x.json", x_shared_bend)],
+                 ["invariant", touching, "--tol", "-1"],
+                 ["validate", touching, "--tol", "-1"]):
+        assert main(argv) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 

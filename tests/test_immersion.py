@@ -37,8 +37,12 @@ def test_fixtures_are_generic():
         assert report.epsilon > 0
 
 
+def kinds(report):
+    return {kind for kind, _ in report.violations}
+
+
 def test_standard_curve_crossing_count():
-    for r in range(-3, 4):
+    for r in range(-12, 13):
         report = validate_generic(standard_curve(r))
         assert len(report.crossings) == abs(r - 1)
 
@@ -63,6 +67,7 @@ def test_strand_through_vertex_is_not_generic():
     })
     report = validate_generic(f)
     assert not report.passed
+    assert "near-contact" in kinds(report)
 
 
 def test_coincident_germs_are_not_generic():
@@ -77,6 +82,54 @@ def test_near_parallel_crossing_flagged():
     f = straight_line_immersion(g, pos)
     report = validate_generic(f)
     assert not report.passed
+    assert "non-transversal" in kinds(report)
+
+
+def drawing(positions, edges, bends=None):
+    """Immersion of the graph on `edges` with the given vertex positions and
+    interior bend points per edge id."""
+    g = validate_graph(len(positions), edges)
+    bends = bends or {}
+    return PlaneImmersion(g, positions, {
+        e.id: Polyline([positions[e.tail], *bends.get(e.id, ()),
+                        positions[e.head]])
+        for e in g.edges})
+
+
+@pytest.mark.parametrize("kind, message, build", [
+    ("degenerate-segment", "segment 1",
+     lambda: drawing({1: (0, 0), 2: (2, 0)}, [(1, 2)], {1: [(1, 0), (1, 0)]})),
+    # edge (3,4) ends on edge (1,2)
+    ("near-contact", "edges 1/3",
+     lambda: drawing({1: (0, 0), 2: (2, 0), 3: (1, 2), 4: (1, 0)},
+                     [(1, 2), (2, 3), (3, 4)])),
+    ("non-transversal", "edges 1/2",
+     lambda: drawing({1: (0, 0), 2: (10, 0), 3: (0, 1e-8), 4: (10, -1e-8)},
+                     [(1, 2), (3, 4), (1, 3), (2, 4)])),
+    ("crossing-at-vertex", "near vertex",
+     lambda: drawing({1: (0, 0), 2: (2, 0), 3: (1e-7, -1), 4: (1e-7, 1)},
+                     [(1, 2), (3, 4), (2, 4)])),
+    ("crossing-at-bend", "near bend (1.0, 0.0)",
+     lambda: drawing({1: (0, 0), 2: (2, 1), 3: (1 + 1e-7, -1),
+                      4: (1 + 1e-7, 2)},
+                     [(1, 2), (3, 4), (2, 4)], {1: [(1, 0)]})),
+    # three straight edges through the origin
+    ("triple-point", "coincide near",
+     lambda: drawing({1: (-1, 0), 2: (1, 0), 3: (0, -1), 4: (0, 1),
+                      5: (-1, -1), 6: (1, 1)},
+                     [(1, 2), (3, 4), (5, 6), (2, 6), (4, 6)])),
+    # a first segment longer than tau but shorter than 2 tau
+    ("no-scale", "clearances",
+     lambda: drawing({1: (0, 0), 2: (3, 4)}, [(1, 2)], {1: [(7.5e-6, 0)]})),
+    # germs 1e-5 apart: distinct, but too close for any pair scale
+    ("no-scale", "germ angles",
+     lambda: standard_star((1, 2, 3), germ_angles={1: 0.0, 2: 1e-5, 3: 2.0})),
+])
+def test_each_violation_kind_is_named(kind, message, build):
+    report = validate_generic(build())
+    assert not report.passed and report.epsilon == 0.0
+    assert any(k == kind and message in text
+               for k, text in report.violations), report.violations
 
 
 def test_cyclic_order_anchors():
@@ -106,7 +159,7 @@ def test_turning_number_squares():
 
 
 def test_standard_curve_turning_matches_r():
-    for r in range(-3, 4):
+    for r in range(-12, 13):
         f = standard_curve(r)
         cycle = EdgeCycle(f.graph, ((3, 1), (2, -1), (1, 1)))
         assert turning_number(trace_cycle(f, cycle)) == r
@@ -164,6 +217,9 @@ def test_absolute_tolerance_override():
     f = standard_curve(1)
     report = validate_generic(f, Tolerances(tau_abs=1e-9))
     assert report.tau == 1e-9 and report.passed
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ImmersionError, match="finite and positive"):
+            Tolerances(tau_abs=bad)
 
 
 def test_svg_smoke(k4):
