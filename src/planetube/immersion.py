@@ -4,7 +4,9 @@ orders, turning numbers, fixtures.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import geometry as geo
 from .geometry import Polyline, Point
@@ -160,58 +162,117 @@ class GenericityReport:
     tau: float
 
 
-def _all_segments(f: PlaneImmersion):
-    """(edge id, index, start, end, graph vertices the segment ends at)."""
+class _Segment(NamedTuple):
+    edge: int
+    index: int                  # position along the edge's polyline
+    a: Point
+    b: Point
+    ends: frozenset             # graph vertices the segment ends at
+    s0: float                   # arclength of a and b from the edge's tail
+    s1: float
+    x0: float                   # bounding box
+    x1: float
+    y0: float
+    y1: float
+
+
+def _all_segments(f: PlaneImmersion) -> list[_Segment]:
+    """Every polyline segment, edge by edge, tail to head."""
     out = []
     for e in f.graph.edges:
-        segs = f.polylines[e.id].segments()
-        for i, (a, b) in enumerate(segs):
+        pl = f.polylines[e.id]
+        last = len(pl.points) - 2
+        for i, (a, b) in enumerate(pl.segments()):
             ends = frozenset(([e.tail] if i == 0 else [])
-                             + ([e.head] if i == len(segs) - 1 else []))
-            out.append((e.id, i, a, b, ends))
+                             + ([e.head] if i == last else []))
+            out.append(_Segment(e.id, i, a, b, ends, pl.cum[i], pl.cum[i + 1],
+                                min(a[0], b[0]), max(a[0], b[0]),
+                                min(a[1], b[1]), max(a[1], b[1])))
     return out
 
 
-def find_crossings(f: PlaneImmersion, tau: float):
-    """Proper transversal crossings plus degeneracy violations."""
-    segs = _all_segments(f)
+def _check_pair(s: _Segment, t: _Segment, tau: float, crossings,
+                violations) -> None:
+    """Pair test of two segments, s before t in `_all_segments` order:
+    appends their proper transversal crossing to `crossings`, or a
+    near-contact or non-transversal violation to `violations`."""
+    # only neighbours in the graph may touch: consecutive segments of one
+    # edge, and germs at a common vertex
+    if (s.edge == t.edge and t.index - s.index <= 1) or s.ends & t.ends:
+        return
+    a1, b1, a2, b2 = s.a, s.b, t.a, t.b
+    hit = geo.segment_intersection(a1, b1, a2, b2)
+    if hit is None:
+        # flag tangential / endpoint contact of unrelated strands, at the
+        # endpoint that comes closest to the other segment
+        d, p = min(((geo.point_segment_distance(a1, a2, b2), a1),
+                    (geo.point_segment_distance(b1, a2, b2), b1),
+                    (geo.point_segment_distance(a2, a1, b1), a2),
+                    (geo.point_segment_distance(b2, a1, b1), b2)),
+                   key=lambda dp: dp[0])
+        if d < tau:
+            violations.append(
+                ("near-contact", f"edges {s.edge}/{t.edge} touch without "
+                 f"transversal crossing near {p}"))
+        return
+    pt, t1, t2 = hit
+    d1 = geo.unit(geo.sub(b1, a1))
+    d2 = geo.unit(geo.sub(b2, a2))
+    if abs(geo.cross(d1, d2)) < ANGLE_TOL:
+        violations.append(
+            ("non-transversal", f"edges {s.edge}/{t.edge} cross at {pt} "
+             "with near-parallel strands"))
+        return
+    crossings.append(Crossing(pt,
+                              StrandPoint(s.edge, s.s0 + t1 * (s.s1 - s.s0)),
+                              StrandPoint(t.edge, t.s0 + t2 * (t.s1 - t.s0))))
+
+
+def find_crossings(segs: list[_Segment], tau: float):
+    """Proper transversal crossings plus degeneracy violations of the
+    segments `_all_segments` lists, in the order of a test of every pair
+    (i, j), i < j.
+
+    Only pairs whose bounding boxes, widened by tau on every side, overlap
+    are tested: a sweep over the boxes sorted by left edge keeps the boxes
+    whose right edge it has not passed, and pairs the new box with those
+    whose y-range meets its own.  This is exact, because every pair the
+    test flags is closer than tau: a proper crossing puts a common point in
+    both boxes, and a near-contact puts an endpoint within tau of the other
+    segment, so the widened boxes overlap with a margin of tau.
+    """
+    boxes = sorted((s.x0 - tau, s.x1 + tau, s.y0 - tau, s.y1 + tau, k)
+                   for k, s in enumerate(segs))
+    pairs = []
+    active = []
+    for box in boxes:
+        x0, _, y0, y1, k = box
+        active = [b for b in active if b[1] >= x0]
+        for _, _, v0, v1, j in active:
+            if v0 <= y1 and y0 <= v1:
+                pairs.append((j, k) if j < k else (k, j))
+        active.append(box)
+    pairs.sort()
     crossings = []
     violations = []
-    for i in range(len(segs)):
-        e1, i1, a1, b1, ends1 = segs[i]
-        pl1 = f.polylines[e1]
-        for j in range(i + 1, len(segs)):
-            e2, i2, a2, b2, ends2 = segs[j]
-            # only neighbours in the graph may touch: consecutive segments
-            # of one edge, and germs at a common vertex
-            if (e1 == e2 and i2 - i1 <= 1) or ends1 & ends2:
-                continue
-            hit = geo.segment_intersection(a1, b1, a2, b2)
-            if hit is None:
-                # flag tangential / endpoint contact of unrelated strands
-                d = min(geo.point_segment_distance(a1, a2, b2),
-                        geo.point_segment_distance(b1, a2, b2),
-                        geo.point_segment_distance(a2, a1, b1),
-                        geo.point_segment_distance(b2, a1, b1))
-                if d < tau:
-                    violations.append(
-                        ("near-contact", f"edges {e1}/{e2} touch without "
-                         f"transversal crossing near {a1}"))
-                continue
-            pt, t1, t2 = hit
-            d1 = geo.unit(geo.sub(b1, a1))
-            d2 = geo.unit(geo.sub(b2, a2))
-            if abs(geo.cross(d1, d2)) < ANGLE_TOL:
-                violations.append(
-                    ("non-transversal", f"edges {e1}/{e2} cross at {pt} "
-                     "with near-parallel strands"))
-                continue
-            pl2 = f.polylines[e2]
-            s1 = pl1.cum[i1] + t1 * (pl1.cum[i1 + 1] - pl1.cum[i1])
-            s2 = pl2.cum[i2] + t2 * (pl2.cum[i2 + 1] - pl2.cum[i2])
-            crossings.append(Crossing(pt, StrandPoint(e1, s1),
-                                      StrandPoint(e2, s2)))
+    for i, j in pairs:
+        _check_pair(segs[i], segs[j], tau, crossings, violations)
     return crossings, violations
+
+
+def _near(points, r: float):
+    """Function mapping a point q to the indices, ascending, of the `points`
+    closer than r to q.  Only points within 2 r of q in x are measured: a
+    distance below r needs an x-offset below r, and the second r keeps a
+    rounded bound from dropping a point at the threshold."""
+    order = sorted(range(len(points)), key=lambda k: points[k][0])
+    xs = [points[k][0] for k in order]
+
+    def near(q):
+        lo = bisect_left(xs, q[0] - 2.0 * r)
+        hi = bisect_right(xs, q[0] + 2.0 * r)
+        return sorted(k for k in order[lo:hi] if geo.dist(q, points[k]) < r)
+    return near
 
 
 def cyclic_order(f: PlaneImmersion, v: int) -> CyclicOrder:
@@ -228,6 +289,17 @@ def cyclic_order(f: PlaneImmersion, v: int) -> CyclicOrder:
 
 def validate_generic(f: PlaneImmersion,
                      tol: Tolerances | None = None) -> GenericityReport:
+    """Genericity report of f: its violations in the order of the steps
+    below, its crossings, cyclic orders, tau and, when it passes, the
+    suggested scale epsilon.
+
+    The scans over pairs of features are pruned.  Segments are pair-tested
+    only where their tau-widened bounding boxes overlap (`find_crossings`),
+    a crossing is measured only against the vertices, bends and crossings
+    within 2 tau of it in x, and `_min_clearance` skips the distances its
+    running minimum already bounds.  Each skipped test could not have fired
+    or lowered the minimum, so the report is that of the all-pairs scans.
+    """
     tol = tol or Tolerances()
     diag = f.bbox_diagonal()
     tau = tol.tau_for(diag)
@@ -260,34 +332,36 @@ def validate_generic(f: PlaneImmersion,
             violations.append(("germ-collision", str(exc)))
 
     # (b) crossings transversal, interior
-    crossings, cviol = find_crossings(f, tau)
+    segs = _all_segments(f)
+    crossings, cviol = find_crossings(segs, tau)
     violations.extend(cviol)
 
     # (c) crossings clear of vertices and bends
     features = [tuple(f.positions[v]) for v in f.graph.vertices()]
     bends = [p for e in f.graph.edges
              for p in f.polylines[e.id].points[1:-1]]
+    near_feature, near_bend = _near(features, tau), _near(bends, tau)
     for c in crossings:
-        for p in features:
-            if geo.dist(c.point, p) < tau:
-                violations.append(
-                    ("crossing-at-vertex", f"crossing {c.point} near vertex {p}"))
-        for p in bends:
-            if geo.dist(c.point, p) < tau:
-                violations.append(
-                    ("crossing-at-bend", f"crossing {c.point} near bend {p}"))
+        for k in near_feature(c.point):
+            violations.append(
+                ("crossing-at-vertex",
+                 f"crossing {c.point} near vertex {features[k]}"))
+        for k in near_bend(c.point):
+            violations.append(
+                ("crossing-at-bend",
+                 f"crossing {c.point} near bend {bends[k]}"))
 
     # (d) no triple points
-    for i in range(len(crossings)):
-        for j in range(i + 1, len(crossings)):
-            if geo.dist(crossings[i].point, crossings[j].point) < tau:
+    near_crossing = _near([c.point for c in crossings], tau)
+    for i, c in enumerate(crossings):
+        for j in near_crossing(c.point):
+            if j > i:
                 violations.append(
-                    ("triple-point",
-                     f"crossings coincide near {crossings[i].point}"))
+                    ("triple-point", f"crossings coincide near {c.point}"))
 
     eps = 0.0
     if not violations:
-        eps = 0.5 * _min_clearance(f, crossings)
+        eps = 0.5 * _min_clearance(f, segs, crossings, tau)
         if eps <= tau:
             violations.append(("no-scale", "feature clearances below tolerance"))
             eps = 0.0
@@ -325,31 +399,48 @@ def _min_germ_angle(f: PlaneImmersion) -> float:
     return best
 
 
-def _min_clearance(f: PlaneImmersion, crossings) -> float:
+def _min_clearance(f: PlaneImmersion, segs: list[_Segment], crossings,
+                   tau: float) -> float:
     """Scale at which every vertex disk meets the image only in embedded
-    germs and every pair sample stays unambiguous."""
+    germs and every pair sample stays unambiguous: the least of the germ
+    lengths, half edge lengths, crossing-crossing and crossing-vertex
+    distances, and vertex-segment distances.
+
+    The cheap terms come first.  Crossing pairs are then measured in
+    x-order only while their x-offset is below the least distance so far,
+    and a vertex-segment distance only where the segment's bounding box,
+    widened by tau, is nearer the vertex than that least distance.  A
+    skipped distance is at least the x-offset or box gap, so no skipped
+    term could lower the minimum; tau covers rounding in
+    `geometry.point_segment_distance`.
+    """
     best = math.inf
-    segs = _all_segments(f)
-    for v in f.graph.vertices():
-        pos = tuple(f.positions[v])
-        for _, _, a, b, ends in segs:
-            if v not in ends:           # germs at v leave it by definition
-                best = min(best, geo.point_segment_distance(pos, a, b))
-    for c in crossings:
-        for v in f.graph.vertices():
-            best = min(best, geo.dist(c.point, tuple(f.positions[v])))
-    for i in range(len(crossings)):
-        for j in range(i + 1, len(crossings)):
-            best = min(best, geo.dist(crossings[i].point, crossings[j].point))
-        c = crossings[i]
-        if c.first.edge == c.second.edge:
-            best = min(best, abs(c.first.arclength - c.second.arclength) / 2.0)
     for e in f.graph.edges:
         pl = f.polylines[e.id]
         best = min(best,
                    geo.dist(pl.points[0], pl.points[1]),
                    geo.dist(pl.points[-2], pl.points[-1]),
                    pl.length / 2.0)
+    vertices = [(v, tuple(f.positions[v])) for v in f.graph.vertices()]
+    for c in crossings:
+        for _, pos in vertices:
+            best = min(best, geo.dist(c.point, pos))
+        if c.first.edge == c.second.edge:
+            best = min(best, abs(c.first.arclength - c.second.arclength) / 2.0)
+    points = sorted(c.point for c in crossings)
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if points[j][0] - points[i][0] >= best:
+                break
+            best = min(best, geo.dist(points[i], points[j]))
+    for v, pos in vertices:
+        px, py = pos
+        for _, _, a, b, ends, _, _, x0, x1, y0, y1 in segs:
+            reach = best + tau
+            # germs at v leave it by definition
+            if (x0 - px < reach and px - x1 < reach and y0 - py < reach
+                    and py - y1 < reach and v not in ends):
+                best = min(best, geo.point_segment_distance(pos, a, b))
     return best
 
 

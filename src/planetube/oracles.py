@@ -2,6 +2,9 @@
 
 cell_census enumerates the cells of the quotient of the deleted product by
 the point swap and checks the tube counts against closed forms.
+all_pairs_crossings and min_clearance_oracle rerun the genericity
+validator's crossing scan and feature clearance over every pair, without
+its pruning.
 betti_oracle recomputes the tube's first Betti number from the boundary
 matrix by exact elimination.  The windings that `invariant` sums exactly
 are realized here as closed paths of point pairs at scale eps: `winding`
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from . import geometry as geo
 from .graphs import Graph
-from .immersion import PlaneImmersion
+from .immersion import PlaneImmersion, _all_segments, _check_pair
 from .tube import SymmetricTube
 from .invariant import WindingError, INTEGER_TOL
 
@@ -100,6 +103,42 @@ def betti_oracle(tube: SymmetricTube) -> int:
     r = _matrix_rank(rows)
     components = len(tube.vertices) - r
     return len(tube.edges) - len(tube.vertices) + components
+
+
+def all_pairs_crossings(f: PlaneImmersion, tau: float):
+    """`immersion.find_crossings` without pruning: the same pair test on
+    every segment pair (i, j), i < j, in order."""
+    segs = _all_segments(f)
+    crossings, violations = [], []
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            _check_pair(segs[i], segs[j], tau, crossings, violations)
+    return crossings, violations
+
+
+def min_clearance_oracle(f: PlaneImmersion, crossings) -> float:
+    """`immersion._min_clearance` without pruning: the least of every
+    vertex-segment, crossing-vertex and crossing-crossing distance, half
+    arclength gap of a self-crossing, germ length and half edge length."""
+    best = math.inf
+    segs = _all_segments(f)
+    for v in f.graph.vertices():
+        pos = tuple(f.positions[v])
+        for s in segs:
+            if v not in s.ends:
+                best = min(best, geo.point_segment_distance(pos, s.a, s.b))
+        for c in crossings:
+            best = min(best, geo.dist(c.point, pos))
+    for i, c in enumerate(crossings):
+        for d in crossings[i + 1:]:
+            best = min(best, geo.dist(c.point, d.point))
+        if c.first.edge == c.second.edge:
+            best = min(best, abs(c.first.arclength - c.second.arclength) / 2.0)
+    for e in f.graph.edges:
+        pl = f.polylines[e.id]
+        best = min(best, geo.dist(pl.points[0], pl.points[1]),
+                   geo.dist(pl.points[-2], pl.points[-1]), pl.length / 2.0)
+    return best
 
 
 MAX_REFINE_DEPTH = 40

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,7 +11,10 @@ from planetube.immersion import (PlaneImmersion, ImmersionError,
                                  cyclic_order, trace_cycle, turning_number,
                                  restrict, reflect, map_points,
                                  standard_curve, standard_star, planar_k4,
-                                 to_svg)
+                                 to_svg, find_crossings, _all_segments,
+                                 _min_clearance)
+from planetube.invariant import wu
+from planetube.oracles import all_pairs_crossings, min_clearance_oracle
 
 from conftest import resample_midpoints, straight_line_immersion, random_k4
 
@@ -41,8 +45,12 @@ def kinds(report):
     return {kind for kind, _ in report.violations}
 
 
+# 99 to 399 curls: 600 to 2400 segments
+LARGE_R = (100, -100, 400)
+
+
 def test_standard_curve_crossing_count():
-    for r in range(-12, 13):
+    for r in (*range(-12, 13), *LARGE_R):
         report = validate_generic(standard_curve(r))
         assert len(report.crossings) == abs(r - 1)
 
@@ -96,7 +104,8 @@ def drawing(positions, edges, bends=None):
         for e in g.edges})
 
 
-@pytest.mark.parametrize("kind, message, build", [
+# one drawing per violation kind: (kind, message text, builder)
+VIOLATION_DRAWINGS = [
     ("degenerate-segment", "segment 1",
      lambda: drawing({1: (0, 0), 2: (2, 0)}, [(1, 2)], {1: [(1, 0), (1, 0)]})),
     # edge (3,4) ends on edge (1,2)
@@ -124,12 +133,94 @@ def drawing(positions, edges, bends=None):
     # germs 1e-5 apart: distinct, but too close for any pair scale
     ("no-scale", "germ angles",
      lambda: standard_star((1, 2, 3), germ_angles={1: 0.0, 2: 1e-5, 3: 2.0})),
-])
+]
+
+
+@pytest.mark.parametrize("kind, message, build", VIOLATION_DRAWINGS)
 def test_each_violation_kind_is_named(kind, message, build):
     report = validate_generic(build())
     assert not report.passed and report.epsilon == 0.0
     assert any(k == kind and message in text
                for k, text in report.violations), report.violations
+
+
+def test_near_contact_names_where_strands_touch():
+    # edge (3,4) ends on edge (1,2) at (1, 0); the crossing-at-bend drawing
+    # bends edge 1 at (1, 0), 1e-7 beside the straight edge 2
+    ends_on_edge, at_bend = (build for kind, _, build in VIOLATION_DRAWINGS
+                             if kind in ("near-contact", "crossing-at-bend"))
+    assert ("near-contact", "edges 1/3 touch without transversal crossing "
+            "near (1.0, 0.0)") in validate_generic(ends_on_edge()).violations
+    assert [text for kind, text in validate_generic(at_bend()).violations
+            if kind == "near-contact"] == [
+        "edges 1/2 touch without transversal crossing near (1.0, 0.0)"]
+
+
+def random_bent_kn(rng, n, snap=0.0):
+    """K_n on a jittered radius-10 circle, each edge bent 10-25 times about
+    its chord.  A positive `snap` rounds every coordinate to that grid, so
+    that strands touch, overlap and cross at bends."""
+    def at(x, y):
+        return (round(x / snap) * snap, round(y / snap) * snap) if snap \
+            else (x, y)
+
+    pos = {v: at(10 * math.cos(2 * math.pi * v / n) + rng.uniform(-1, 1),
+                 10 * math.sin(2 * math.pi * v / n) + rng.uniform(-1, 1))
+           for v in range(1, n + 1)}
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    bends = {}
+    for eid, (i, j) in enumerate(edges, start=1):
+        (ax, ay), (bx, by), k = pos[i], pos[j], rng.randint(10, 25)
+        bends[eid] = [at(ax + (bx - ax) * m / (k + 1) + rng.uniform(-.3, .3),
+                         ay + (by - ay) * m / (k + 1) + rng.uniform(-.3, .3))
+                      for m in range(1, k + 1)]
+    return drawing(pos, edges, bends)
+
+
+def pruning_cases():
+    """(drawing, tau) pairs for the pruned scans: random bent K4-K6, plain
+    and snapped to a grid, at their own tau and one at a coarse tau; parallel
+    and collinear segments just inside and outside tau; a ladder of
+    zero-width and zero-height boxes with ties on the left edge; and the
+    drawing of every violation kind.  Sizes keep the all-pairs oracle
+    under a second."""
+    rng = random.Random(7)
+    k4, k4_snapped = random_bent_kn(rng, 4), random_bent_kn(rng, 4, snap=0.5)
+    k5_snapped, k6 = random_bent_kn(rng, 5, snap=0.5), random_bent_kn(rng, 6)
+    cases = [(f, 1e-6 * f.bbox_diagonal())
+             for f in (k4, k4_snapped, k5_snapped, k6)]
+    cases.append((k4, 0.05))
+    tau = 1e-3
+    for gap in (0.5, 0.999, 1.001, 2.0):
+        d = gap * tau
+        for a, b, c, e in (((0, 0), (1, 0), (0.5, d), (1.5, d)),
+                           ((0, 0), (0, 1), (d, 0.5), (d, 1.5)),
+                           ((0, 0), (1, 0), (1 + d, 0), (2, 0)),
+                           ((0, 0), (1, 0), (1 + d, d), (2, 1))):
+            cases.append((drawing({1: a, 2: b, 3: c, 4: e},
+                                  [(1, 2), (3, 4), (2, 4)],
+                                  {3: [(3, 3)]}), tau))
+    ladder = {k + 1: (0.0, float(k)) for k in range(4)}
+    ladder.update({k + 5: (1.0, float(k)) for k in range(4)})
+    ladder.update({9: (0.5, -1.0), 10: (0.5, 4.0), 11: (1 + 0.999 * tau, -1.0),
+                   12: (1 + 0.999 * tau, 4.0)})
+    rungs = [(k, k + 4) for k in range(1, 5)]
+    rails = [(k, k + 1) for k in (1, 2, 3, 5, 6, 7)]
+    cases.append((drawing(ladder, rungs + rails + [(9, 10), (11, 12), (1, 9),
+                                                   (8, 12)]), tau))
+    for _, _, build in VIOLATION_DRAWINGS:
+        f = build()
+        cases.append((f, 1e-6 * f.bbox_diagonal()))
+    return cases
+
+
+def test_pruned_scans_match_all_pairs():
+    for f, tau in pruning_cases():
+        segs = _all_segments(f)
+        crossings, violations = find_crossings(segs, tau)
+        assert (crossings, violations) == all_pairs_crossings(f, tau)
+        assert _min_clearance(f, segs, crossings, tau) \
+            == min_clearance_oracle(f, crossings)
 
 
 def test_cyclic_order_anchors():
@@ -159,10 +250,12 @@ def test_turning_number_squares():
 
 
 def test_standard_curve_turning_matches_r():
-    for r in range(-12, 13):
+    for r in (*range(-12, 13), *LARGE_R):
         f = standard_curve(r)
         cycle = EdgeCycle(f.graph, ((3, 1), (2, -1), (1, 1)))
         assert turning_number(trace_cycle(f, cycle)) == r
+    for r in LARGE_R:
+        assert wu(standard_curve(r)).coords == (r,)
 
 
 def test_kink_template_adds_one_turn():
