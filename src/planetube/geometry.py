@@ -120,9 +120,6 @@ class Polyline:
         self.cum = cum
         self.length = cum[-1]
 
-    def segments(self):
-        return list(zip(self.points, self.points[1:]))
-
     def point_at(self, s: float) -> Point:
         """Point at arclength s from the start (clamped to [0, length])."""
         if s <= 0.0:

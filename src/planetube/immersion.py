@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 from . import geometry as geo
@@ -170,24 +171,39 @@ class _Segment(NamedTuple):
     ends: frozenset             # graph vertices the segment ends at
     s0: float                   # arclength of a and b from the edge's tail
     s1: float
+    length: float               # geometry.dist(a, b), bit for bit
+    u: Point | None             # geometry.unit(b - a); None at length 0
     x0: float                   # bounding box
     x1: float
     y0: float
     y1: float
 
 
+_NO_ENDS = frozenset()
+
+
 def _all_segments(f: PlaneImmersion) -> list[_Segment]:
-    """Every polyline segment, edge by edge, tail to head."""
+    """Every polyline segment, edge by edge, tail to head, with its length,
+    unit direction and bounding box, each computed once here for every step
+    of `validate_generic` that reads them."""
     out = []
     for e in f.graph.edges:
         pl = f.polylines[e.id]
-        last = len(pl.points) - 2
-        for i, (a, b) in enumerate(pl.segments()):
-            ends = frozenset(([e.tail] if i == 0 else [])
-                             + ([e.head] if i == last else []))
-            out.append(_Segment(e.id, i, a, b, ends, pl.cum[i], pl.cum[i + 1],
-                                min(a[0], b[0]), max(a[0], b[0]),
-                                min(a[1], b[1]), max(a[1], b[1])))
+        pts, cum = pl.points, pl.cum
+        last = len(pts) - 2
+        first_ends = frozenset((e.tail, e.head) if last == 0 else (e.tail,))
+        last_ends = frozenset((e.head,))
+        for i in range(last + 1):
+            a, b = pts[i], pts[i + 1]
+            ax, ay = a
+            bx, by = b
+            dx, dy = bx - ax, by - ay
+            n = math.hypot(dx, dy)
+            out.append(_Segment(
+                e.id, i, a, b,
+                first_ends if i == 0 else last_ends if i == last else _NO_ENDS,
+                cum[i], cum[i + 1], n, (dx / n, dy / n) if n else None,
+                min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
     return out
 
 
@@ -216,9 +232,7 @@ def _check_pair(s: _Segment, t: _Segment, tau: float, crossings,
                  f"transversal crossing near {p}"))
         return
     pt, t1, t2 = hit
-    d1 = geo.unit(geo.sub(b1, a1))
-    d2 = geo.unit(geo.sub(b2, a2))
-    if abs(geo.cross(d1, d2)) < ANGLE_TOL:
+    if abs(geo.cross(s.u, t.u)) < ANGLE_TOL:
         violations.append(
             ("non-transversal", f"edges {s.edge}/{t.edge} cross at {pt} "
              "with near-parallel strands"))
@@ -234,24 +248,21 @@ def find_crossings(segs: list[_Segment], tau: float):
     (i, j), i < j.
 
     Only pairs whose bounding boxes, widened by tau on every side, overlap
-    are tested: a sweep over the boxes sorted by left edge keeps the boxes
-    whose right edge it has not passed, and pairs the new box with those
-    whose y-range meets its own.  This is exact, because every pair the
+    are tested: with the boxes sorted by left edge, each box is paired with
+    the later boxes up to the first one whose left edge lies past its right
+    edge, where their y-ranges meet.  This is exact, because every pair the
     test flags is closer than tau: a proper crossing puts a common point in
     both boxes, and a near-contact puts an endpoint within tau of the other
     segment, so the widened boxes overlap with a margin of tau.
     """
     boxes = sorted((s.x0 - tau, s.x1 + tau, s.y0 - tau, s.y1 + tau, k)
                    for k, s in enumerate(segs))
+    lefts = [box[0] for box in boxes]
     pairs = []
-    active = []
-    for box in boxes:
-        x0, _, y0, y1, k = box
-        active = [b for b in active if b[1] >= x0]
-        for _, _, v0, v1, j in active:
+    for m, (_, x1, y0, y1, k) in enumerate(boxes):
+        for _, _, v0, v1, j in boxes[m + 1:bisect_right(lefts, x1, m + 1)]:
             if v0 <= y1 and y0 <= v1:
                 pairs.append((j, k) if j < k else (k, j))
-        active.append(box)
     pairs.sort()
     crossings = []
     violations = []
@@ -293,46 +304,50 @@ def validate_generic(f: PlaneImmersion,
     below, its crossings, cyclic orders, tau and, when it passes, the
     suggested scale epsilon.
 
-    The scans over pairs of features are pruned.  Segments are pair-tested
-    only where their tau-widened bounding boxes overlap (`find_crossings`),
-    a crossing is measured only against the vertices, bends and crossings
-    within 2 tau of it in x, and `_min_clearance` skips the distances its
-    running minimum already bounds.  Each skipped test could not have fired
-    or lowered the minimum, so the report is that of the all-pairs scans.
+    Every step reads one table of the segments' lengths, directions and
+    boxes (`_all_segments`).  The scans over pairs of features are pruned.
+    Segments are pair-tested only where their tau-widened bounding boxes
+    overlap (`find_crossings`), a crossing is measured only against the
+    vertices, bends and crossings within 2 tau of it in x, and
+    `_min_clearance` skips the distances its running minimum already
+    bounds.  Each skipped test could not have fired or lowered the minimum,
+    so the report is that of the all-pairs scans.
     """
     tol = tol or Tolerances()
     diag = f.bbox_diagonal()
     tau = tol.tau_for(diag)
     violations = []
 
-    # (a) local injectivity of each polyline
-    for e in f.graph.edges:
-        pl = f.polylines[e.id]
-        for i, (a, b) in enumerate(pl.segments()):
-            if geo.dist(a, b) <= tau:
-                violations.append(
-                    ("degenerate-segment", f"edge {e.id} segment {i} at {a}"))
-        for i in range(1, len(pl.points) - 1):
-            u_in = geo.sub(pl.points[i], pl.points[i - 1])
-            u_out = geo.sub(pl.points[i + 1], pl.points[i])
-            if geo.norm(u_in) == 0 or geo.norm(u_out) == 0:
-                continue
-            turn = geo.turn_angle(geo.unit(u_in), geo.unit(u_out))
-            if abs(turn) >= math.pi - ANGLE_TOL:
-                violations.append(
-                    ("not-an-immersion",
-                     f"edge {e.id} doubles back at bend {pl.points[i]}"))
+    segs = _all_segments(f)
 
-    # (e) distinct germ angles
+    # (a) local injectivity of each polyline: per edge, its degenerate
+    # segments, then the bends where it doubles back
+    for eid, run in groupby(segs, key=lambda s: s.edge):
+        run = list(run)
+        for s in run:
+            if s.length <= tau:
+                violations.append(("degenerate-segment",
+                                    f"edge {eid} segment {s.index} at {s.a}"))
+        for s, t in zip(run, run[1:]):
+            if s.u is None or t.u is None:
+                continue
+            if abs(geo.turn_angle(s.u, t.u)) >= math.pi - ANGLE_TOL:
+                violations.append(("not-an-immersion",
+                                   f"edge {eid} doubles back at bend {t.a}"))
+
+    # (e) distinct germ angles, at the vertices where every germ has a
+    # direction (a germ of length 0 is a degenerate segment, step (a))
+    stubs = {v for s in segs if s.u is None for v in s.ends}
     orders = {}
     for v in f.graph.vertices():
+        if v in stubs:
+            continue
         try:
             orders[v] = cyclic_order(f, v)
         except NotGenericError as exc:
             violations.append(("germ-collision", str(exc)))
 
     # (b) crossings transversal, interior
-    segs = _all_segments(f)
     crossings, cviol = find_crossings(segs, tau)
     violations.extend(cviol)
 
@@ -435,7 +450,7 @@ def _min_clearance(f: PlaneImmersion, segs: list[_Segment], crossings,
             best = min(best, geo.dist(points[i], points[j]))
     for v, pos in vertices:
         px, py = pos
-        for _, _, a, b, ends, _, _, x0, x1, y0, y1 in segs:
+        for _, _, a, b, ends, _, _, _, _, x0, x1, y0, y1 in segs:
             reach = best + tau
             # germs at v leave it by definition
             if (x0 - px < reach and px - x1 < reach and y0 - py < reach

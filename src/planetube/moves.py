@@ -3,7 +3,9 @@
 insert_curl adds a small self-crossing loop (changes the invariant; used as
 a sensitivity probe).  whitney_pair inserts two opposite curls, which is a
 regular-homotopy move and must leave the invariant fixed.  perturb jitters
-interior bend points.  All moves re-validate genericity and fail loudly.
+interior bend points.  Every move starts and ends on a generic drawing and
+fails loudly otherwise; each drawing of a script is validated exactly once,
+because each move hands the genericity report of its output to the next.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from . import geometry as geo
 from .geometry import Polyline, kink_waypoints
 from .immersion import (PlaneImmersion, Tolerances, ImmersionError,
-                        validate_generic)
+                        GenericityReport, validate_generic)
 
 
 class MoveError(ImmersionError):
@@ -54,18 +56,28 @@ def _locate(f: PlaneImmersion, eid: int, t: float):
     return pl, i, geo.unit(geo.sub(b, a))
 
 
-def _local_clearance(f: PlaneImmersion, eid: int, i: int, t: float) -> float:
-    """Room around arclength t of edge eid: slack to the containing
-    segment's ends and distance to every other strand."""
+def _local_clearance(f: PlaneImmersion, report: GenericityReport, eid: int,
+                     i: int, t: float) -> float:
+    """Room around arclength t of edge eid: the least of the report's
+    epsilon, the slack to the containing segment's ends and the distance to
+    every other strand.
+
+    A segment is measured only where its bounding box, widened by the
+    report's tau, is nearer the point than the least room so far, as in
+    `immersion._min_clearance`; a skipped distance could not lower it."""
     pl = f.polylines[eid]
-    center = pl.point_at(t)
-    best = min(t - pl.cum[i], pl.cum[i + 1] - t)
+    center = cx, cy = pl.point_at(t)
+    best = min(report.epsilon, t - pl.cum[i], pl.cum[i + 1] - t)
     for e in f.graph.edges:
-        other = f.polylines[e.id]
-        for j, (a, b) in enumerate(other.segments()):
-            if e.id == eid and j == i:
-                continue
-            best = min(best, geo.point_segment_distance(center, a, b))
+        pts = f.polylines[e.id].points
+        for j in range(len(pts) - 1):
+            a, b = pts[j], pts[j + 1]
+            (ax, ay), (bx, by) = a, b
+            reach = best + report.tau
+            if (min(ax, bx) - cx < reach and cx - max(ax, bx) < reach
+                    and min(ay, by) - cy < reach and cy - max(ay, by) < reach
+                    and (e.id != eid or j != i)):
+                best = min(best, geo.point_segment_distance(center, a, b))
     return best
 
 
@@ -78,14 +90,16 @@ def _generic(f: PlaneImmersion, tol: Tolerances | None, what: str):
     return report
 
 
-def _insert(f: PlaneImmersion, eid: int, t: float, tol: Tolerances | None,
-            what: str, room: float, chain) -> PlaneImmersion:
-    """Splice `chain(center, u, r)` into edge eid at arclength t, where u is
-    the edge direction there and r the room there (the smaller of epsilon
-    and the local clearance) divided by `room`."""
-    report = _generic(f, tol, "cannot move a non-generic immersion")
+def _insert(f: PlaneImmersion, report: GenericityReport | None, eid: int,
+            t: float, tol: Tolerances | None, what: str, room: float, chain):
+    """(g, report of g): splice `chain(center, u, r)` into edge eid at
+    arclength t, where u is the edge direction there and r the room there
+    (`_local_clearance`) divided by `room`.  `report` is f's genericity
+    report under tol, or None to validate f here."""
+    if report is None:
+        report = _generic(f, tol, "cannot move a non-generic immersion")
     pl, i, u = _locate(f, eid, t)
-    r = min(report.epsilon, _local_clearance(f, eid, i, t)) / room
+    r = _local_clearance(f, report, eid, i, t) / room
     if r <= report.tau:
         raise MoveError(
             f"insufficient clearance for a {what} at {t} on edge {eid}")
@@ -93,18 +107,22 @@ def _insert(f: PlaneImmersion, eid: int, t: float, tol: Tolerances | None,
     polylines[eid] = Polyline(pl.points[:i + 1] + chain(pl.point_at(t), u, r)
                               + pl.points[i + 1:])
     g = PlaneImmersion(f.graph, dict(f.positions), polylines)
-    _generic(g, tol, f"{what} broke genericity")
-    return g
+    return g, _generic(g, tol, f"{what} broke genericity")
+
+
+def _curl(f, report, eid, t, sign, tol):
+    """(g, report of g) for `insert_curl`; `report` as in `_insert`."""
+    if sign not in (+1, -1):
+        raise MoveError("curl sign must be +1 or -1")
+    return _insert(f, report, eid, t, tol, "curl", 4.0,
+                   lambda c, u, r: kink_waypoints(c, u, r, sign))
 
 
 def insert_curl(f: PlaneImmersion, eid: int, t: float, sign: int,
                 tol: Tolerances | None = None) -> PlaneImmersion:
     """One small loop at arclength t of edge eid, adding `sign` to the
     turning of any traversal that runs the edge tail to head."""
-    if sign not in (+1, -1):
-        raise MoveError("curl sign must be +1 or -1")
-    return _insert(f, eid, t, tol, "curl", 4.0,
-                   lambda c, u, r: kink_waypoints(c, u, r, sign))
+    return _curl(f, None, eid, t, sign, tol)[0]
 
 
 def _whitney_chain(center, u, r):
@@ -113,23 +131,28 @@ def _whitney_chain(center, u, r):
     return kink_waypoints(c1, u, r, +1) + kink_waypoints(c2, u, r, -1)
 
 
+def _whitney(f, report, eid, t, tol):
+    """(g, report of g) for `whitney_pair`; `report` as in `_insert`."""
+    return _insert(f, report, eid, t, tol, "Whitney pair", 6.0,
+                   _whitney_chain)
+
+
 def whitney_pair(f: PlaneImmersion, eid: int, t: float,
                  tol: Tolerances | None = None) -> PlaneImmersion:
     """Two opposite curls side by side; a regular-homotopy move."""
-    return _insert(f, eid, t, tol, "Whitney pair", 6.0, _whitney_chain)
+    return _whitney(f, None, eid, t, tol)[0]
 
 
-def perturb(f: PlaneImmersion, seed: int, delta: float | None = None,
-            tol: Tolerances | None = None) -> PlaneImmersion:
-    """Jitter every interior bend point by at most delta, keeping vertices
-    fixed; halves delta and retries (up to 8 times) if genericity breaks."""
-    report = _generic(f, tol, "cannot perturb a non-generic immersion")
+def _perturb(f, report, seed, delta, tol):
+    """(g, report of g) for `perturb`; `report` as in `_insert`."""
+    if report is None:
+        report = _generic(f, tol, "cannot perturb a non-generic immersion")
     if delta is None:
         delta = report.epsilon / 8.0
     if delta < 0 or delta >= report.epsilon / 4.0 + 1e-30:
         raise MoveError(f"delta must lie in [0, epsilon/4 = {report.epsilon / 4.0}]")
     if delta == 0.0:
-        return f
+        return f, report
     rng = random.Random(seed)
     for _ in range(9):
         polylines = {}
@@ -144,24 +167,34 @@ def perturb(f: PlaneImmersion, seed: int, delta: float | None = None,
         g = PlaneImmersion(f.graph, dict(f.positions), polylines)
         check = validate_generic(g, tol)
         if check.passed and len(check.crossings) == len(report.crossings):
-            return g
+            return g, check
         delta /= 2.0
     raise MoveError("perturbation could not preserve genericity")
 
 
+def perturb(f: PlaneImmersion, seed: int, delta: float | None = None,
+            tol: Tolerances | None = None) -> PlaneImmersion:
+    """Jitter every interior bend point by at most delta, keeping vertices
+    fixed; halves delta and retries (up to 8 times) if genericity breaks."""
+    return _perturb(f, None, seed, delta, tol)[0]
+
+
 def apply_moves(f: PlaneImmersion, records,
                 tol: Tolerances | None = None) -> PlaneImmersion:
-    """Apply MoveRecords (or their JSON dicts) in order."""
+    """Apply MoveRecords (or their JSON dicts) in order.  The input is
+    validated by the first move, and every later move starts from the
+    report of the drawing the move before it validated."""
+    report = None
     for rec in records:
         if isinstance(rec, dict):
             rec = MoveRecord.from_json_dict(rec)
         if rec.kind == "curl":
-            f = insert_curl(f, rec.edge, rec.t, rec.sign, tol)
+            f, report = _curl(f, report, rec.edge, rec.t, rec.sign, tol)
         elif rec.kind == "whitney_pair":
-            f = whitney_pair(f, rec.edge, rec.t, tol)
+            f, report = _whitney(f, report, rec.edge, rec.t, tol)
         elif rec.kind == "perturb":
             delta = None if rec.delta < 0 else rec.delta
-            f = perturb(f, rec.seed, delta, tol)
+            f, report = _perturb(f, report, rec.seed, delta, tol)
         else:
             raise MoveError(f"unknown move kind {rec.kind!r}")
     return f

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -65,6 +66,38 @@ def random_connected_graph(rng: random.Random, max_vertices: int) -> Graph:
             return validate_graph(m, rng.sample(pairs, k))
         except GraphError:
             continue
+
+
+def drawing(positions, edges, bends=None):
+    """Immersion of the graph on `edges` with the given vertex positions and
+    interior bend points per edge id."""
+    g = validate_graph(len(positions), edges)
+    bends = bends or {}
+    return PlaneImmersion(g, positions, {
+        e.id: Polyline([positions[e.tail], *bends.get(e.id, ()),
+                        positions[e.head]])
+        for e in g.edges})
+
+
+def random_bent_kn(rng, n, snap=0.0):
+    """K_n on a jittered radius-10 circle, each edge bent 10-25 times about
+    its chord.  A positive `snap` rounds every coordinate to that grid, so
+    that strands touch, overlap and cross at bends."""
+    def at(x, y):
+        return (round(x / snap) * snap, round(y / snap) * snap) if snap \
+            else (x, y)
+
+    pos = {v: at(10 * math.cos(2 * math.pi * v / n) + rng.uniform(-1, 1),
+                 10 * math.sin(2 * math.pi * v / n) + rng.uniform(-1, 1))
+           for v in range(1, n + 1)}
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    bends = {}
+    for eid, (i, j) in enumerate(edges, start=1):
+        (ax, ay), (bx, by), k = pos[i], pos[j], rng.randint(10, 25)
+        bends[eid] = [at(ax + (bx - ax) * m / (k + 1) + rng.uniform(-.3, .3),
+                         ay + (by - ay) * m / (k + 1) + rng.uniform(-.3, .3))
+                      for m in range(1, k + 1)]
+    return drawing(pos, edges, bends)
 
 
 @pytest.fixture

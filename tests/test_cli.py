@@ -68,6 +68,17 @@ def test_validate_exit_codes(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation"
 
+    # a bend on vertex 1: the germ there has length 0 and no direction
+    stub = write(tmp_path, "stub.json", {
+        "graph": {"vertices": 2, "edges": [[1, 2]]},
+        "positions": {"1": [0, 0], "2": [2, 0]},
+        "polylines": {"1": [[0, 0], [0, 0], [1, 1], [2, 0]]}})
+    assert main(["validate", stub]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == [
+        ["degenerate-segment", "edge 1 segment 0 at (0.0, 0.0)"]]
+    assert report["cyclic_orders"] == {"2": [1]}
+
 
 def test_malformed_file_is_validation_failure(tmp_path, capsys):
     p = tmp_path / "junk.json"

@@ -16,7 +16,8 @@ from planetube.immersion import (PlaneImmersion, ImmersionError,
 from planetube.invariant import wu
 from planetube.oracles import all_pairs_crossings, min_clearance_oracle
 
-from conftest import resample_midpoints, straight_line_immersion, random_k4
+from conftest import (resample_midpoints, straight_line_immersion, random_k4,
+                      drawing, random_bent_kn)
 
 
 def test_polylines_must_match_endpoints():
@@ -93,21 +94,13 @@ def test_near_parallel_crossing_flagged():
     assert "non-transversal" in kinds(report)
 
 
-def drawing(positions, edges, bends=None):
-    """Immersion of the graph on `edges` with the given vertex positions and
-    interior bend points per edge id."""
-    g = validate_graph(len(positions), edges)
-    bends = bends or {}
-    return PlaneImmersion(g, positions, {
-        e.id: Polyline([positions[e.tail], *bends.get(e.id, ()),
-                        positions[e.head]])
-        for e in g.edges})
-
-
 # one drawing per violation kind: (kind, message text, builder)
 VIOLATION_DRAWINGS = [
     ("degenerate-segment", "segment 1",
      lambda: drawing({1: (0, 0), 2: (2, 0)}, [(1, 2)], {1: [(1, 0), (1, 0)]})),
+    # a bend on its own vertex: the germ there has length 0 and no direction
+    ("degenerate-segment", "segment 0",
+     lambda: drawing({1: (0, 0), 2: (2, 0)}, [(1, 2)], {1: [(0, 0), (1, 1)]})),
     # edge (3,4) ends on edge (1,2)
     ("near-contact", "edges 1/3",
      lambda: drawing({1: (0, 0), 2: (2, 0), 3: (1, 2), 4: (1, 0)},
@@ -154,27 +147,6 @@ def test_near_contact_names_where_strands_touch():
     assert [text for kind, text in validate_generic(at_bend()).violations
             if kind == "near-contact"] == [
         "edges 1/2 touch without transversal crossing near (1.0, 0.0)"]
-
-
-def random_bent_kn(rng, n, snap=0.0):
-    """K_n on a jittered radius-10 circle, each edge bent 10-25 times about
-    its chord.  A positive `snap` rounds every coordinate to that grid, so
-    that strands touch, overlap and cross at bends."""
-    def at(x, y):
-        return (round(x / snap) * snap, round(y / snap) * snap) if snap \
-            else (x, y)
-
-    pos = {v: at(10 * math.cos(2 * math.pi * v / n) + rng.uniform(-1, 1),
-                 10 * math.sin(2 * math.pi * v / n) + rng.uniform(-1, 1))
-           for v in range(1, n + 1)}
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    bends = {}
-    for eid, (i, j) in enumerate(edges, start=1):
-        (ax, ay), (bx, by), k = pos[i], pos[j], rng.randint(10, 25)
-        bends[eid] = [at(ax + (bx - ax) * m / (k + 1) + rng.uniform(-.3, .3),
-                         ay + (by - ay) * m / (k + 1) + rng.uniform(-.3, .3))
-                      for m in range(1, k + 1)]
-    return drawing(pos, edges, bends)
 
 
 def pruning_cases():
