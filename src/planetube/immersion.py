@@ -66,7 +66,8 @@ class PlaneImmersion:
             pl = self.polylines.get(e.id)
             if pl is None:
                 raise ImmersionError(f"missing polyline for edge {e.id}")
-            if not all(math.isfinite(c) for p in pl.points for c in p):
+            # a segment with a non-finite end has a non-finite length
+            if not math.isfinite(pl.length):
                 raise ImmersionError(f"edge {e.id}: non-finite coordinate")
             if pl.points[0] != tuple(self.positions[e.tail]):
                 raise ImmersionError(
@@ -424,10 +425,13 @@ def _min_clearance(f: PlaneImmersion, segs: list[_Segment], crossings,
     The cheap terms come first.  Crossing pairs are then measured in
     x-order only while their x-offset is below the least distance so far,
     and a vertex-segment distance only where the segment's bounding box,
-    widened by tau, is nearer the vertex than that least distance.  A
-    skipped distance is at least the x-offset or box gap, so no skipped
+    widened by tau, is nearer the vertex than that least distance.  Those
+    boxes are sorted by left edge once, and a vertex box-tests only the run,
+    found by bisection, whose left edges lie between the least distance plus
+    the widest box's width to its left and the least distance to its right.
+    A skipped distance is at least the x-offset or box gap, so no skipped
     term could lower the minimum; tau covers rounding in
-    `geometry.point_segment_distance`.
+    `geometry.point_segment_distance` and in the bisection bounds.
     """
     best = math.inf
     for e in f.graph.edges:
@@ -448,14 +452,20 @@ def _min_clearance(f: PlaneImmersion, segs: list[_Segment], crossings,
             if points[j][0] - points[i][0] >= best:
                 break
             best = min(best, geo.dist(points[i], points[j]))
+    boxes = sorted((s.x0 - tau, s.x1 + tau, s.y0 - tau, s.y1 + tau, k)
+                   for k, s in enumerate(segs))
+    lefts = [box[0] for box in boxes]
+    wide = max(x1 - x0 for x0, x1, _, _, _ in boxes)
     for v, pos in vertices:
         px, py = pos
-        for _, _, a, b, ends, _, _, _, _, x0, x1, y0, y1 in segs:
-            reach = best + tau
+        lo = bisect_left(lefts, px - best - wide - tau)
+        hi = bisect_right(lefts, px + best + tau)
+        for x0, x1, y0, y1, k in boxes[lo:hi]:
             # germs at v leave it by definition
-            if (x0 - px < reach and px - x1 < reach and y0 - py < reach
-                    and py - y1 < reach and v not in ends):
-                best = min(best, geo.point_segment_distance(pos, a, b))
+            if (x0 - px < best and px - x1 < best and y0 - py < best
+                    and py - y1 < best and v not in segs[k].ends):
+                best = min(best, geo.point_segment_distance(pos, segs[k].a,
+                                                             segs[k].b))
     return best
 
 

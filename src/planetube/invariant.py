@@ -16,6 +16,15 @@ cohomology basis:
             the non-tree cell leaves the vertex first; the winding is odd
             and stored as-is.  A counterclockwise three-spoke star gives +1.
 
+What depends on the graph alone is built once per graph and cached
+(`wu_plan`): the tube with its spanning tree and basis, the conventions
+fingerprint, and each basis cycle collapsed to a sparse row of signed
+tube-edge multiplicities with its swap parity.  A drawing then costs one
+omega per tube edge (`prepare`): each edge's turn sum once and each germ
+direction once per (vertex, edge), O(S + sum of d^2) for S polyline
+segments and vertex degrees d.  A coordinate is its row summed against that
+cochain.
+
 No angle depends on the pair scale eps, which is only range-checked.  The
 certified pair-path tracer and the dense sampler in `oracles` realize the
 same windings at scale eps and serve as references.
@@ -26,13 +35,22 @@ comparable when fingerprints match.
 """
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+
+try:    # the interpreter's own SHA-256; hashlib would load OpenSSL
+    from _sha2 import sha256 as _sha256           # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256     # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from . import geometry as geo
-from .graphs import EdgeCycle
+from .graphs import EdgeCycle, Graph
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         NotGenericError, validate_generic, standard_star)
 from .tube import (SymmetricTube, TubeComplex, TubeEdge, WuBasis, BasisLabel,
@@ -48,16 +66,36 @@ class WindingError(ArithmeticError):
 INTEGER_TOL = 1e-6          # of pi, for the closed-cycle certificate
 
 
+def _turn_sum(pts) -> float:
+    """Sum of the turn angles at a polyline's bends, first to last."""
+    dirs = [geo.sub(b, a) for a, b in zip(pts, pts[1:])]
+    return sum(geo.turn_angle(u, w) for u, w in zip(dirs, dirs[1:]))
+
+
+def _germ_turn(ga, gb, edge: TubeEdge) -> float:
+    """omega of a Y edge from the unit germs of its fixed and moving edges."""
+    turn = geo.turn_angle(geo.scale(ga, -1.0), geo.sub(gb, ga))
+    return -turn if edge.u.kind == "W" else turn
+
+
 def omega(f: PlaneImmersion, edge: TubeEdge) -> float:
     """Exact turn of the pair chord across a tube edge, traversed u -> v."""
     if edge.kind == "X":
-        pts = f.polylines[edge.edge_a].points
-        return sum(geo.turn_angle(geo.sub(b, a), geo.sub(c, b))
-                   for a, b, c in zip(pts, pts[1:], pts[2:]))
-    ga = f.germ_direction(edge.vertex, edge.edge_a)
-    gb = f.germ_direction(edge.vertex, edge.edge_b)
-    turn = geo.turn_angle(geo.scale(ga, -1.0), geo.sub(gb, ga))
-    return -turn if edge.u.kind == "W" else turn
+        return _turn_sum(f.polylines[edge.edge_a].points)
+    return _germ_turn(f.germ_direction(edge.vertex, edge.edge_a),
+                      f.germ_direction(edge.vertex, edge.edge_b), edge)
+
+
+def _cochain(f: PlaneImmersion, tube: SymmetricTube) -> list[float]:
+    """omega of every tube edge, in `tube.edges` order: each graph edge's
+    turn sum once, and each germ direction once per (vertex, edge)."""
+    g = f.graph
+    turns = {e.id: _turn_sum(f.polylines[e.id].points) for e in g.edges}
+    germs = {(v, eid): f.germ_direction(v, eid)
+             for v in g.vertices() for eid in g.incident_edges(v)}
+    return [turns[e.edge_a] if e.kind == "X" else
+            _germ_turn(germs[e.vertex, e.edge_a], germs[e.vertex, e.edge_b], e)
+            for e in tube.edges]
 
 
 @dataclass(frozen=True)
@@ -81,7 +119,8 @@ class WuVector:
                         self.fingerprint)
 
 
-def conventions_fingerprint(tc: TubeComplex, basis: WuBasis) -> str:
+def _conventions_blob(tc: TubeComplex, basis: WuBasis) -> bytes:
+    """What the conventions fingerprint hashes."""
     payload = {
         "graph": tc.tube.graph.to_json_dict(),
         "graph_tree": sorted(tc.graph_tree.edge_ids),
@@ -92,38 +131,109 @@ def conventions_fingerprint(tc: TubeComplex, basis: WuBasis) -> str:
         "eps_rule": "half minimum feature clearance",
         "orientation": "edges tail<head; X by edge; Y by moving edge",
     }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+@dataclass(frozen=True, eq=False)
+class WuPlan:
+    """What `wu` needs of a graph, independent of any drawing.  One plan
+    serves every caller with an equal graph, so its tables are read-only."""
+    complex: TubeComplex
+    basis: WuBasis
+    fingerprint: str
+    index: MappingProxyType     # tube edge -> its position in tube.edges
+    # basis label name -> (row, swap parity); the row is the label's basis
+    # cycle as (tube-edge position, signed multiplicity), zeros dropped
+    terms: MappingProxyType
+
+
+# graphs whose plans stay cached: few, as a plan holds its graph's whole tube
+PLAN_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def wu_plan(g: Graph) -> WuPlan:
+    """The plan of g, built once per graph: its canonical tube complex and
+    basis, conventions fingerprint, and each basis cycle collapsed to a row,
+    checked closed once here."""
+    tc = tube_spanning_tree(build_symmetric_tube(g))
+    basis = wu_basis(tc)
+    index = {e: i for i, e in enumerate(tc.tube.edges)}
+    terms = {}
+    for label in basis.labels:
+        steps = basis_cycle(tc, label)
+        if not cycle_is_closed(steps):
+            raise WindingError("tube cycle is not closed")
+        row: dict[int, int] = {}
+        for e, d in steps:
+            row[index[e]] = row.get(index[e], 0) + d
+        terms[label.name] = (tuple((i, m) for i, m in row.items() if m),
+                             swap_parity(steps))
+    fingerprint = _sha256(_conventions_blob(tc, basis)).hexdigest()[:16]
+    return WuPlan(tc, basis, fingerprint, MappingProxyType(index),
+                  MappingProxyType(terms))
+
+
+def conventions_fingerprint(g: Graph) -> str:
+    """Hash of the conventions behind the Wu vectors of g: its canonical
+    trees, basis names and normalization rules."""
+    return wu_plan(g).fingerprint
 
 
 @dataclass
 class InvariantContext:
-    """Everything reusable across evaluations of one immersion."""
+    """Everything reusable across evaluations of one immersion: its report,
+    its graph's plan and one omega per tube edge."""
     immersion: PlaneImmersion
     report: GenericityReport
-    complex: TubeComplex
-    basis: WuBasis
+    plan: WuPlan
     eps: float
+    cochain: list        # omega of each tube edge, in tube.edges order
+
+    @property
+    def complex(self) -> TubeComplex:
+        return self.plan.complex
+
+    @property
+    def basis(self) -> WuBasis:
+        return self.plan.basis
 
     @property
     def tube(self) -> SymmetricTube:
-        return self.complex.tube
+        return self.plan.complex.tube
 
 
 def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
             eps: float | None = None) -> InvariantContext:
+    """Validate f, fetch its graph's plan and compute its cochain.
+
+    `eps` defaults to the suggested scale and may not exceed it.  The range
+    check bounds eps from above only: any positive eps passes, also one at
+    or below the drawing tolerance tau, because no exact angle depends on
+    it; only the tracer in `oracles` works at scale eps.
+    """
     report = validate_generic(f, tol)
     if not report.passed:
         raise NotGenericError(
             "immersion is not generic: "
             + "; ".join(f"{kind}: {msg}" for kind, msg in report.violations))
-    tc = tube_spanning_tree(build_symmetric_tube(f.graph))
-    basis = wu_basis(tc)
+    plan = wu_plan(f.graph)
     use_eps = report.epsilon if eps is None else eps
     if use_eps <= 0 or use_eps > report.epsilon:
         raise WindingError(
             f"eps {use_eps} outside (0, {report.epsilon}]")
-    return InvariantContext(f, report, tc, basis, use_eps)
+    return InvariantContext(f, report, plan, use_eps,
+                            _cochain(f, plan.complex.tube))
+
+
+def _half_turns(total: float) -> int:
+    """The cochain total of a closed cycle in units of pi, certified
+    integral."""
+    k = total / math.pi
+    if not math.isfinite(k) or abs(k - round(k)) > INTEGER_TOL:
+        raise WindingError(
+            f"cochain total {total} is not an integer multiple of pi")
+    return int(round(k))
 
 
 def evaluate_on_tube_cycle(ctx: InvariantContext, steps) -> int:
@@ -135,18 +245,14 @@ def evaluate_on_tube_cycle(ctx: InvariantContext, steps) -> int:
     """
     if not cycle_is_closed(steps):
         raise WindingError("tube cycle is not closed")
-    total = sum(d * omega(ctx.immersion, e) for e, d in steps)
-    k = total / math.pi
-    if not math.isfinite(k) or abs(k - round(k)) > INTEGER_TOL:
-        raise WindingError(
-            f"cochain total {total} is not an integer multiple of pi")
-    return int(round(k))
+    index, w = ctx.plan.index, ctx.cochain
+    return _half_turns(sum(d * w[index[e]] for e, d in steps))
 
 
 def coordinate(ctx: InvariantContext, label: BasisLabel) -> int:
-    steps = basis_cycle(ctx.complex, label)
-    k = evaluate_on_tube_cycle(ctx, steps)
-    parity = swap_parity(steps)
+    row, parity = ctx.plan.terms[label.name]
+    w = ctx.cochain
+    k = _half_turns(sum(m * w[i] for i, m in row))
     if label.kind == "X":
         if parity != 0 or k % 2 != 0:
             raise WindingError(
@@ -161,8 +267,8 @@ def wu(f: PlaneImmersion, tol: Tolerances | None = None,
        eps: float | None = None) -> WuVector:
     ctx = prepare(f, tol, eps)
     coords = tuple(coordinate(ctx, b) for b in ctx.basis.labels)
-    names = tuple(ctx.basis.names())
-    return WuVector(names, coords, conventions_fingerprint(ctx.complex, ctx.basis))
+    return WuVector(tuple(ctx.basis.names()), coords,
+                    conventions_fingerprint(f.graph))
 
 
 def raw_basis_windings(ctx: InvariantContext) -> dict:

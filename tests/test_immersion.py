@@ -34,6 +34,22 @@ def test_polylines_must_match_endpoints():
                            {1: Polyline([(0, bad), (1, 0)])})
 
 
+def test_overflowing_edge_length_is_non_finite():
+    # every coordinate is finite, but the edge is longer than the largest
+    # float: the edge is rejected by name, as for a non-finite coordinate
+    g = validate_graph(2, [[1, 2]])
+    with pytest.raises(ImmersionError, match="edge 1: non-finite coordinate"):
+        PlaneImmersion(g, {1: (-1e308, 0.0), 2: (1e308, 0.0)},
+                       {1: Polyline([(-1e308, 0.0), (1e308, 0.0)])})
+    with pytest.raises(ImmersionError, match="edge 1: non-finite coordinate"):
+        PlaneImmersion(g, {1: (0.0, 0.0), 2: (1.0, 0.0)},
+                       {1: Polyline([(0.0, 0.0), (1e308, 1e308),
+                                     (-1e308, 1e308), (1.0, 0.0)])})
+    huge = PlaneImmersion(g, {1: (-1e300, 0.0), 2: (1e300, 0.0)},
+                          {1: Polyline([(-1e300, 0.0), (1e300, 0.0)])})
+    assert huge.polylines[1].length == 2e300
+
+
 def test_fixtures_are_generic():
     for f in (standard_curve(0), standard_curve(3), standard_star((1, 2, 3)),
               standard_star((2, 1, 4, 3)), planar_k4()):

@@ -1,24 +1,34 @@
+import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import planetube
 from planetube.geometry import angle_of, dist
-from planetube.graphs import EdgeCycle, star, complete_graph
+from planetube.graphs import (EdgeCycle, star, complete_graph, path_graph,
+                              star_graph, validate_graph)
 from planetube.immersion import (trace_cycle, turning_number, cyclic_order,
                                  reflect, map_points, standard_curve,
-                                 standard_star, planar_k4)
+                                 standard_star, planar_k4, validate_generic)
 from planetube.invariant import (WindingError, wu, prepare,
                                  evaluate_on_tube_cycle, equivalent,
                                  star_wu, rotation_number_on_cycle,
-                                 raw_basis_windings, decompose_over_basis)
+                                 raw_basis_windings, decompose_over_basis,
+                                 coordinate, omega, wu_plan, PLAN_CACHE_SIZE,
+                                 conventions_fingerprint, _conventions_blob)
 from planetube.oracles import pair_path, winding
 from planetube.tube import (basis_cycle, fundamental_cycle_tube,
-                            tube_cycle_over_graph_cycle, cycle_is_closed)
+                            tube_cycle_over_graph_cycle, cycle_is_closed,
+                            swap_parity)
 
-from conftest import resample_midpoints, random_k4
+from conftest import resample_midpoints, random_k4, random_bent_kn
 
 
 K3_CYCLE = ((3, 1), (2, -1), (1, 1))       # v2 -> v3 -> v1 -> v2
@@ -274,3 +284,57 @@ def test_random_k4_wu_is_integral_7_vector(seed):
     x, y = v.coords[:3], v.coords[3:]
     assert all(isinstance(c, int) for c in v.coords)
     assert all(abs(c) % 2 == 1 for c in y)   # Y coordinates are odd
+
+
+def test_coordinates_match_stepwise_omega_sums():
+    # each coordinate, a row summed against one omega per tube edge, equals
+    # the basis cycle evaluated step by step, omega recomputed per step
+    rng = random.Random(6)
+    for n in (4, 5, 6, 7):
+        f = random_bent_kn(rng, n)
+        while not validate_generic(f).passed:
+            f = random_bent_kn(rng, n)
+        for g in (f, reflect(f)):
+            ctx = prepare(g)
+            for label in ctx.basis.labels:
+                steps = basis_cycle(ctx.complex, label)
+                k = round(sum(d * omega(g, e) for e, d in steps) / math.pi)
+                assert swap_parity(steps) == k % 2 == (label.kind == "Y")
+                assert coordinate(ctx, label) == \
+                    (k // 2 if label.kind == "X" else k)
+
+
+def test_equal_graphs_share_one_plan():
+    a = complete_graph(5)
+    b = validate_graph(5, [[e.tail, e.head] for e in a.edges])
+    assert a is not b and a == b
+    assert wu_plan(a) is wu_plan(b)
+
+
+def test_plan_cache_is_bounded():
+    for m in range(2, PLAN_CACHE_SIZE + 5):
+        wu_plan(path_graph(m))
+        assert wu_plan.cache_info().currsize <= PLAN_CACHE_SIZE
+    assert wu_plan.cache_info().maxsize == PLAN_CACHE_SIZE
+
+
+def test_fingerprint_is_sha256_of_conventions():
+    for g in (complete_graph(3), complete_graph(4), star_graph(5)):
+        plan = wu_plan(g)
+        blob = _conventions_blob(plan.complex, plan.basis)
+        assert conventions_fingerprint(g) == \
+            hashlib.sha256(blob).hexdigest()[:16]
+    # it changes only when the conventions do
+    assert wu(planar_k4()).fingerprint == "a5214a0fc3856e68"
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    code = ("import importlib.util, sys, planetube.cli; print(any("
+            "importlib.util.find_spec(m) for m in ('_sha2', '_sha256')), "
+            "'_hashlib' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(
+            Path(planetube.__file__).parents[1])))
+    builtin_digest, openssl_loaded = out.stdout.split()
+    assert not (builtin_digest == "True" and openssl_loaded == "True")
