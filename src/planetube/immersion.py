@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import NamedTuple
 
 from . import geometry as geo
@@ -162,6 +162,10 @@ class GenericityReport:
     cyclic_orders: dict        # vertex -> CyclicOrder
     epsilon: float
     tau: float
+    # the drawing as the validation read it, for the moves and the cochain:
+    # its segment index, and each vertex's unit germs by edge id
+    index: _SegmentIndex = field(repr=False, compare=False)
+    germs: dict = field(repr=False, compare=False)
 
 
 class _Segment(NamedTuple):
@@ -174,19 +178,15 @@ class _Segment(NamedTuple):
     s1: float
     length: float               # geometry.dist(a, b), bit for bit
     u: Point | None             # geometry.unit(b - a); None at length 0
-    x0: float                   # bounding box
-    x1: float
-    y0: float
-    y1: float
 
 
 _NO_ENDS = frozenset()
 
 
 def _all_segments(f: PlaneImmersion) -> list[_Segment]:
-    """Every polyline segment, edge by edge, tail to head, with its length,
-    unit direction and bounding box, each computed once here for every step
-    of `validate_generic` that reads them."""
+    """Every polyline segment, edge by edge, tail to head, with its length
+    and unit direction, each computed once here for every step of
+    `validate_generic` that reads them."""
     out = []
     for e in f.graph.edges:
         pl = f.polylines[e.id]
@@ -196,16 +196,54 @@ def _all_segments(f: PlaneImmersion) -> list[_Segment]:
         last_ends = frozenset((e.head,))
         for i in range(last + 1):
             a, b = pts[i], pts[i + 1]
-            ax, ay = a
-            bx, by = b
-            dx, dy = bx - ax, by - ay
+            dx, dy = b[0] - a[0], b[1] - a[1]
             n = math.hypot(dx, dy)
             out.append(_Segment(
                 e.id, i, a, b,
                 first_ends if i == 0 else last_ends if i == last else _NO_ENDS,
-                cum[i], cum[i + 1], n, (dx / n, dy / n) if n else None,
-                min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
+                cum[i], cum[i + 1], n, (dx / n, dy / n) if n else None))
     return out
+
+
+class _SegmentIndex:
+    """The segments of a drawing (`_all_segments`), each with its bounding
+    box widened by tau on every side, sorted by left edge once for every
+    scan of segments near a point or a segment: `find_crossings`,
+    `_min_clearance` and `moves._local_clearance`."""
+
+    def __init__(self, f: PlaneImmersion, tau: float):
+        self.segs, self.tau = _all_segments(f), tau
+        boxes = []
+        for k, s in enumerate(self.segs):
+            (ax, ay), (bx, by) = s.a, s.b
+            boxes.append((min(ax, bx) - tau, max(ax, bx) + tau,
+                          min(ay, by) - tau, max(ay, by) + tau, k))
+        boxes.sort()
+        self.boxes = boxes
+        self.lefts = [box[0] for box in boxes]
+        self.wide = max(x1 - x0 for x0, x1, _, _, _ in boxes)
+
+    def nearest(self, pos: Point, best: float, skip) -> float:
+        """The least of best and the distance from pos to each segment s
+        with `skip(s)` false.
+
+        A distance is measured only where the segment's widened box is
+        nearer pos than the least so far, and only the run of boxes, found
+        by bisection, whose left edges lie between that least plus the
+        widest box's width to the left of pos and that least to its right
+        is box-tested.  A skipped distance is at least the x-offset or box
+        gap, so it could not lower the minimum; tau covers rounding in
+        `geometry.point_segment_distance` and in the bisection bounds."""
+        px, py = pos
+        segs, tau = self.segs, self.tau
+        lo = bisect_left(self.lefts, px - best - self.wide - tau)
+        hi = bisect_right(self.lefts, px + best + tau)
+        for x0, x1, y0, y1, k in self.boxes[lo:hi]:
+            if (x0 - px < best and px - x1 < best and y0 - py < best
+                    and py - y1 < best and not skip(segs[k])):
+                best = min(best, geo.point_segment_distance(pos, segs[k].a,
+                                                             segs[k].b))
+        return best
 
 
 def _check_pair(s: _Segment, t: _Segment, tau: float, crossings,
@@ -243,10 +281,10 @@ def _check_pair(s: _Segment, t: _Segment, tau: float, crossings,
                               StrandPoint(t.edge, t.s0 + t2 * (t.s1 - t.s0))))
 
 
-def find_crossings(segs: list[_Segment], tau: float):
+def find_crossings(index: _SegmentIndex):
     """Proper transversal crossings plus degeneracy violations of the
-    segments `_all_segments` lists, in the order of a test of every pair
-    (i, j), i < j.
+    index's segments, in the order of a test of every pair (i, j), i < j,
+    of `_all_segments`.
 
     Only pairs whose bounding boxes, widened by tau on every side, overlap
     are tested: with the boxes sorted by left edge, each box is paired with
@@ -256,9 +294,7 @@ def find_crossings(segs: list[_Segment], tau: float):
     both boxes, and a near-contact puts an endpoint within tau of the other
     segment, so the widened boxes overlap with a margin of tau.
     """
-    boxes = sorted((s.x0 - tau, s.x1 + tau, s.y0 - tau, s.y1 + tau, k)
-                   for k, s in enumerate(segs))
-    lefts = [box[0] for box in boxes]
+    boxes, lefts, segs = index.boxes, index.lefts, index.segs
     pairs = []
     for m, (_, x1, y0, y1, k) in enumerate(boxes):
         for _, _, v0, v1, j in boxes[m + 1:bisect_right(lefts, x1, m + 1)]:
@@ -268,7 +304,7 @@ def find_crossings(segs: list[_Segment], tau: float):
     crossings = []
     violations = []
     for i, j in pairs:
-        _check_pair(segs[i], segs[j], tau, crossings, violations)
+        _check_pair(segs[i], segs[j], index.tau, crossings, violations)
     return crossings, violations
 
 
@@ -288,9 +324,15 @@ def _near(points, r: float):
 
 
 def cyclic_order(f: PlaneImmersion, v: int) -> CyclicOrder:
-    eids = f.graph.incident_edges(v)
-    angles = [(geo.angle_of(f.germ_direction(v, e)), e) for e in eids]
-    angles.sort()
+    """Counterclockwise order of the edge germs of f at v."""
+    return _cyclic_order(v, {e: f.germ_direction(v, e)
+                             for e in f.graph.incident_edges(v)})
+
+
+def _cyclic_order(v: int, germs: dict) -> CyclicOrder:
+    """Counterclockwise order of the unit germs (edge id -> direction) at
+    v; raises NotGenericError when two of them collide."""
+    angles = sorted((geo.angle_of(u), e) for e, u in germs.items())
     for (a1, e1), (a2, e2) in zip(angles, angles[1:] + [(angles[0][0] + 2 * math.pi,
                                                          angles[0][1])]):
         if abs(a2 - a1) < ANGLE_TOL:
@@ -305,21 +347,25 @@ def validate_generic(f: PlaneImmersion,
     below, its crossings, cyclic orders, tau and, when it passes, the
     suggested scale epsilon.
 
-    Every step reads one table of the segments' lengths, directions and
-    boxes (`_all_segments`).  The scans over pairs of features are pruned.
-    Segments are pair-tested only where their tau-widened bounding boxes
-    overlap (`find_crossings`), a crossing is measured only against the
-    vertices, bends and crossings within 2 tau of it in x, and
-    `_min_clearance` skips the distances its running minimum already
-    bounds.  Each skipped test could not have fired or lowered the minimum,
-    so the report is that of the all-pairs scans.
+    f is read once, into one segment index (`_SegmentIndex`: each segment's
+    length, direction and tau-widened box, the boxes sorted once) and one
+    table of unit germs per vertex and edge (`PlaneImmersion.germ_direction`).
+    Every step reads those two, and so do the moves and the cochain, which
+    find them on the report.  The scans over pairs of features are pruned.
+    Segments are pair-tested only where their widened boxes overlap
+    (`find_crossings`), a crossing is measured only against the vertices,
+    bends and crossings within 2 tau of it in x, and `_min_clearance` skips
+    the distances its running minimum already bounds.  Each skipped test
+    could not have fired or lowered the minimum, so the report is that of
+    the all-pairs scans.
     """
     tol = tol or Tolerances()
     diag = f.bbox_diagonal()
     tau = tol.tau_for(diag)
     violations = []
 
-    segs = _all_segments(f)
+    index = _SegmentIndex(f, tau)
+    segs = index.segs
 
     # (a) local injectivity of each polyline: per edge, its degenerate
     # segments, then the bends where it doubles back
@@ -339,17 +385,17 @@ def validate_generic(f: PlaneImmersion,
     # (e) distinct germ angles, at the vertices where every germ has a
     # direction (a germ of length 0 is a degenerate segment, step (a))
     stubs = {v for s in segs if s.u is None for v in s.ends}
+    germs = {v: {e: f.germ_direction(v, e) for e in f.graph.incident_edges(v)}
+             for v in f.graph.vertices() if v not in stubs}
     orders = {}
-    for v in f.graph.vertices():
-        if v in stubs:
-            continue
+    for v, at in germs.items():
         try:
-            orders[v] = cyclic_order(f, v)
+            orders[v] = _cyclic_order(v, at)
         except NotGenericError as exc:
             violations.append(("germ-collision", str(exc)))
 
     # (b) crossings transversal, interior
-    crossings, cviol = find_crossings(segs, tau)
+    crossings, cviol = find_crossings(index)
     violations.extend(cviol)
 
     # (c) crossings clear of vertices and bends
@@ -377,7 +423,7 @@ def validate_generic(f: PlaneImmersion,
 
     eps = 0.0
     if not violations:
-        eps = 0.5 * _min_clearance(f, segs, crossings, tau)
+        eps = 0.5 * _min_clearance(f, index, crossings)
         if eps <= tau:
             violations.append(("no-scale", "feature clearances below tolerance"))
             eps = 0.0
@@ -385,7 +431,7 @@ def validate_generic(f: PlaneImmersion,
             # pair samples near a vertex sit at scale eps along two germs;
             # their separation 2 eps sin(theta/2) must clear tau with room
             # for downscaling eps
-            theta = _min_germ_angle(f)
+            theta = _min_germ_angle(germs)
             if 2.0 * eps * math.sin(theta / 2.0) <= 8.0 * tau:
                 violations.append(
                     ("no-scale", "germ angles too shallow for the drawing "
@@ -399,24 +445,23 @@ def validate_generic(f: PlaneImmersion,
         cyclic_orders=orders,
         epsilon=eps,
         tau=tau,
+        index=index,
+        germs=germs,
     )
 
 
-def _min_germ_angle(f: PlaneImmersion) -> float:
-    """Smallest angle between two edge germs at a common vertex."""
+def _min_germ_angle(germs: dict) -> float:
+    """Smallest angle between two edge germs at a common vertex, from the
+    germ table of `validate_generic`."""
     best = math.pi
-    for v in f.graph.vertices():
-        eids = f.graph.incident_edges(v)
-        dirs = [f.germ_direction(v, e) for e in eids]
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                ang = abs(geo.turn_angle(dirs[i], dirs[j]))
-                best = min(best, ang)
+    for at in germs.values():
+        for u, w in combinations(at.values(), 2):
+            best = min(best, abs(geo.turn_angle(u, w)))
     return best
 
 
-def _min_clearance(f: PlaneImmersion, segs: list[_Segment], crossings,
-                   tau: float) -> float:
+def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,
+                   crossings) -> float:
     """Scale at which every vertex disk meets the image only in embedded
     germs and every pair sample stays unambiguous: the least of the germ
     lengths, half edge lengths, crossing-crossing and crossing-vertex
@@ -424,14 +469,9 @@ def _min_clearance(f: PlaneImmersion, segs: list[_Segment], crossings,
 
     The cheap terms come first.  Crossing pairs are then measured in
     x-order only while their x-offset is below the least distance so far,
-    and a vertex-segment distance only where the segment's bounding box,
-    widened by tau, is nearer the vertex than that least distance.  Those
-    boxes are sorted by left edge once, and a vertex box-tests only the run,
-    found by bisection, whose left edges lie between the least distance plus
-    the widest box's width to its left and the least distance to its right.
-    A skipped distance is at least the x-offset or box gap, so no skipped
-    term could lower the minimum; tau covers rounding in
-    `geometry.point_segment_distance` and in the bisection bounds.
+    which no skipped pair could lower.  The vertex-segment distances come
+    from the segment index (`_SegmentIndex.nearest`), with the germs at
+    the vertex skipped: they leave it by definition.
     """
     best = math.inf
     for e in f.graph.edges:
@@ -452,20 +492,8 @@ def _min_clearance(f: PlaneImmersion, segs: list[_Segment], crossings,
             if points[j][0] - points[i][0] >= best:
                 break
             best = min(best, geo.dist(points[i], points[j]))
-    boxes = sorted((s.x0 - tau, s.x1 + tau, s.y0 - tau, s.y1 + tau, k)
-                   for k, s in enumerate(segs))
-    lefts = [box[0] for box in boxes]
-    wide = max(x1 - x0 for x0, x1, _, _, _ in boxes)
     for v, pos in vertices:
-        px, py = pos
-        lo = bisect_left(lefts, px - best - wide - tau)
-        hi = bisect_right(lefts, px + best + tau)
-        for x0, x1, y0, y1, k in boxes[lo:hi]:
-            # germs at v leave it by definition
-            if (x0 - px < best and px - x1 < best and y0 - py < best
-                    and py - y1 < best and v not in segs[k].ends):
-                best = min(best, geo.point_segment_distance(pos, segs[k].a,
-                                                             segs[k].b))
+        best = index.nearest(pos, best, lambda s: v in s.ends)
     return best
 
 

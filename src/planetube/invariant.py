@@ -20,10 +20,10 @@ What depends on the graph alone is built once per graph and cached
 (`wu_plan`): the tube with its spanning tree and basis, the conventions
 fingerprint, and each basis cycle collapsed to a sparse row of signed
 tube-edge multiplicities with its swap parity.  A drawing then costs one
-omega per tube edge (`prepare`): each edge's turn sum once and each germ
-direction once per (vertex, edge), O(S + sum of d^2) for S polyline
-segments and vertex degrees d.  A coordinate is its row summed against that
-cochain.
+omega per tube edge (`prepare`): each edge's turn sum once and the germ
+directions its genericity report read, once per (vertex, edge),
+O(S + sum of d^2) for S polyline segments and vertex degrees d.  A
+coordinate is its row summed against that cochain.
 
 No angle depends on the pair scale eps, which is only range-checked.  The
 certified pair-path tracer and the dense sampler in `oracles` realize the
@@ -86,15 +86,14 @@ def omega(f: PlaneImmersion, edge: TubeEdge) -> float:
                       f.germ_direction(edge.vertex, edge.edge_b), edge)
 
 
-def _cochain(f: PlaneImmersion, tube: SymmetricTube) -> list[float]:
+def _cochain(f: PlaneImmersion, tube: SymmetricTube,
+             germs: dict) -> list[float]:
     """omega of every tube edge, in `tube.edges` order: each graph edge's
-    turn sum once, and each germ direction once per (vertex, edge)."""
-    g = f.graph
-    turns = {e.id: _turn_sum(f.polylines[e.id].points) for e in g.edges}
-    germs = {(v, eid): f.germ_direction(v, eid)
-             for v in g.vertices() for eid in g.incident_edges(v)}
+    turn sum once, and the germs as f's genericity report read them
+    (vertex -> edge id -> unit germ)."""
+    turns = {e.id: _turn_sum(f.polylines[e.id].points) for e in f.graph.edges}
     return [turns[e.edge_a] if e.kind == "X" else
-            _germ_turn(germs[e.vertex, e.edge_a], germs[e.vertex, e.edge_b], e)
+            _germ_turn(germs[e.vertex][e.edge_a], germs[e.vertex][e.edge_b], e)
             for e in tube.edges]
 
 
@@ -205,12 +204,14 @@ class InvariantContext:
 
 def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
             eps: float | None = None) -> InvariantContext:
-    """Validate f, fetch its graph's plan and compute its cochain.
+    """Validate f, fetch its graph's plan and compute its cochain from the
+    germs the validation read.
 
-    `eps` defaults to the suggested scale and may not exceed it.  The range
-    check bounds eps from above only: any positive eps passes, also one at
-    or below the drawing tolerance tau, because no exact angle depends on
-    it; only the tracer in `oracles` works at scale eps.
+    `eps` defaults to the suggested scale and must lie in (0, suggested];
+    NaN lies in no range and is refused.  The check bounds a positive eps
+    from above only: one at or below the drawing tolerance tau passes too,
+    because no exact angle depends on it; only the tracer in `oracles`
+    works at scale eps.
     """
     report = validate_generic(f, tol)
     if not report.passed:
@@ -219,11 +220,11 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
             + "; ".join(f"{kind}: {msg}" for kind, msg in report.violations))
     plan = wu_plan(f.graph)
     use_eps = report.epsilon if eps is None else eps
-    if use_eps <= 0 or use_eps > report.epsilon:
+    if not 0.0 < use_eps <= report.epsilon:
         raise WindingError(
             f"eps {use_eps} outside (0, {report.epsilon}]")
     return InvariantContext(f, report, plan, use_eps,
-                            _cochain(f, plan.complex.tube))
+                            _cochain(f, plan.complex.tube, report.germs))
 
 
 def _half_turns(total: float) -> int:

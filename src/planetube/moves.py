@@ -6,11 +6,14 @@ regular-homotopy move and must leave the invariant fixed.  perturb jitters
 interior bend points.  Every move starts and ends on a generic drawing and
 fails loudly otherwise; each drawing of a script is validated exactly once,
 because each move hands the genericity report of its output to the next.
+The room a curl or Whitney pair needs is measured through that report's
+segment index, so no move walks the polylines to find its clearance.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import geometry as geo
@@ -49,9 +52,7 @@ def _locate(f: PlaneImmersion, eid: int, t: float):
     pl = f.polylines[eid]
     if not 0.0 < t < pl.length:
         raise MoveError(f"position {t} is not in the interior of edge {eid}")
-    i = 0
-    while pl.cum[i + 1] < t:
-        i += 1
+    i = bisect_left(pl.cum, t) - 1
     a, b = pl.points[i], pl.points[i + 1]
     return pl, i, geo.unit(geo.sub(b, a))
 
@@ -60,25 +61,13 @@ def _local_clearance(f: PlaneImmersion, report: GenericityReport, eid: int,
                      i: int, t: float) -> float:
     """Room around arclength t of edge eid: the least of the report's
     epsilon, the slack to the containing segment's ends and the distance to
-    every other strand.
-
-    A segment is measured only where its bounding box, widened by the
-    report's tau, is nearer the point than the least room so far, as in
-    `immersion._min_clearance`; a skipped distance could not lower it."""
+    every other strand, measured through the report's segment index
+    (`immersion._SegmentIndex.nearest`) with the containing segment
+    skipped."""
     pl = f.polylines[eid]
-    center = cx, cy = pl.point_at(t)
     best = min(report.epsilon, t - pl.cum[i], pl.cum[i + 1] - t)
-    for e in f.graph.edges:
-        pts = f.polylines[e.id].points
-        for j in range(len(pts) - 1):
-            a, b = pts[j], pts[j + 1]
-            (ax, ay), (bx, by) = a, b
-            reach = best + report.tau
-            if (min(ax, bx) - cx < reach and cx - max(ax, bx) < reach
-                    and min(ay, by) - cy < reach and cy - max(ay, by) < reach
-                    and (e.id != eid or j != i)):
-                best = min(best, geo.point_segment_distance(center, a, b))
-    return best
+    return report.index.nearest(pl.point_at(t), best,
+                                lambda s: s.edge == eid and s.index == i)
 
 
 def _generic(f: PlaneImmersion, tol: Tolerances | None, what: str):

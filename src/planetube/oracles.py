@@ -64,33 +64,29 @@ def _matrix_rank(rows: list[list[int]]) -> int:
     """Exact rank of an integer matrix with all minors in {-1, 0, 1}.
 
     For such (totally unimodular) matrices the rank over any prime field
-    equals the rational rank, so vectorized elimination mod p is exact.
-    Graph incidence matrices, our only input, are totally unimodular.
+    equals the rational rank, so elimination mod p is exact.  Graph
+    incidence matrices, our only input, are totally unimodular.  Each row
+    is kept sparse and reduced against the pivot rows found so far, each
+    scaled to a leading 1; a row that does not vanish adds a pivot.
     """
-    import numpy as np      # here, so that `import planetube` skips numpy
-
     p = 2_147_483_647
-    mat = np.array(rows, dtype=np.int64) % p
-    rank = 0
-    n_rows = len(rows)
-    n_cols = mat.shape[1] if n_rows else 0
-    for col in range(n_cols):
-        nz = np.nonzero(mat[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot = rank + int(nz[0])
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = mat[rank] * inv % p
-        others = np.nonzero(mat[:, col])[0]
-        others = others[others != rank]
-        if others.size:
-            mat[others] = (mat[others] - mat[others, col][:, None]
-                           * mat[rank][None, :]) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    pivots: dict[int, dict[int, int]] = {}     # leading column -> its row
+    for row in rows:
+        r = {j: x % p for j, x in enumerate(row) if x % p}
+        while r:
+            col = min(r)
+            if col not in pivots:
+                inv = pow(r[col], p - 2, p)
+                pivots[col] = {j: x * inv % p for j, x in r.items()}
+                break
+            k = r[col]
+            for j, x in pivots[col].items():
+                y = (r.get(j, 0) - k * x) % p
+                if y:
+                    r[j] = y
+                else:
+                    r.pop(j, None)
+    return len(pivots)
 
 
 def betti_oracle(tube: SymmetricTube) -> int:

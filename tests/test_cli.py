@@ -108,8 +108,9 @@ def test_malformed_file_is_validation_failure(tmp_path, capsys):
 
 def test_numeric_failure_exit_code(tmp_path, capsys):
     f = write(tmp_path, "c.json", standard_curve(1).to_json_dict())
-    assert main(["invariant", f, "--eps", "100.0"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+    for eps in ("100.0", "nan"):
+        assert main(["invariant", f, "--eps", eps]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
 
 def test_equiv_whitney(tmp_path, capsys):

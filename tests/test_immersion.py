@@ -11,7 +11,7 @@ from planetube.immersion import (PlaneImmersion, ImmersionError,
                                  cyclic_order, trace_cycle, turning_number,
                                  restrict, reflect, map_points,
                                  standard_curve, standard_star, planar_k4,
-                                 to_svg, find_crossings, _all_segments,
+                                 to_svg, find_crossings, _SegmentIndex,
                                  _min_clearance)
 from planetube.invariant import wu
 from planetube.oracles import all_pairs_crossings, min_clearance_oracle
@@ -153,6 +153,18 @@ def test_each_violation_kind_is_named(kind, message, build):
                for k, text in report.violations), report.violations
 
 
+def test_shallow_germs_alone_leave_no_scale():
+    # germs 2e-5 apart at vertex 1, each of length 1 before the strands
+    # part: every clearance is large, only the germ angle is too shallow
+    a = 2e-5
+    f = drawing({1: (0, 0), 2: (2, -1), 3: (2, 1)}, [(1, 2), (1, 3)],
+                {1: [(1, 0)], 2: [(math.cos(a), math.sin(a))]})
+    assert validate_generic(f).violations == [
+        ("no-scale", "germ angles too shallow for the drawing tolerance")]
+    # each germ is 1 long: the clearance alone would give epsilon 0.5
+    assert validate_generic(f, Tolerances(tau_abs=1e-7)).epsilon == 0.5
+
+
 def test_near_contact_names_where_strands_touch():
     # edge (3,4) ends on edge (1,2) at (1, 0); the crossing-at-bend drawing
     # bends edge 1 at (1, 0), 1e-7 beside the straight edge 2
@@ -204,10 +216,10 @@ def pruning_cases():
 
 def test_pruned_scans_match_all_pairs():
     for f, tau in pruning_cases():
-        segs = _all_segments(f)
-        crossings, violations = find_crossings(segs, tau)
+        index = _SegmentIndex(f, tau)
+        crossings, violations = find_crossings(index)
         assert (crossings, violations) == all_pairs_crossings(f, tau)
-        assert _min_clearance(f, segs, crossings, tau) \
+        assert _min_clearance(f, index, crossings) \
             == min_clearance_oracle(f, crossings)
 
 

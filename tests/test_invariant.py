@@ -14,9 +14,10 @@ import planetube
 from planetube.geometry import angle_of, dist
 from planetube.graphs import (EdgeCycle, star, complete_graph, path_graph,
                               star_graph, validate_graph)
-from planetube.immersion import (trace_cycle, turning_number, cyclic_order,
-                                 reflect, map_points, standard_curve,
-                                 standard_star, planar_k4, validate_generic)
+from planetube.immersion import (PlaneImmersion, trace_cycle, turning_number,
+                                 cyclic_order, reflect, map_points,
+                                 standard_curve, standard_star, planar_k4,
+                                 validate_generic)
 from planetube.invariant import (WindingError, wu, prepare,
                                  evaluate_on_tube_cycle, equivalent,
                                  star_wu, rotation_number_on_cycle,
@@ -131,8 +132,24 @@ def test_winding_rejects_open_paths(k4):
 
 def test_prepare_rejects_eps_above_suggested(k4):
     ctx = prepare(k4)
-    with pytest.raises(WindingError):
-        prepare(k4, eps=ctx.eps * 2)
+    for eps in (ctx.eps * 2, math.nan):
+        with pytest.raises(WindingError):
+            prepare(k4, eps=eps)
+
+
+def test_wu_reads_each_germ_once(monkeypatch):
+    # one read per (vertex, edge): 4 vertices of degree 3
+    f = planar_k4()
+    calls = []
+    read = PlaneImmersion.germ_direction
+
+    def counted(self, v, eid):
+        calls.append((v, eid))
+        return read(self, v, eid)
+
+    monkeypatch.setattr(PlaneImmersion, "germ_direction", counted)
+    wu(f)
+    assert len(calls) == len(set(calls)) == 12
 
 
 def test_wu_k4_shape(k4):

@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import planetube
 from planetube.graphs import (complete_graph, star_graph, path_graph,
                               fundamental_cycle)
 from planetube.tube import (build_symmetric_tube, tube_spanning_tree, rank,
@@ -65,6 +70,19 @@ def test_matrix_rank_on_incidence_matrices():
         rows[e.head - 1][j] = 1
     assert _matrix_rank(rows) == 3
     assert _matrix_rank([[0, 0], [0, 0]]) == 0
+
+
+def test_betti_oracle_leaves_numpy_unloaded():
+    code = ("import sys; from planetube.graphs import complete_graph; "
+            "from planetube.tube import build_symmetric_tube; "
+            "from planetube.oracles import betti_oracle; "
+            "print(betti_oracle(build_symmetric_tube(complete_graph(5))), "
+            "'numpy' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(
+            Path(planetube.__file__).parents[1])))
+    assert out.stdout.split() == ["21", "False"]
 
 
 def dense_equals_adaptive(f, per_cell=1500):
