@@ -19,7 +19,5 @@ from .invariant import (WuVector, WindingError, wu, prepare,
                         rotation_number_on_cycle)
 from .moves import (MoveRecord, MoveError, insert_curl, whitney_pair,
                     perturb, apply_moves)
-from .oracles import (CellCensus, cell_census, betti_oracle, PairPath,
-                      pair_path, winding, dense_winding_oracle)
 
 __version__ = "0.1.0"

@@ -12,14 +12,13 @@ import json
 import sys
 
 from .graphs import GraphError, EdgeCycle, validate_graph
-from .tube import (build_symmetric_tube, tube_spanning_tree, rank, wu_basis,
-                   to_dot, to_json_dict)
+from .tube import rank, to_dot, to_json_dict
 from .immersion import (Tolerances, ImmersionError, immersion_from_json_dict,
                         validate_generic, standard_curve, standard_star,
                         planar_k4, to_svg)
-from .invariant import WindingError, prepare, wu, equivalent, \
+from .invariant import WindingError, prepare, wu, wu_plan, equivalent, \
     rotation_number_on_cycle
-from .moves import apply_moves
+from .moves import MoveError, apply_moves
 
 
 def _load_json(path: str):
@@ -27,13 +26,24 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+# what parsing a file raises on a JSON value of the wrong shape, such as a
+# list where an object belongs
+_SHAPE_ERRORS = (TypeError, AttributeError)
+
+
 def _load_graph(path: str):
     d = _load_json(path)
-    return validate_graph(d["vertices"], d["edges"])
+    try:
+        return validate_graph(d["vertices"], d["edges"])
+    except _SHAPE_ERRORS as exc:
+        raise GraphError(f"malformed graph file: {exc}") from None
 
 
 def _load_immersion(path: str):
-    return immersion_from_json_dict(_load_json(path))
+    try:
+        return immersion_from_json_dict(_load_json(path))
+    except _SHAPE_ERRORS as exc:
+        raise ImmersionError(f"malformed immersion file: {exc}") from None
 
 
 def _tolerances(args) -> Tolerances | None:
@@ -62,8 +72,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_tube(args) -> int:
-    g = _load_graph(args.graph)
-    tc = tube_spanning_tree(build_symmetric_tube(g))
+    tc = wu_plan(_load_graph(args.graph)).complex
     if args.dot:
         sys.stdout.write(to_dot(tc))
     else:
@@ -79,9 +88,7 @@ def cmd_rank(args) -> int:
 
 def cmd_basis(args) -> int:
     g = _load_graph(args.graph)
-    tc = tube_spanning_tree(build_symmetric_tube(g))
-    basis = wu_basis(tc)
-    _emit({"basis": basis.names(), "rank": rank(g)})
+    _emit({"basis": wu_plan(g).basis.names(), "rank": rank(g)})
     return 0
 
 
@@ -128,6 +135,8 @@ def cmd_gen(args) -> int:
 def cmd_move(args) -> int:
     f = _load_immersion(args.immersion)
     records = _load_json(args.moves)
+    if not isinstance(records, list):
+        raise MoveError("a move file holds a list of move objects")
     out = apply_moves(f, records, _tolerances(args))
     _emit(out.to_json_dict())
     return 0

@@ -54,12 +54,14 @@ class Graph:
         return len(self.edges)
 
     def edge(self, eid: int) -> Edge:
+        if not 1 <= eid <= len(self.edges):
+            raise GraphError(f"unknown edge {eid}")
         return self.edges[eid - 1]
 
     def steps(self, v: int) -> list[tuple[int, int, int]]:
         """(edge id, direction, neighbour) leaving v, in increasing edge id
         order; direction is +1 when the step runs tail -> head."""
-        edges = [self.edge(eid) for eid in self.incident_edges(v)]
+        edges = [self.edges[eid - 1] for eid in self.incident_edges(v)]
         return [(e.id, +1 if e.tail == v else -1, e.other(v)) for e in edges]
 
     def incident_edges(self, v: int) -> list[int]:
@@ -136,17 +138,26 @@ class EdgeCycle:
 
 
 def validate_graph(num_vertices: int, edge_pairs) -> Graph:
-    """Build a canonical Graph or raise GraphError listing all violations."""
+    """Build a canonical Graph or raise GraphError listing all violations;
+    a vertex count that is not an integer is refused on its own."""
+    if not isinstance(num_vertices, int):
+        raise GraphError(f"vertex count {num_vertices!r} is not an integer")
     problems = []
     if num_vertices < 1:
         problems.append("graph needs at least one vertex")
-    pairs = [tuple(p) for p in edge_pairs]
+    pairs = list(edge_pairs)
     if not pairs:
         problems.append("graph needs at least one edge")
     seen = set()
     edges = []
-    for idx, (a, b) in enumerate(pairs, start=1):
-        if not (1 <= a <= num_vertices and 1 <= b <= num_vertices):
+    for idx, pair in enumerate(pairs, start=1):
+        try:
+            a, b = pair
+            inside = 1 <= a <= num_vertices and 1 <= b <= num_vertices
+        except (TypeError, ValueError):
+            problems.append(f"edge {idx}: {pair!r} is not a pair of vertex ids")
+            continue
+        if not inside:
             problems.append(f"edge {idx}: endpoint outside 1..{num_vertices}")
             continue
         if a == b:

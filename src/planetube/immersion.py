@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from typing import NamedTuple
 
 from . import geometry as geo
@@ -119,6 +119,11 @@ def immersion_from_json_dict(data: dict) -> PlaneImmersion:
     from .graphs import validate_graph
     gd = data["graph"]
     g = validate_graph(gd["vertices"], gd["edges"])
+    sizes = set(map(len, chain(data["positions"].values(),
+                               *data["polylines"].values())))
+    if sizes - {2}:
+        raise ImmersionError("every point needs exactly two coordinates, "
+                             f"not {sorted(sizes - {2})}")
     positions = {int(k): tuple(map(float, v))
                  for k, v in data["positions"].items()}
     polylines = {int(k): Polyline(v) for k, v in data["polylines"].items()}

@@ -1,7 +1,8 @@
 """Independent brute-force checks for the main pipeline.
 
 cell_census enumerates the cells of the quotient of the deleted product by
-the point swap and checks the tube counts against closed forms.
+the point swap from their definition, with each tube edge's end cells, and
+census_matches_tube checks a built tube and the closed forms against it.
 all_pairs_crossings and min_clearance_oracle rerun the genericity
 validator's crossing scan and feature clearance over every pair, without
 its pruning.
@@ -11,11 +12,15 @@ are realized here as closed paths of point pairs at scale eps: `winding`
 traces a PairPath with certified Lipschitz refinement, and
 dense_winding_oracle re-traces it with fixed uniform sampling and naive
 angle accumulation.  Both are references only; their cost grows as 1/eps.
+
+Nothing on the package's own paths imports this module, and the package
+root does not re-export it: tests and scripts import `planetube.oracles`,
+so `import planetube` and the CLI never compile it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import geometry as geo
 from .graphs import Graph
@@ -28,36 +33,71 @@ from .invariant import WindingError, INTEGER_TOL
 class CellCensus:
     diagonal_cells: int          # one per vertex plus one per edge
     disjoint_pairs: int          # ordered pairs of disjoint closed simplices
-    tube_vertices: int
-    tube_edges: int
+    tube_vertices: int           # Z and W cells enumerated below
+    tube_edges: int              # X and Y cells enumerated below
     tube_vertices_formula: int   # 2n + sum C(d,2)
     tube_edges_formula: int      # n + 2 sum C(d,2)
     betti_formula: int           # 1 - 2n + (sum d^2)/2
+    # tube edge key -> its two end cell keys; a key is (kind, vertex,
+    # edge_a, edge_b) as on `tube.TubeVertex` and `tube.TubeEdge`
+    edge_ends: dict = field(compare=False, repr=False)
 
 
 def cell_census(g: Graph) -> CellCensus:
+    """Counts the tube's cells from their definition, by scanning pairs of
+    closed simplices: a Z cell per vertex on an edge, a W cell per unordered
+    pair of edges that share a vertex, an X cell per edge and a Y cell per
+    ordered pair of edges that share a vertex.  Each X or Y cell's two end
+    cells are derived the same way, and the counts sit beside their closed
+    forms."""
     m, n = g.num_vertices, g.num_edges
     # ordered pairs of disjoint closed simplices (vertex or closed edge)
     simplices = [("v", frozenset((v,))) for v in g.vertices()]
     simplices += [("e", e.ends()) for e in g.edges]
     disjoint = sum(1 for a in simplices for b in simplices
                    if a is not b and not (a[1] & b[1]))
+    z_cells = {("Z", v, e.id, 0) for v in g.vertices() for e in g.edges
+               if v in e.ends()}
+    w_cells, ends = set(), {}
+    for e in g.edges:
+        ends[("X", 0, e.id, 0)] = frozenset(
+            (("Z", e.tail, e.id, 0), ("Z", e.head, e.id, 0)))
+    for a in g.edges:
+        for b in g.edges:
+            shared = a.ends() & b.ends()
+            if a is b or not shared:
+                continue
+            (v,) = shared
+            w = ("W", v, min(a.id, b.id), max(a.id, b.id))
+            w_cells.add(w)
+            ends[("Y", v, a.id, b.id)] = frozenset((("Z", v, a.id, 0), w))
     pairs = sum(math.comb(g.degree(v), 2) for v in g.vertices())
     sq = sum(g.degree(v) ** 2 for v in g.vertices())
     return CellCensus(
         diagonal_cells=m + n,
         disjoint_pairs=disjoint,
-        tube_vertices=2 * n + pairs,
-        tube_edges=n + 2 * pairs,
+        tube_vertices=len(z_cells) + len(w_cells),
+        tube_edges=len(ends),
         tube_vertices_formula=2 * n + pairs,
         tube_edges_formula=n + 2 * pairs,
         betti_formula=1 - 2 * n + sq // 2,
+        edge_ends=ends,
     )
 
 
 def census_matches_tube(census: CellCensus, tube: SymmetricTube) -> bool:
-    return (len(tube.vertices) == census.tube_vertices_formula
-            and len(tube.edges) == census.tube_edges_formula)
+    """The built tube has the census's cell counts and joins each tube edge
+    to the census's end cells, and the census counts meet their closed
+    forms."""
+    def key(c):
+        return (c.kind, c.vertex, c.edge_a, c.edge_b)
+
+    built = {key(e): frozenset((key(e.u), key(e.v))) for e in tube.edges}
+    return (len(tube.vertices) == census.tube_vertices
+            == census.tube_vertices_formula
+            and len(tube.edges) == census.tube_edges
+            == census.tube_edges_formula
+            and built == census.edge_ends)
 
 
 def _matrix_rank(rows: list[list[int]]) -> int:

@@ -160,13 +160,12 @@ def build_symmetric_tube(g: Graph) -> SymmetricTube:
     return SymmetricTube(g, tuple(cells), tuple(edges))
 
 
-def tube_spanning_tree(tube: SymmetricTube,
-                       graph_tree: SpanningTree | None = None) -> TubeComplex:
-    """Canonical spanning tree: X edges over the graph tree plus, per vertex,
-    the star-pattern tree transported along the neighbor order."""
+def tube_spanning_tree(tube: SymmetricTube) -> TubeComplex:
+    """Canonical spanning tree: X edges over the graph's canonical spanning
+    tree plus, per vertex, the star-pattern tree transported along the
+    neighbor order.  `invariant.wu_plan` caches the result per graph."""
     g = tube.graph
-    if graph_tree is None:
-        graph_tree = canonical_spanning_tree(g)
+    graph_tree = canonical_spanning_tree(g)
     tree: set[TubeEdge] = set()
     for eid in graph_tree.edge_ids:
         tree.add(tube.x_edge(eid))

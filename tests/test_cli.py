@@ -3,8 +3,11 @@ import json
 import pytest
 
 from planetube.cli import main
+from planetube.graphs import complete_graph, star_graph, path_graph
 from planetube.immersion import standard_curve, planar_k4
 from planetube.moves import whitney_pair
+from planetube.tube import (build_symmetric_tube, tube_spanning_tree, rank,
+                            wu_basis, to_dot, to_json_dict)
 
 
 def write(tmp_path, name, obj):
@@ -22,11 +25,23 @@ def test_rank_k4(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
+# K3-K6, a star and a path
+GRAPHS = [complete_graph(n) for n in range(3, 7)] + [star_graph(4),
+                                                     path_graph(5)]
+
+
 def test_basis_k4(tmp_path, capsys):
     assert main(["basis", k4_graph_file(tmp_path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["rank"] == 7
     assert out["basis"][:3] == ["X4", "X5", "X6"]
+    # the whole output, against a direct build of the tube and its basis
+    for g in GRAPHS:
+        assert main(["basis", write(tmp_path, "g.json", g.to_json_dict())]) \
+            == 0
+        tc = tube_spanning_tree(build_symmetric_tube(g))
+        assert json.loads(capsys.readouterr().out) == \
+            {"basis": wu_basis(tc).names(), "rank": rank(g)}
 
 
 def test_tube_dot_and_json(tmp_path, capsys):
@@ -36,6 +51,14 @@ def test_tube_dot_and_json(tmp_path, capsys):
     assert main(["tube", gf]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["cells"]["vertices"]) == 24
+    # the whole output, against a direct build of the tube
+    for g in GRAPHS:
+        gf = write(tmp_path, "g.json", g.to_json_dict())
+        tc = tube_spanning_tree(build_symmetric_tube(g))
+        assert main(["tube", gf, "--dot"]) == 0
+        assert capsys.readouterr().out == to_dot(tc)
+        assert main(["tube", gf]) == 0
+        assert json.loads(capsys.readouterr().out) == to_json_dict(tc)
 
 
 def test_gen_curve_then_invariant(tmp_path, capsys):
@@ -104,6 +127,77 @@ def test_malformed_file_is_validation_failure(tmp_path, capsys):
                  ["validate", touching, "--tol", "-1"]):
         assert main(argv) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+
+def assert_validation_errors(capsys, runs):
+    """Each (argv, message part) run exits 1 with a JSON validation error
+    whose message holds that part."""
+    for argv, part in runs:
+        assert main(argv) == 1, argv
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and part in err["message"], \
+            (argv, err)
+
+
+def test_malformed_input_gives_json_errors(tmp_path, capsys):
+    k4 = planar_k4().to_json_dict()
+    curve = write(tmp_path, "curve.json", standard_curve(1).to_json_dict())
+    k4_file = write(tmp_path, "k4.json", k4)
+
+    def k4_with(name, edit):
+        d = json.loads(json.dumps(k4))
+        edit(d)
+        return write(tmp_path, name, d)
+
+    def graph_file(name, vertices, edges):
+        return write(tmp_path, name, {"vertices": vertices, "edges": edges})
+
+    assert_validation_errors(capsys, [
+        (["rotation", curve, "--cycle", "9", "1", "2"], "unknown edge 9"),
+        (["validate", k4_with("short.json", lambda d: d["polylines"]["1"]
+                              .insert(1, [1.0]))], "two coordinates"),
+        (["validate", k4_with("long.json", lambda d: d["polylines"]["1"]
+                              .insert(1, [1.0, 1.0, 1.0]))],
+         "two coordinates"),
+        (["rank", graph_file("frac.json", 4.5, [[1, 2]])], "vertex count"),
+        (["rank", graph_file("text.json", 2, [[1, "2"]])], "not a pair"),
+        (["rank", graph_file("triple.json", 3, [[1, 2, 3], [2, 3]])],
+         "not a pair"),
+        (["validate", k4_with("frac_imm.json", lambda d: d["graph"]
+                              .update(vertices=4.5))], "vertex count"),
+        # JSON values of the wrong shape
+        (["rank", graph_file("num.json", 3, 5)], "malformed graph file"),
+        (["rank", write(tmp_path, "list.json", [3, [[1, 2]]])],
+         "malformed graph file"),
+        (["validate", k4_with("pos.json", lambda d: d.update(
+            positions=[[0, 0]]))], "malformed immersion file"),
+        (["validate", k4_with("pl.json", lambda d: d["polylines"].update(
+            {"1": 5}))], "malformed immersion file"),
+        (["move", k4_file, write(tmp_path, "one.json",
+                                 {"kind": "curl", "edge": 1, "t": 0.5,
+                                  "sign": 1})], "list of move objects"),
+        (["move", k4_file, write(tmp_path, "str.json", ["curl"])],
+         "not an object"),
+        (["move", k4_file, write(tmp_path, "e9.json",
+                                 [{"kind": "curl", "edge": 9, "t": 0.5,
+                                   "sign": 1}])], "unknown edge 9"),
+        (["move", k4_file, write(tmp_path, "null.json",
+                                 [{"kind": "curl", "edge": None}])],
+         "malformed move record"),
+    ])
+
+
+def test_move_delta_outside_range_is_refused(tmp_path, capsys):
+    k4 = planar_k4()
+    bent = whitney_pair(k4, 6, k4.polylines[6].length / 2)
+    runs = []
+    for name, f in (("k4", k4), ("bent", bent)):
+        imm = write(tmp_path, f"{name}.json", f.to_json_dict())
+        for delta in (-1, float("nan")):
+            moves = write(tmp_path, f"{name}-{delta}.json",
+                          [{"kind": "perturb", "seed": 3, "delta": delta}])
+            runs.append((["move", imm, moves], "delta must lie in"))
+    assert_validation_errors(capsys, runs)
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):

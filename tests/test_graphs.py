@@ -22,6 +22,23 @@ def test_validate_rejects_loops_duplicates_range():
         validate_graph(4, [[1, 2], [3, 4]])
 
 
+def test_validate_names_malformed_fields():
+    with pytest.raises(GraphError, match="vertex count 4.5"):
+        validate_graph(4.5, [[1, 2]])
+    with pytest.raises(GraphError, match=r"edge 2: \[2, '3'\] is not a pair"):
+        validate_graph(3, [[1, 2], [2, "3"]])
+    with pytest.raises(GraphError, match=r"edge 1: \[1, 2, 3\] is not a pair"):
+        validate_graph(3, [[1, 2, 3], [2, 3]])
+
+
+def test_edge_ids_outside_range_are_refused():
+    g = complete_graph(4)
+    assert g.edge(1).id == 1 and g.edge(6).id == 6
+    for eid in (0, -1, 7):
+        with pytest.raises(GraphError, match=f"unknown edge {eid}"):
+            g.edge(eid)
+
+
 def test_edges_are_canonically_oriented():
     g = validate_graph(3, [[3, 1], [2, 3], [2, 1]])
     assert [(e.tail, e.head) for e in g.edges] == [(1, 3), (2, 3), (1, 2)]

@@ -88,8 +88,9 @@ def test_perturb_identity_and_invariance(k4):
 
 def test_perturb_rejects_large_delta(k4):
     eps = validate_generic(k4).epsilon
-    with pytest.raises(MoveError):
-        perturb(k4, seed=0, delta=eps)
+    for delta in (eps, float("nan"), -1.0):
+        with pytest.raises(MoveError, match="delta must lie in"):
+            perturb(k4, seed=0, delta=delta)
 
 
 def test_apply_moves_json(k4):

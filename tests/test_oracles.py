@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 import planetube
 from planetube.graphs import (complete_graph, star_graph, path_graph,
                               fundamental_cycle)
-from planetube.tube import (build_symmetric_tube, tube_spanning_tree, rank,
-                            basis_cycle, wu_basis,
-                            tube_cycle_over_graph_cycle)
+from planetube.tube import (SymmetricTube, W, build_symmetric_tube, rank,
+                            basis_cycle, tube_cycle_over_graph_cycle)
 from planetube.immersion import standard_curve, standard_star, planar_k4
 from planetube.invariant import prepare, evaluate_on_tube_cycle
 from planetube.moves import insert_curl
@@ -41,6 +41,21 @@ def test_census_k4():
 def test_census_matches_built_tubes():
     for g in connected_graphs_upto(4):
         assert census_matches_tube(cell_census(g), build_symmetric_tube(g))
+
+
+def test_census_catches_a_reattached_y_edge():
+    g = complete_graph(4)
+    tube = build_symmetric_tube(g)
+    assert census_matches_tube(cell_census(g), tube)
+    # Y(1, 1, 2) joins Z(1, 1) to W(1, 1, 2); move its W end to W(1, 2, 3)
+    y = tube.y_edge(1, 1, 2)
+    w_end = "v" if y.v.kind == "W" else "u"
+    moved = replace(y, **{w_end: W(1, 2, 3)})
+    edges = tuple(moved if e is y else e for e in tube.edges)
+    bad = SymmetricTube(g, tube.vertices, edges)
+    assert (len(bad.vertices), len(bad.edges)) == \
+        (len(tube.vertices), len(tube.edges))
+    assert not census_matches_tube(cell_census(g), bad)
 
 
 def test_betti_oracle_exhaustive_small():
@@ -83,6 +98,17 @@ def test_betti_oracle_leaves_numpy_unloaded():
         check=True, env=dict(os.environ, PYTHONPATH=str(
             Path(planetube.__file__).parents[1])))
     assert out.stdout.split() == ["21", "False"]
+
+
+def test_package_import_leaves_oracles_unloaded():
+    code = ("import sys, planetube; a = 'planetube.oracles' in sys.modules; "
+            "import planetube.cli; "
+            "print(a, 'planetube.oracles' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(
+            Path(planetube.__file__).parents[1])))
+    assert out.stdout.split() == ["False", "False"]
 
 
 def dense_equals_adaptive(f, per_cell=1500):
