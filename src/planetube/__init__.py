@@ -11,9 +11,9 @@ from .tube import (SymmetricTube, TubeComplex, WuBasis, TubeError,
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         ImmersionError, NotGenericError, CyclicOrder,
                         immersion_from_json_dict, validate_generic,
-                        cyclic_order, trace_cycle, turning_number, restrict,
-                        reflect, map_points, standard_curve, standard_star,
-                        planar_k4, to_svg)
+                        trace_cycle, turning_number, restrict, reflect,
+                        map_points, standard_curve, standard_star, planar_k4,
+                        to_svg)
 from .invariant import (WuVector, WindingError, wu, prepare,
                         evaluate_on_tube_cycle, equivalent, star_wu,
                         rotation_number_on_cycle)

@@ -72,11 +72,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_tube(args) -> int:
-    tc = wu_plan(_load_graph(args.graph)).complex
+    plan = wu_plan(_load_graph(args.graph))
     if args.dot:
-        sys.stdout.write(to_dot(tc))
+        sys.stdout.write(to_dot(plan.complex))
     else:
-        _emit(to_json_dict(tc))
+        _emit(to_json_dict(plan.complex, plan.basis))
     return 0
 
 
@@ -124,10 +124,8 @@ def cmd_gen(args) -> int:
     elif args.kind == "star":
         order = [int(x) for x in args.order.split(",")]
         f = standard_star(order)
-    elif args.kind == "k4":
-        f = planar_k4()
     else:
-        raise ImmersionError(f"unknown generator {args.kind!r}")
+        f = planar_k4()
     _emit(f.to_json_dict())
     return 0
 

@@ -81,19 +81,6 @@ class PlaneImmersion:
         ys = [p[1] for pl in self.polylines.values() for p in pl.points]
         return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
-    def germ_direction(self, v: int, eid: int) -> Point:
-        """Unit direction of the first polyline segment leaving v along
-        edge eid."""
-        e = self.graph.edge(eid)
-        pl = self.polylines[eid]
-        if v == e.tail:
-            a, b = pl.points[0], pl.points[1]
-        elif v == e.head:
-            a, b = pl.points[-1], pl.points[-2]
-        else:
-            raise ImmersionError(f"edge {eid} is not incident to vertex {v}")
-        return geo.unit(geo.sub(b, a))
-
     def point_from(self, eid: int, v: int, s: float) -> Point:
         """Point at arclength s along edge eid measured from endpoint v."""
         e = self.graph.edge(eid)
@@ -161,16 +148,19 @@ class CyclicOrder:
 
 @dataclass
 class GenericityReport:
+    """What `validate_generic` found, and the drawing as it read it.  The
+    hidden fields are all the moves and the invariant's cochain read of
+    the drawing: its segment index, each vertex's unit germs by edge id,
+    and each edge's bend turns summed tail to head."""
     passed: bool
     violations: list
     crossings: list
     cyclic_orders: dict        # vertex -> CyclicOrder
     epsilon: float
     tau: float
-    # the drawing as the validation read it, for the moves and the cochain:
-    # its segment index, and each vertex's unit germs by edge id
     index: _SegmentIndex = field(repr=False, compare=False)
     germs: dict = field(repr=False, compare=False)
+    turns: dict = field(repr=False, compare=False)     # edge id -> radians
 
 
 class _Segment(NamedTuple):
@@ -328,12 +318,6 @@ def _near(points, r: float):
     return near
 
 
-def cyclic_order(f: PlaneImmersion, v: int) -> CyclicOrder:
-    """Counterclockwise order of the edge germs of f at v."""
-    return _cyclic_order(v, {e: f.germ_direction(v, e)
-                             for e in f.graph.incident_edges(v)})
-
-
 def _cyclic_order(v: int, germs: dict) -> CyclicOrder:
     """Counterclockwise order of the unit germs (edge id -> direction) at
     v; raises NotGenericError when two of them collide."""
@@ -353,10 +337,11 @@ def validate_generic(f: PlaneImmersion,
     suggested scale epsilon.
 
     f is read once, into one segment index (`_SegmentIndex`: each segment's
-    length, direction and tau-widened box, the boxes sorted once) and one
-    table of unit germs per vertex and edge (`PlaneImmersion.germ_direction`).
-    Every step reads those two, and so do the moves and the cochain, which
-    find them on the report.  The scans over pairs of features are pruned.
+    length, direction and tau-widened box, the boxes sorted once).  Step (a)
+    takes from its rows each edge's bend turns, summed, and its two germs,
+    which make the table of unit germs per vertex and edge.  Every step
+    reads those, and so do the moves and the invariant's cochain, which find
+    them on the report.  The scans over pairs of features are pruned.
     Segments are pair-tested only where their widened boxes overlap
     (`find_crossings`), a crossing is measured only against the vertices,
     bends and crossings within 2 tau of it in x, and `_min_clearance` skips
@@ -373,24 +358,37 @@ def validate_generic(f: PlaneImmersion,
     segs = index.segs
 
     # (a) local injectivity of each polyline: per edge, its degenerate
-    # segments, then the bends where it doubles back
-    for eid, run in groupby(segs, key=lambda s: s.edge):
+    # segments, then the bends where it doubles back.  The bend turns are
+    # summed, and the unit germs at both ends read off the end segments
+    # (None at length 0)
+    turns, ends = {}, {}
+    for e, (_, run) in zip(f.graph.edges, groupby(segs, key=lambda s: s.edge)):
         run = list(run)
         for s in run:
             if s.length <= tau:
                 violations.append(("degenerate-segment",
-                                    f"edge {eid} segment {s.index} at {s.a}"))
+                                   f"edge {e.id} segment {s.index} at {s.a}"))
+        total = 0.0
         for s, t in zip(run, run[1:]):
             if s.u is None or t.u is None:
                 continue
-            if abs(geo.turn_angle(s.u, t.u)) >= math.pi - ANGLE_TOL:
+            turn = geo.turn_angle(s.u, t.u)
+            if abs(turn) >= math.pi - ANGLE_TOL:
                 violations.append(("not-an-immersion",
-                                   f"edge {eid} doubles back at bend {t.a}"))
+                                   f"edge {e.id} doubles back at bend {t.a}"))
+            total += turn
+        turns[e.id] = total
+        # the head germ is (a - b) / length, not -u: a germ along -x then
+        # reads (-1.0, 0.0), at angle pi, and not (-1.0, -0.0), at -pi
+        a, b, n = run[-1].a, run[-1].b, run[-1].length
+        ends[e.tail, e.id] = run[0].u
+        ends[e.head, e.id] = ((a[0] - b[0]) / n, (a[1] - b[1]) / n) if n \
+            else None
 
     # (e) distinct germ angles, at the vertices where every germ has a
     # direction (a germ of length 0 is a degenerate segment, step (a))
-    stubs = {v for s in segs if s.u is None for v in s.ends}
-    germs = {v: {e: f.germ_direction(v, e) for e in f.graph.incident_edges(v)}
+    stubs = {v for (v, _), u in ends.items() if u is None}
+    germs = {v: {e: ends[v, e] for e in f.graph.incident_edges(v)}
              for v in f.graph.vertices() if v not in stubs}
     orders = {}
     for v, at in germs.items():
@@ -405,8 +403,7 @@ def validate_generic(f: PlaneImmersion,
 
     # (c) crossings clear of vertices and bends
     features = [tuple(f.positions[v]) for v in f.graph.vertices()]
-    bends = [p for e in f.graph.edges
-             for p in f.polylines[e.id].points[1:-1]]
+    bends = [s.a for s in segs if s.index]
     near_feature, near_bend = _near(features, tau), _near(bends, tau)
     for c in crossings:
         for k in near_feature(c.point):
@@ -452,6 +449,7 @@ def validate_generic(f: PlaneImmersion,
         tau=tau,
         index=index,
         germs=germs,
+        turns=turns,
     )
 
 

@@ -19,11 +19,14 @@ cohomology basis:
 What depends on the graph alone is built once per graph and cached
 (`wu_plan`): the tube with its spanning tree and basis, the conventions
 fingerprint, and each basis cycle collapsed to a sparse row of signed
-tube-edge multiplicities with its swap parity.  A drawing then costs one
-omega per tube edge (`prepare`): each edge's turn sum once and the germ
-directions its genericity report read, once per (vertex, edge),
-O(S + sum of d^2) for S polyline segments and vertex degrees d.  A
-coordinate is its row summed against that cochain.
+tube-edge multiplicities (`_row`), with its swap parity checked.  Nothing
+here reads a drawing's coordinates: a Wu vector is a function of the
+genericity report and the plan.  The report carries each edge's bend turns,
+summed, and the unit germs at each vertex, all read off its segment table,
+so the cochain (`prepare`) costs one omega per tube edge, O(n + sum of d^2)
+for n edges and vertex degrees d.  Every row, a coordinate's or any closed
+cycle's, is summed against it and certified integral by one function
+(`_half_turns`).
 
 No angle depends on the pair scale eps, which is only range-checked.  The
 certified pair-path tracer and the dense sampler in `oracles` realize the
@@ -66,32 +69,18 @@ class WindingError(ArithmeticError):
 INTEGER_TOL = 1e-6          # of pi, for the closed-cycle certificate
 
 
-def _turn_sum(pts) -> float:
-    """Sum of the turn angles at a polyline's bends, first to last."""
-    dirs = [geo.sub(b, a) for a, b in zip(pts, pts[1:])]
-    return sum(geo.turn_angle(u, w) for u, w in zip(dirs, dirs[1:]))
-
-
 def _germ_turn(ga, gb, edge: TubeEdge) -> float:
     """omega of a Y edge from the unit germs of its fixed and moving edges."""
     turn = geo.turn_angle(geo.scale(ga, -1.0), geo.sub(gb, ga))
     return -turn if edge.u.kind == "W" else turn
 
 
-def omega(f: PlaneImmersion, edge: TubeEdge) -> float:
-    """Exact turn of the pair chord across a tube edge, traversed u -> v."""
-    if edge.kind == "X":
-        return _turn_sum(f.polylines[edge.edge_a].points)
-    return _germ_turn(f.germ_direction(edge.vertex, edge.edge_a),
-                      f.germ_direction(edge.vertex, edge.edge_b), edge)
-
-
-def _cochain(f: PlaneImmersion, tube: SymmetricTube,
-             germs: dict) -> list[float]:
-    """omega of every tube edge, in `tube.edges` order: each graph edge's
-    turn sum once, and the germs as f's genericity report read them
-    (vertex -> edge id -> unit germ)."""
-    turns = {e.id: _turn_sum(f.polylines[e.id].points) for e in f.graph.edges}
+def _cochain(tube: SymmetricTube, report: GenericityReport) -> list[float]:
+    """omega of every tube edge, in `tube.edges` order, from the genericity
+    report alone: an X edge's bend turns as the validation summed them, and
+    a Y edge's angle from the germs it read (vertex -> edge id -> unit
+    germ)."""
+    turns, germs = report.turns, report.germs
     return [turns[e.edge_a] if e.kind == "X" else
             _germ_turn(germs[e.vertex][e.edge_a], germs[e.vertex][e.edge_b], e)
             for e in tube.edges]
@@ -141,33 +130,44 @@ class WuPlan:
     basis: WuBasis
     fingerprint: str
     index: MappingProxyType     # tube edge -> its position in tube.edges
-    # basis label name -> (row, swap parity); the row is the label's basis
-    # cycle as (tube-edge position, signed multiplicity), zeros dropped
-    terms: MappingProxyType
+    terms: MappingProxyType     # basis label name -> its basis cycle's row
 
 
 # graphs whose plans stay cached: few, as a plan holds its graph's whole tube
 PLAN_CACHE_SIZE = 8
 
 
+# what a basis cycle or coordinate of the wrong parity raises, by label kind
+_PARITY_ERRORS = {"X": "graph-cycle trace for %s is not swap-even",
+                  "Y": "block trace for %s is not swap-odd"}
+
+
+def _row(index, steps) -> tuple:
+    """A closed tube cycle collapsed to its row: (tube-edge position,
+    signed multiplicity) pairs in order of first visit, zeros dropped."""
+    if not cycle_is_closed(steps):
+        raise WindingError("tube cycle is not closed")
+    row: dict[int, int] = {}
+    for e, d in steps:
+        row[index[e]] = row.get(index[e], 0) + d
+    return tuple((i, m) for i, m in row.items() if m)
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def wu_plan(g: Graph) -> WuPlan:
     """The plan of g, built once per graph: its canonical tube complex and
-    basis, conventions fingerprint, and each basis cycle collapsed to a row,
-    checked closed once here."""
+    basis, conventions fingerprint, and each basis cycle as a row.  Swap
+    parity depends on the graph alone, so it is checked here, once per
+    basis cycle: even for an X label, odd for a Y label."""
     tc = tube_spanning_tree(build_symmetric_tube(g))
     basis = wu_basis(tc)
     index = {e: i for i, e in enumerate(tc.tube.edges)}
     terms = {}
     for label in basis.labels:
         steps = basis_cycle(tc, label)
-        if not cycle_is_closed(steps):
-            raise WindingError("tube cycle is not closed")
-        row: dict[int, int] = {}
-        for e, d in steps:
-            row[index[e]] = row.get(index[e], 0) + d
-        terms[label.name] = (tuple((i, m) for i, m in row.items() if m),
-                             swap_parity(steps))
+        terms[label.name] = _row(index, steps)
+        if swap_parity(steps) != (label.kind == "Y"):
+            raise WindingError(_PARITY_ERRORS[label.kind] % label.name)
     fingerprint = _sha256(_conventions_blob(tc, basis)).hexdigest()[:16]
     return WuPlan(tc, basis, fingerprint, MappingProxyType(index),
                   MappingProxyType(terms))
@@ -205,7 +205,7 @@ class InvariantContext:
 def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
             eps: float | None = None) -> InvariantContext:
     """Validate f, fetch its graph's plan and compute its cochain from the
-    germs the validation read.
+    genericity report: the bend turns and germs the validation read.
 
     `eps` defaults to the suggested scale and must lie in (0, suggested];
     NaN lies in no range and is refused.  The check bounds a positive eps
@@ -224,12 +224,14 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
         raise WindingError(
             f"eps {use_eps} outside (0, {report.epsilon}]")
     return InvariantContext(f, report, plan, use_eps,
-                            _cochain(f, plan.complex.tube, report.germs))
+                            _cochain(plan.complex.tube, report))
 
 
-def _half_turns(total: float) -> int:
-    """The cochain total of a closed cycle in units of pi, certified
+def _half_turns(ctx: InvariantContext, row) -> int:
+    """A row summed against the cochain, in units of pi, certified
     integral."""
+    w = ctx.cochain
+    total = sum(m * w[i] for i, m in row)
     k = total / math.pi
     if not math.isfinite(k) or abs(k - round(k)) > INTEGER_TOL:
         raise WindingError(
@@ -244,24 +246,15 @@ def evaluate_on_tube_cycle(ctx: InvariantContext, steps) -> int:
     signed sum of non-tree-edge multiplicities times the windings of their
     fundamental tube cycles.
     """
-    if not cycle_is_closed(steps):
-        raise WindingError("tube cycle is not closed")
-    index, w = ctx.plan.index, ctx.cochain
-    return _half_turns(sum(d * w[index[e]] for e, d in steps))
+    return _half_turns(ctx, _row(ctx.plan.index, steps))
 
 
 def coordinate(ctx: InvariantContext, label: BasisLabel) -> int:
-    row, parity = ctx.plan.terms[label.name]
-    w = ctx.cochain
-    k = _half_turns(sum(m * w[i] for i, m in row))
-    if label.kind == "X":
-        if parity != 0 or k % 2 != 0:
-            raise WindingError(
-                f"graph-cycle trace for {label.name} is not swap-even")
-        return k // 2
-    if parity != 1 or k % 2 == 0:
-        raise WindingError(f"block trace for {label.name} is not swap-odd")
-    return k
+    """The label's coordinate: its row's winding, halved for an X label."""
+    k = _half_turns(ctx, ctx.plan.terms[label.name])
+    if k % 2 != (label.kind == "Y"):
+        raise WindingError(_PARITY_ERRORS[label.kind] % label.name)
+    return k // 2 if label.kind == "X" else k
 
 
 def wu(f: PlaneImmersion, tol: Tolerances | None = None,
@@ -281,13 +274,10 @@ def raw_basis_windings(ctx: InvariantContext) -> dict:
 
 
 def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
-    """Signed multiplicity of each non-tree tube edge in a cycle."""
-    non_tree = {b.edge: b.name for b in ctx.basis.labels}
-    out = {name: 0 for name in ctx.basis.names()}
-    for e, d in steps:
-        if e in non_tree:
-            out[non_tree[e]] += d
-    return out
+    """Signed multiplicity of each non-tree tube edge in a closed cycle."""
+    row = dict(_row(ctx.plan.index, steps))
+    return {b.name: row.get(ctx.plan.index[b.edge], 0)
+            for b in ctx.basis.labels}
 
 
 def rotation_number_on_cycle(ctx: InvariantContext, c: EdgeCycle) -> int:
@@ -305,10 +295,7 @@ def equivalent(f: PlaneImmersion, g: PlaneImmersion,
     """Regular-homotopy equivalence test by invariant comparison."""
     if f.graph != g.graph:
         raise ValueError("immersions must share the same labeled graph")
-    wf, wg = wu(f, tol), wu(g, tol)
-    if wf.fingerprint != wg.fingerprint:
-        raise ValueError("conventions fingerprints do not match")
-    return wf.coords == wg.coords
+    return wu(f, tol).coords == wu(g, tol).coords
 
 
 def star_wu(order, tol: Tolerances | None = None) -> tuple[int, ...]:

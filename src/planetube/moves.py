@@ -43,13 +43,19 @@ class MoveRecord:
 
     @staticmethod
     def from_json_dict(d: dict) -> "MoveRecord":
+        def whole(key):
+            x = d.get(key, 0)
+            if isinstance(x, float) and not x.is_integer():
+                raise MoveError(f"move {key} must be a whole number, not {x}")
+            return int(x)
+
         try:
             return MoveRecord(
                 kind=d["kind"],
-                edge=int(d.get("edge", 0)),
+                edge=whole("edge"),
                 t=float(d.get("t", 0.0)),
-                sign=int(d.get("sign", 0)),
-                seed=int(d.get("seed", 0)),
+                sign=whole("sign"),
+                seed=whole("seed"),
                 delta=float(d["delta"]) if "delta" in d else None,
             )
         except TypeError as exc:        # a null, list or object for a number

@@ -7,9 +7,11 @@ all_pairs_crossings and min_clearance_oracle rerun the genericity
 validator's crossing scan and feature clearance over every pair, without
 its pruning.
 betti_oracle recomputes the tube's first Betti number from the boundary
-matrix by exact elimination.  The windings that `invariant` sums exactly
-are realized here as closed paths of point pairs at scale eps: `winding`
-traces a PairPath with certified Lipschitz refinement, and
+matrix by exact elimination.  omega recomputes one tube edge's exact angle
+from the polyline points, step by step, apart from the cochain `invariant`
+builds out of the genericity report.  The windings that `invariant` sums
+exactly are realized here as closed paths of point pairs at scale eps:
+`winding` traces a PairPath with certified Lipschitz refinement, and
 dense_winding_oracle re-traces it with fixed uniform sampling and naive
 angle accumulation.  Both are references only; their cost grows as 1/eps.
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from . import geometry as geo
 from .graphs import Graph
 from .immersion import PlaneImmersion, _all_segments, _check_pair
-from .tube import SymmetricTube
+from .tube import SymmetricTube, TubeEdge
 from .invariant import WindingError, INTEGER_TOL
 
 
@@ -175,6 +177,30 @@ def min_clearance_oracle(f: PlaneImmersion, crossings) -> float:
         best = min(best, geo.dist(pl.points[0], pl.points[1]),
                    geo.dist(pl.points[-2], pl.points[-1]), pl.length / 2.0)
     return best
+
+
+def _germ(f: PlaneImmersion, v: int, eid: int):
+    """Unit direction in which edge eid leaves vertex v, from its points."""
+    pts = f.polylines[eid].points
+    a, b = (pts[0], pts[1]) if f.graph.edge(eid).tail == v else \
+        (pts[-1], pts[-2])
+    return geo.unit(geo.sub(b, a))
+
+
+def omega(f: PlaneImmersion, edge: TubeEdge) -> float:
+    """Exact turn of the pair chord across a tube edge, traversed u -> v,
+    from f's points: for X(e), the turns between e's raw segment vectors,
+    tail to head; for Y(v, a, b), the direction of g_b - g_a less that of
+    -g_a, reduced modulo 2 pi to [-pi, pi], for the unit germs g read off
+    the points next to v, negated when u is the W cell."""
+    if edge.kind == "X":
+        pts = f.polylines[edge.edge_a].points
+        dirs = [geo.sub(b, a) for a, b in zip(pts, pts[1:])]
+        return sum(geo.turn_angle(u, w) for u, w in zip(dirs, dirs[1:]))
+    ga, gb = (_germ(f, edge.vertex, e) for e in (edge.edge_a, edge.edge_b))
+    turn = math.remainder(geo.angle_of(geo.sub(gb, ga))
+                          - geo.angle_of(geo.scale(ga, -1.0)), 2.0 * math.pi)
+    return -turn if edge.u.kind == "W" else turn
 
 
 MAX_REFINE_DEPTH = 40

@@ -320,8 +320,8 @@ def to_dot(tc: TubeComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(tc: TubeComplex) -> dict:
-    basis = wu_basis(tc)
+def to_json_dict(tc: TubeComplex, basis: WuBasis) -> dict:
+    """The tube complex and its basis (`wu_basis(tc)`), as JSON."""
     return {
         "graph": tc.tube.graph.to_json_dict(),
         "cells": {

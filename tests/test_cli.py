@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from planetube import invariant, tube
 from planetube.cli import main
 from planetube.graphs import complete_graph, star_graph, path_graph
 from planetube.immersion import standard_curve, planar_k4
@@ -58,7 +59,26 @@ def test_tube_dot_and_json(tmp_path, capsys):
         assert main(["tube", gf, "--dot"]) == 0
         assert capsys.readouterr().out == to_dot(tc)
         assert main(["tube", gf]) == 0
-        assert json.loads(capsys.readouterr().out) == to_json_dict(tc)
+        assert json.loads(capsys.readouterr().out) == \
+            to_json_dict(tc, wu_basis(tc))
+
+
+def test_tube_builds_the_basis_once(tmp_path, capsys, monkeypatch):
+    # the plan's basis is printed, not built a second time
+    calls = []
+    build = tube.wu_basis
+
+    def counted(tc):
+        calls.append(tc)
+        return build(tc)
+
+    for module in (tube, invariant):
+        monkeypatch.setattr(module, "wu_basis", counted)
+    gf = write(tmp_path, "k5.json", complete_graph(5).to_json_dict())
+    invariant.wu_plan.cache_clear()
+    assert main(["tube", gf]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["rank"] == 21
 
 
 def test_gen_curve_then_invariant(tmp_path, capsys):
@@ -184,6 +204,20 @@ def test_malformed_input_gives_json_errors(tmp_path, capsys):
         (["move", k4_file, write(tmp_path, "null.json",
                                  [{"kind": "curl", "edge": None}])],
          "malformed move record"),
+        # a fractional edge, sign or seed is refused by name, not truncated
+        (["move", k4_file, write(tmp_path, "edge.json",
+                                 [{"kind": "curl", "edge": 1.7, "t": 3.0,
+                                   "sign": 1}])],
+         "move edge must be a whole number"),
+        (["move", k4_file, write(tmp_path, "sign.json",
+                                 [{"kind": "curl", "edge": 1, "t": 3.0,
+                                   "sign": 1.5}])],
+         "move sign must be a whole number"),
+        (["move", k4_file, write(tmp_path, "seed.json",
+                                 [{"kind": "perturb", "seed": 2.5}])],
+         "move seed must be a whole number"),
+        (["rotation", k4_file, "--cycle", "0", "1", "2"],
+         "cycle edge ids are signed and nonzero"),
     ])
 
 

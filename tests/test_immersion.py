@@ -8,12 +8,13 @@ from planetube.graphs import EdgeCycle, complete_graph, star, validate_graph
 from planetube.immersion import (PlaneImmersion, ImmersionError,
                                  NotGenericError, Tolerances, CyclicOrder,
                                  immersion_from_json_dict, validate_generic,
-                                 cyclic_order, trace_cycle, turning_number,
+                                 trace_cycle, turning_number,
                                  restrict, reflect, map_points,
                                  standard_curve, standard_star, planar_k4,
                                  to_svg, find_crossings, _SegmentIndex,
                                  _min_clearance)
 from planetube.invariant import wu
+from planetube.moves import insert_curl, whitney_pair
 from planetube.oracles import all_pairs_crossings, min_clearance_oracle
 
 from conftest import (resample_midpoints, straight_line_immersion, random_k4,
@@ -181,14 +182,21 @@ def pruning_cases():
     """(drawing, tau) pairs for the pruned scans: random bent K4-K6, plain
     and snapped to a grid, at their own tau and one at a coarse tau; parallel
     and collinear segments just inside and outside tau; a ladder of
-    zero-width and zero-height boxes with ties on the left edge; and the
-    drawing of every violation kind.  Sizes keep the all-pairs oracle
+    zero-width and zero-height boxes with ties on the left edge; curled
+    drawings; and the drawing of every violation kind.  Sizes keep the all-pairs oracle
     under a second."""
     rng = random.Random(7)
     k4, k4_snapped = random_bent_kn(rng, 4), random_bent_kn(rng, 4, snap=0.5)
     k5_snapped, k6 = random_bent_kn(rng, 5, snap=0.5), random_bent_kn(rng, 6)
+    # curled drawings, where half the arclength gap of a self-crossing sets
+    # the clearance: 0.32, 0.645 and 0.0593
+    flat = planar_k4()
+    curled = (standard_curve(5),
+              insert_curl(flat, 1, flat.polylines[1].length / 2, +1),
+              whitney_pair(insert_curl(k4, 5, k4.polylines[5].length / 2, +1),
+                           6, k4.polylines[6].length / 2))
     cases = [(f, 1e-6 * f.bbox_diagonal())
-             for f in (k4, k4_snapped, k5_snapped, k6)]
+             for f in (k4, k4_snapped, k5_snapped, k6, *curled)]
     cases.append((k4, 0.05))
     tau = 1e-3
     for gap in (0.5, 0.999, 1.001, 2.0):
@@ -224,16 +232,17 @@ def test_pruned_scans_match_all_pairs():
 
 
 def test_cyclic_order_anchors():
-    f = planar_k4()
-    assert cyclic_order(f, 4).edges == (3, 5, 6)
-    assert cyclic_order(f, 1).edges == (1, 3, 2)
+    orders = validate_generic(planar_k4()).cyclic_orders
+    assert orders[4].edges == (3, 5, 6)
+    assert orders[1].edges == (1, 3, 2)
 
 
 def test_reflection_reverses_cyclic_orders():
     f = planar_k4()
-    fr = reflect(f)
+    orders = validate_generic(f).cyclic_orders
+    mirrored = validate_generic(reflect(f)).cyclic_orders
     for v in f.graph.vertices():
-        assert cyclic_order(fr, v) == cyclic_order(f, v).mirrored()
+        assert mirrored[v] == orders[v].mirrored()
 
 
 def test_cyclic_order_rotation_invariance():

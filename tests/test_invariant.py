@@ -11,20 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import planetube
+from planetube import geometry
 from planetube.geometry import angle_of, dist
 from planetube.graphs import (EdgeCycle, star, complete_graph, path_graph,
                               star_graph, validate_graph)
-from planetube.immersion import (PlaneImmersion, trace_cycle, turning_number,
-                                 cyclic_order, reflect, map_points,
-                                 standard_curve, standard_star, planar_k4,
-                                 validate_generic)
+from planetube.immersion import (trace_cycle, turning_number, reflect,
+                                 map_points, standard_curve, standard_star,
+                                 planar_k4, validate_generic)
 from planetube.invariant import (WindingError, wu, prepare,
                                  evaluate_on_tube_cycle, equivalent,
                                  star_wu, rotation_number_on_cycle,
                                  raw_basis_windings, decompose_over_basis,
-                                 coordinate, omega, wu_plan, PLAN_CACHE_SIZE,
+                                 coordinate, wu_plan, PLAN_CACHE_SIZE,
                                  conventions_fingerprint, _conventions_blob)
-from planetube.oracles import pair_path, winding
+from planetube.oracles import omega, pair_path, winding
 from planetube.tube import (basis_cycle, fundamental_cycle_tube,
                             tube_cycle_over_graph_cycle, cycle_is_closed,
                             swap_parity)
@@ -72,7 +72,8 @@ def test_star_wu_all_s4_orders():
 def _counterclockwise(f, v, a, b, c):
     """Germs of edges a, b, c at v are met in that order turning
     counterclockwise."""
-    ang = {e: angle_of(f.germ_direction(v, e)) for e in (a, b, c)}
+    # each spoke runs leaf -> center, so its germ at v points to its leaf
+    ang = {e: angle_of(f.polylines[e].points[0]) for e in (a, b, c)}
     return (ang[b] - ang[a]) % (2 * math.pi) < (ang[c] - ang[a]) % (2 * math.pi)
 
 
@@ -137,19 +138,25 @@ def test_prepare_rejects_eps_above_suggested(k4):
             prepare(k4, eps=eps)
 
 
-def test_wu_reads_each_germ_once(monkeypatch):
-    # one read per (vertex, edge): 4 vertices of degree 3
-    f = planar_k4()
+def test_wu_computes_each_angle_once(monkeypatch):
+    # one turn per bend, one per Y tube edge and one per germ pair (the
+    # least germ angle): 111 + 24 + 12 on this K4
+    rng = random.Random(3)
+    f = random_bent_kn(rng, 4)
     calls = []
-    read = PlaneImmersion.germ_direction
+    turn = geometry.turn_angle
 
-    def counted(self, v, eid):
-        calls.append((v, eid))
-        return read(self, v, eid)
+    def counted(u, w):
+        calls.append(1)
+        return turn(u, w)
 
-    monkeypatch.setattr(PlaneImmersion, "germ_direction", counted)
+    monkeypatch.setattr(geometry, "turn_angle", counted)
     wu(f)
-    assert len(calls) == len(set(calls)) == 12
+    bends = sum(len(pl.points) - 2 for pl in f.polylines.values())
+    degrees = [f.graph.degree(v) for v in f.graph.vertices()]
+    y_edges = sum(d * (d - 1) for d in degrees)
+    assert len(calls) == bends + y_edges + sum(math.comb(d, 2)
+                                               for d in degrees) == 147
 
 
 def test_wu_k4_shape(k4):
@@ -259,12 +266,12 @@ def test_fundamental_cycle_evaluation_is_raw_coordinate(k4):
 def test_restriction_property():
     for seed in range(4):
         f = random_k4(seed + 20)
-        v = wu(f)
+        v, orders = wu(f), validate_generic(f).cyclic_orders
         for vert in f.graph.vertices():
             sub = star(f.graph, vert)
             local_of = {parent: local
                         for local, parent in sub.edge_to_parent.items()}
-            order = tuple(local_of[e] for e in cyclic_order(f, vert).edges)
+            order = tuple(local_of[e] for e in orders[vert].edges)
             y = v[f"Y{vert}[2,1]"]
             assert wu(restrict_star(f, sub)).coords == (y,)
             assert star_wu(order) == (y,)
@@ -304,8 +311,9 @@ def test_random_k4_wu_is_integral_7_vector(seed):
 
 
 def test_coordinates_match_stepwise_omega_sums():
-    # each coordinate, a row summed against one omega per tube edge, equals
-    # the basis cycle evaluated step by step, omega recomputed per step
+    # each coordinate, a row summed against the cochain of the genericity
+    # report, equals the basis cycle evaluated step by step, with omega
+    # recomputed from the points per step (`oracles.omega`)
     rng = random.Random(6)
     for n in (4, 5, 6, 7):
         f = random_bent_kn(rng, n)

@@ -41,6 +41,9 @@ def test_curl_rejects_vertex_positions():
         insert_curl(f, 3, f.polylines[3].length, +1)
     with pytest.raises(MoveError):
         insert_curl(f, 3, 1.0, 2)
+    # 1e-12 from the tail leaves no room between the vertex and the curl
+    with pytest.raises(MoveError, match="insufficient clearance for a curl"):
+        insert_curl(planar_k4(), 1, 1e-12, +1)
 
 
 def test_curl_sensitivity_exhaustive_k3_k4():
@@ -113,6 +116,12 @@ def test_move_record_round_trip():
     rec = MoveRecord.from_json_dict({"kind": "curl", "edge": 2, "t": 0.5,
                                      "sign": -1})
     assert rec == MoveRecord("curl", edge=2, t=0.5, sign=-1)
+
+
+def test_move_record_reads_whole_floats():
+    rec = MoveRecord.from_json_dict({"kind": "curl", "edge": 2.0, "t": 0.5,
+                                     "sign": -1.0, "seed": 3.0})
+    assert rec == MoveRecord("curl", edge=2, t=0.5, sign=-1, seed=3)
 
 
 @settings(deadline=None, max_examples=20)

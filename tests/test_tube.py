@@ -123,5 +123,5 @@ def test_tree_and_rank_on_random_graphs(seed):
 def test_exports_smoke():
     tc = tube_spanning_tree(build_symmetric_tube(complete_graph(3)))
     assert "graph tube" in to_dot(tc)
-    d = to_json_dict(tc)
+    d = to_json_dict(tc, wu_basis(tc))
     assert d["rank"] == 1 and d["basis"] == ["X3"]
