@@ -19,7 +19,7 @@ from planetube.graphs import fundamental_cycle
 def curl_deltas(f):
     """Per non-tree edge: how a +1 curl on each graph edge shifts X coords."""
     ctx = prepare(f)
-    tree = ctx.complex.graph_tree
+    tree = ctx.plan.complex.graph_tree
     deltas = {}
     for eid in range(1, f.graph.num_edges + 1):
         row = {}

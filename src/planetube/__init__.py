@@ -4,7 +4,7 @@ from .graphs import (Graph, Edge, EdgeCycle, SpanningTree, GraphError,
                      validate_graph, canonical_spanning_tree,
                      fundamental_cycle, complete_graph, star_graph,
                      cycle_graph, path_graph, star, subgraph_from_edges)
-from .tube import (SymmetricTube, TubeComplex, WuBasis, TubeError,
+from .tube import (SymmetricTube, TubeComplex, TubeError,
                    build_symmetric_tube, tube_spanning_tree, rank, wu_basis,
                    basis_cycle, fundamental_cycle_tube,
                    tube_cycle_over_graph_cycle)

@@ -76,7 +76,7 @@ def cmd_tube(args) -> int:
     if args.dot:
         sys.stdout.write(to_dot(plan.complex))
     else:
-        _emit(to_json_dict(plan.complex, plan.basis))
+        _emit(to_json_dict(plan.complex, plan.labels))
     return 0
 
 
@@ -88,7 +88,7 @@ def cmd_rank(args) -> int:
 
 def cmd_basis(args) -> int:
     g = _load_graph(args.graph)
-    _emit({"basis": wu_plan(g).basis.names(), "rank": rank(g)})
+    _emit({"basis": list(wu_plan(g).names), "rank": rank(g)})
     return 0
 
 

@@ -6,13 +6,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, combinations, groupby
+from itertools import chain, groupby
 from typing import NamedTuple
 
 from . import geometry as geo
 from .geometry import Polyline, Point
-from .graphs import (Graph, EdgeCycle, GraphError, SubgraphMap,
-                     complete_graph, star_graph)
+from .graphs import (Graph, EdgeCycle, SubgraphMap, complete_graph,
+                     star_graph)
 
 
 class ImmersionError(ValueError):
@@ -150,8 +150,8 @@ class CyclicOrder:
 class GenericityReport:
     """What `validate_generic` found, and the drawing as it read it.  The
     hidden fields are all the moves and the invariant's cochain read of
-    the drawing: its segment index, each vertex's unit germs by edge id,
-    and each edge's bend turns summed tail to head."""
+    the drawing: its segment index, the angle of each germ by vertex and
+    edge id, and each edge's bend turns summed tail to head."""
     passed: bool
     violations: list
     crossings: list
@@ -159,7 +159,7 @@ class GenericityReport:
     epsilon: float
     tau: float
     index: _SegmentIndex = field(repr=False, compare=False)
-    germs: dict = field(repr=False, compare=False)
+    germs: dict = field(repr=False, compare=False)     # v -> e -> radians
     turns: dict = field(repr=False, compare=False)     # edge id -> radians
 
 
@@ -318,16 +318,20 @@ def _near(points, r: float):
     return near
 
 
-def _cyclic_order(v: int, germs: dict) -> CyclicOrder:
-    """Counterclockwise order of the unit germs (edge id -> direction) at
-    v; raises NotGenericError when two of them collide."""
-    angles = sorted((geo.angle_of(u), e) for e, u in germs.items())
-    for (a1, e1), (a2, e2) in zip(angles, angles[1:] + [(angles[0][0] + 2 * math.pi,
-                                                         angles[0][1])]):
+def _cyclic_order(v: int, angles: dict) -> tuple[CyclicOrder, float]:
+    """Counterclockwise order of the germ angles (edge id -> radians) at v,
+    and the least counterclockwise gap between consecutive germs, capped at
+    pi: the least angle between two germs at v.  Raises NotGenericError
+    when two germs collide, that is when a gap is below ANGLE_TOL."""
+    ring = sorted((a, e) for e, a in angles.items())
+    least = math.pi
+    for (a1, e1), (a2, e2) in zip(ring, ring[1:] + [(ring[0][0] + 2 * math.pi,
+                                                     ring[0][1])]):
         if abs(a2 - a1) < ANGLE_TOL:
             raise NotGenericError(
                 f"coincident germ angles at vertex {v}: edges {e1}, {e2}")
-    return CyclicOrder.from_sequence(v, [e for _, e in angles])
+        least = min(least, a2 - a1)
+    return CyclicOrder.from_sequence(v, [e for _, e in ring]), least
 
 
 def validate_generic(f: PlaneImmersion,
@@ -338,10 +342,13 @@ def validate_generic(f: PlaneImmersion,
 
     f is read once, into one segment index (`_SegmentIndex`: each segment's
     length, direction and tau-widened box, the boxes sorted once).  Step (a)
-    takes from its rows each edge's bend turns, summed, and its two germs,
-    which make the table of unit germs per vertex and edge.  Every step
-    reads those, and so do the moves and the invariant's cochain, which find
-    them on the report.  The scans over pairs of features are pruned.
+    takes from its rows each edge's bend turns, summed, and its two unit
+    germs.  Step (e) keeps each germ as one angle (`geometry.angle_of`), in
+    a table per vertex and edge: the cyclic orders, the germ-collision test
+    and the least germ angle, which bounds the scale, are all read from it,
+    and the invariant's cochain reads it and the turns off the report.  The
+    moves read the segment index there too.  The scans over pairs of
+    features are pruned.
     Segments are pair-tested only where their widened boxes overlap
     (`find_crossings`), a crossing is measured only against the vertices,
     bends and crossings within 2 tau of it in x, and `_min_clearance` skips
@@ -386,16 +393,21 @@ def validate_generic(f: PlaneImmersion,
             else None
 
     # (e) distinct germ angles, at the vertices where every germ has a
-    # direction (a germ of length 0 is a degenerate segment, step (a))
+    # direction (a germ of length 0 is a degenerate segment, step (a)); each
+    # germ is kept as its angle, and theta is the least angle between two
+    # germs at a vertex
     stubs = {v for (v, _), u in ends.items() if u is None}
-    germs = {v: {e: ends[v, e] for e in f.graph.incident_edges(v)}
+    germs = {v: {e: geo.angle_of(ends[v, e])
+                 for e in f.graph.incident_edges(v)}
              for v in f.graph.vertices() if v not in stubs}
-    orders = {}
+    orders, theta = {}, math.pi
     for v, at in germs.items():
         try:
-            orders[v] = _cyclic_order(v, at)
+            orders[v], gap = _cyclic_order(v, at)
         except NotGenericError as exc:
             violations.append(("germ-collision", str(exc)))
+        else:
+            theta = min(theta, gap)
 
     # (b) crossings transversal, interior
     crossings, cviol = find_crossings(index)
@@ -433,7 +445,6 @@ def validate_generic(f: PlaneImmersion,
             # pair samples near a vertex sit at scale eps along two germs;
             # their separation 2 eps sin(theta/2) must clear tau with room
             # for downscaling eps
-            theta = _min_germ_angle(germs)
             if 2.0 * eps * math.sin(theta / 2.0) <= 8.0 * tau:
                 violations.append(
                     ("no-scale", "germ angles too shallow for the drawing "
@@ -451,16 +462,6 @@ def validate_generic(f: PlaneImmersion,
         germs=germs,
         turns=turns,
     )
-
-
-def _min_germ_angle(germs: dict) -> float:
-    """Smallest angle between two edge germs at a common vertex, from the
-    germ table of `validate_generic`."""
-    best = math.pi
-    for at in germs.values():
-        for u, w in combinations(at.values(), 2):
-            best = min(best, abs(geo.turn_angle(u, w)))
-    return best
 
 
 def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,

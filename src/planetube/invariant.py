@@ -4,9 +4,12 @@ The invariant is a 1-cochain on the symmetric tube.  Across each tube edge
 the chord of the point pair turns by one exact angle omega: for X(e), the
 sum of the turn angles at e's bends, tail to head; for Y(v, a, b), the angle
 from -g_a to g_b - g_a (g the unit germs at v), from the Z cell to the W
-cell.  The winding of a tube cycle is the signed sum of omega over its
-steps, in units of pi, and must be an integer.  Coordinates over the
-cohomology basis:
+cell.  The two unit germs and their chord make an isosceles triangle, so
+with delta the counterclockwise gap from g_a to g_b that angle is
+delta/2 - pi/2: a Y angle depends on the germs' angles alone, and a Y
+coordinate on their cyclic order alone.  The winding of a tube cycle is
+the signed sum of omega over its steps, in units of pi, and must be an
+integer.  Coordinates over the cohomology basis:
 
   X labels: the pair sweeps once around the graph cycle attached to the
             non-tree edge; that winding is always even and half of it is the
@@ -16,14 +19,15 @@ cohomology basis:
             the non-tree cell leaves the vertex first; the winding is odd
             and stored as-is.  A counterclockwise three-spoke star gives +1.
 
-What depends on the graph alone is built once per graph and cached
-(`wu_plan`): the tube with its spanning tree and basis, the conventions
-fingerprint, and each basis cycle collapsed to a sparse row of signed
-tube-edge multiplicities (`_row`), with its swap parity checked.  Nothing
-here reads a drawing's coordinates: a Wu vector is a function of the
-genericity report and the plan.  The report carries each edge's bend turns,
-summed, and the unit germs at each vertex, all read off its segment table,
-so the cochain (`prepare`) costs one omega per tube edge, O(n + sum of d^2)
+What depends on the graph alone is built once per graph into one plan
+object and cached (`wu_plan`, a `WuPlan`): the tube complex, whose tube's
+`index` places each tube edge, the basis labels and their names, the
+conventions fingerprint, and each basis cycle collapsed to a sparse row of
+signed tube-edge multiplicities (`_row`), with its swap parity checked.
+Nothing here reads a drawing's coordinates: a Wu vector is a function of
+the genericity report and the plan.  The report carries each edge's bend
+turns, summed, and each germ's angle, all read off its segment table, so
+the cochain (`prepare`) costs one omega per tube edge, O(n + sum of d^2)
 for n edges and vertex degrees d.  Every row, a coordinate's or any closed
 cycle's, is summed against it and certified integral by one function
 (`_half_turns`).
@@ -52,11 +56,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from . import geometry as geo
 from .graphs import EdgeCycle, Graph
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         NotGenericError, validate_generic, standard_star)
-from .tube import (SymmetricTube, TubeComplex, TubeEdge, WuBasis, BasisLabel,
+from .tube import (SymmetricTube, TubeComplex, TubeEdge, BasisLabel,
                    build_symmetric_tube, tube_spanning_tree, wu_basis,
                    basis_cycle, fundamental_cycle_tube,
                    tube_cycle_over_graph_cycle, cycle_is_closed, swap_parity)
@@ -69,17 +72,20 @@ class WindingError(ArithmeticError):
 INTEGER_TOL = 1e-6          # of pi, for the closed-cycle certificate
 
 
-def _germ_turn(ga, gb, edge: TubeEdge) -> float:
-    """omega of a Y edge from the unit germs of its fixed and moving edges."""
-    turn = geo.turn_angle(geo.scale(ga, -1.0), geo.sub(gb, ga))
+def _germ_turn(a: float, b: float, edge: TubeEdge) -> float:
+    """omega of a Y edge from the angles a, b of the germs of its fixed and
+    moving edges: with delta the counterclockwise gap from a to b, the unit
+    germs and their chord make an isosceles triangle, so the chord g_b - g_a
+    points at a + delta/2 + pi/2 and the turn from -g_a is delta/2 - pi/2."""
+    turn = 0.5 * ((b - a) % (2.0 * math.pi) - math.pi)
     return -turn if edge.u.kind == "W" else turn
 
 
 def _cochain(tube: SymmetricTube, report: GenericityReport) -> list[float]:
     """omega of every tube edge, in `tube.edges` order, from the genericity
     report alone: an X edge's bend turns as the validation summed them, and
-    a Y edge's angle from the germs it read (vertex -> edge id -> unit
-    germ)."""
+    a Y edge's angle from the germ angles it read (vertex -> edge id ->
+    radians)."""
     turns, germs = report.turns, report.germs
     return [turns[e.edge_a] if e.kind == "X" else
             _germ_turn(germs[e.vertex][e.edge_a], germs[e.vertex][e.edge_b], e)
@@ -107,13 +113,13 @@ class WuVector:
                         self.fingerprint)
 
 
-def _conventions_blob(tc: TubeComplex, basis: WuBasis) -> bytes:
+def _conventions_blob(tc: TubeComplex, names) -> bytes:
     """What the conventions fingerprint hashes."""
     payload = {
         "graph": tc.tube.graph.to_json_dict(),
         "graph_tree": sorted(tc.graph_tree.edge_ids),
         "tube_tree": sorted(e.label() for e in tc.tree_edges),
-        "basis": basis.names(),
+        "basis": list(names),
         "x_rule": "graph-fundamental-cycle winding / 2",
         "y_rule": "block cycle, non-tree moving point leaves vertex first",
         "eps_rule": "half minimum feature clearance",
@@ -124,12 +130,15 @@ def _conventions_blob(tc: TubeComplex, basis: WuBasis) -> bytes:
 
 @dataclass(frozen=True, eq=False)
 class WuPlan:
-    """What `wu` needs of a graph, independent of any drawing.  One plan
-    serves every caller with an equal graph, so its tables are read-only."""
+    """What `wu` needs of a graph, independent of any drawing: the tube
+    complex (whose tube's `index` places each tube edge), the basis labels
+    and their names, which every WuVector of the graph shares, the
+    conventions fingerprint and each label's row.  One plan serves every
+    caller with an equal graph, so its tables are read-only."""
     complex: TubeComplex
-    basis: WuBasis
+    labels: tuple[BasisLabel, ...]
+    names: tuple[str, ...]
     fingerprint: str
-    index: MappingProxyType     # tube edge -> its position in tube.edges
     terms: MappingProxyType     # basis label name -> its basis cycle's row
 
 
@@ -160,17 +169,16 @@ def wu_plan(g: Graph) -> WuPlan:
     parity depends on the graph alone, so it is checked here, once per
     basis cycle: even for an X label, odd for a Y label."""
     tc = tube_spanning_tree(build_symmetric_tube(g))
-    basis = wu_basis(tc)
-    index = {e: i for i, e in enumerate(tc.tube.edges)}
+    labels = wu_basis(tc)
+    names = tuple(b.name for b in labels)
     terms = {}
-    for label in basis.labels:
+    for label in labels:
         steps = basis_cycle(tc, label)
-        terms[label.name] = _row(index, steps)
+        terms[label.name] = _row(tc.tube.index, steps)
         if swap_parity(steps) != (label.kind == "Y"):
             raise WindingError(_PARITY_ERRORS[label.kind] % label.name)
-    fingerprint = _sha256(_conventions_blob(tc, basis)).hexdigest()[:16]
-    return WuPlan(tc, basis, fingerprint, MappingProxyType(index),
-                  MappingProxyType(terms))
+    fingerprint = _sha256(_conventions_blob(tc, names)).hexdigest()[:16]
+    return WuPlan(tc, labels, names, fingerprint, MappingProxyType(terms))
 
 
 def conventions_fingerprint(g: Graph) -> str:
@@ -188,18 +196,6 @@ class InvariantContext:
     plan: WuPlan
     eps: float
     cochain: list        # omega of each tube edge, in tube.edges order
-
-    @property
-    def complex(self) -> TubeComplex:
-        return self.plan.complex
-
-    @property
-    def basis(self) -> WuBasis:
-        return self.plan.basis
-
-    @property
-    def tube(self) -> SymmetricTube:
-        return self.plan.complex.tube
 
 
 def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
@@ -246,7 +242,7 @@ def evaluate_on_tube_cycle(ctx: InvariantContext, steps) -> int:
     signed sum of non-tree-edge multiplicities times the windings of their
     fundamental tube cycles.
     """
-    return _half_turns(ctx, _row(ctx.plan.index, steps))
+    return _half_turns(ctx, _row(ctx.plan.complex.tube.index, steps))
 
 
 def coordinate(ctx: InvariantContext, label: BasisLabel) -> int:
@@ -260,30 +256,29 @@ def coordinate(ctx: InvariantContext, label: BasisLabel) -> int:
 def wu(f: PlaneImmersion, tol: Tolerances | None = None,
        eps: float | None = None) -> WuVector:
     ctx = prepare(f, tol, eps)
-    coords = tuple(coordinate(ctx, b) for b in ctx.basis.labels)
-    return WuVector(tuple(ctx.basis.names()), coords,
-                    conventions_fingerprint(f.graph))
+    coords = tuple(coordinate(ctx, b) for b in ctx.plan.labels)
+    return WuVector(ctx.plan.names, coords, conventions_fingerprint(f.graph))
 
 
 def raw_basis_windings(ctx: InvariantContext) -> dict:
     """Winding of the fundamental tube cycle of each non-tree edge, keyed by
     basis label name (stored-orientation convention)."""
     return {b.name: evaluate_on_tube_cycle(
-                ctx, fundamental_cycle_tube(ctx.complex, b.edge))
-            for b in ctx.basis.labels}
+                ctx, fundamental_cycle_tube(ctx.plan.complex, b.edge))
+            for b in ctx.plan.labels}
 
 
 def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
     """Signed multiplicity of each non-tree tube edge in a closed cycle."""
-    row = dict(_row(ctx.plan.index, steps))
-    return {b.name: row.get(ctx.plan.index[b.edge], 0)
-            for b in ctx.basis.labels}
+    index = ctx.plan.complex.tube.index
+    row = dict(_row(index, steps))
+    return {b.name: row.get(index[b.edge], 0) for b in ctx.plan.labels}
 
 
 def rotation_number_on_cycle(ctx: InvariantContext, c: EdgeCycle) -> int:
     """Rotation number of the immersed closed curve over a simple graph
     cycle, computed from the tube cochain (winding is even; half of it)."""
-    steps = tube_cycle_over_graph_cycle(ctx.tube, c)
+    steps = tube_cycle_over_graph_cycle(ctx.plan.complex.tube, c)
     k = evaluate_on_tube_cycle(ctx, steps)
     if k % 2 != 0:
         raise WindingError("graph-cycle trace winding must be even")

@@ -9,6 +9,12 @@ Cell naming:
 
 X(e) is oriented tail -> head with e.  Y(v, a, b) is oriented by edge b:
 from Z toward W when v is b's tail, from W toward Z when v is b's head.
+
+Each tube edge has one position, its place in `SymmetricTube.edges`, and
+`SymmetricTube.index` maps the edge to it: it is the one lookup of a tube
+edge, both from its cell data (`x_edge`, `y_edge`) and into the rows that
+`invariant` sums.  The basis is the tuple of `BasisLabel`s that `wu_basis`
+returns, one per non-tree tube edge.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graphs import (Graph, SpanningTree, EdgeCycle, GraphError, bfs_tree,
-                     canonical_spanning_tree, tree_path)
+                     canonical_spanning_tree, fundamental_cycle, tree_path)
 
 
 class TubeError(ValueError):
@@ -70,18 +76,18 @@ class SymmetricTube:
     graph: Graph
     vertices: tuple[TubeVertex, ...]
     edges: tuple[TubeEdge, ...]
-    _by_key: dict = field(compare=False, repr=False, default_factory=dict)
+    # tube edge -> its position in `edges`; the one lookup of a tube edge
+    index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_by_key",
-            {(e.kind, e.vertex, e.edge_a, e.edge_b): e for e in self.edges})
+        object.__setattr__(self, "index",
+                           {e: i for i, e in enumerate(self.edges)})
 
     def x_edge(self, eid: int) -> TubeEdge:
-        return self._by_key[("X", 0, eid, 0)]
+        return self.edges[self.index[TubeEdge("X", 0, eid)]]
 
     def y_edge(self, v: int, fixed: int, moving: int) -> TubeEdge:
-        return self._by_key[("Y", v, fixed, moving)]
+        return self.edges[self.index[TubeEdge("Y", v, fixed, moving)]]
 
     def adjacency(self, edge_subset=None):
         """cell -> list of (tube edge, +1 if leaving via u->v)."""
@@ -102,17 +108,8 @@ class BasisLabel:
 
 
 @dataclass(frozen=True)
-class WuBasis:
-    tube: "TubeComplex"
-    labels: tuple[BasisLabel, ...]
-
-    def names(self) -> list[str]:
-        return [b.name for b in self.labels]
-
-
-@dataclass(frozen=True)
 class TubeComplex:
-    """Symmetric tube together with its canonical spanning tree and basis."""
+    """Symmetric tube together with its canonical spanning tree."""
     tube: SymmetricTube
     tree_edges: frozenset        # of TubeEdge
     graph_tree: SpanningTree
@@ -197,7 +194,9 @@ def rank(g: Graph) -> int:
     return value
 
 
-def wu_basis(tc: TubeComplex) -> WuBasis:
+def wu_basis(tc: TubeComplex) -> tuple[BasisLabel, ...]:
+    """The basis labels of tc, one per non-tree tube edge: X labels by
+    non-tree graph edge, then Y labels by vertex and local index pair."""
     g = tc.tube.graph
     labels: list[BasisLabel] = []
     for eid in tc.graph_tree.non_tree_edges:
@@ -218,7 +217,7 @@ def wu_basis(tc: TubeComplex) -> WuBasis:
         raise TubeError("basis labels do not match non-tree tube edges")
     if len(labels) != rank(g):
         raise TubeError("basis size disagrees with rank formula")
-    return WuBasis(tc, tuple(labels))
+    return tuple(labels)
 
 
 def fundamental_cycle_tube(tc: TubeComplex, edge: TubeEdge):
@@ -240,7 +239,6 @@ def basis_cycle(tc: TubeComplex, label: BasisLabel):
     sign convention.
     """
     if label.kind == "X":
-        from .graphs import fundamental_cycle
         gamma = fundamental_cycle(tc.graph_tree, label.edge.edge_a)
         return tube_cycle_over_graph_cycle(tc.tube, gamma)
     e = label.edge
@@ -320,8 +318,8 @@ def to_dot(tc: TubeComplex) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(tc: TubeComplex, basis: WuBasis) -> dict:
-    """The tube complex and its basis (`wu_basis(tc)`), as JSON."""
+def to_json_dict(tc: TubeComplex, labels) -> dict:
+    """The tube complex and its basis labels (`wu_basis(tc)`), as JSON."""
     return {
         "graph": tc.tube.graph.to_json_dict(),
         "cells": {
@@ -329,6 +327,6 @@ def to_json_dict(tc: TubeComplex, basis: WuBasis) -> dict:
             "edges": [e.label() for e in tc.tube.edges],
         },
         "tree": [e.label() for e in tc.tube.edges if e in tc.tree_edges],
-        "basis": basis.names(),
+        "basis": [b.name for b in labels],
         "rank": rank(tc.tube.graph),
     }

@@ -148,7 +148,7 @@ def test_criterion_6_curl_sensitivity():
     ok = True
     for f in (standard_curve(1), planar_k4()):
         base = wu(f)
-        tree = prepare(f).complex.graph_tree
+        tree = prepare(f).plan.complex.graph_tree
         for eid in range(1, f.graph.num_edges + 1):
             for sign in (+1, -1):
                 t = f.polylines[eid].length * 0.43
@@ -215,7 +215,7 @@ def test_criterion_8_linearity_and_rotation():
         ctx = prepare(f)
         raw = raw_basis_windings(ctx)
         for _ in range(25):                          # 100 cycles total
-            steps = random_tube_cycle(ctx.complex, rng)
+            steps = random_tube_cycle(ctx.plan.complex, rng)
             ok &= cycle_is_closed(steps)
             val = evaluate_on_tube_cycle(ctx, steps)
             dec = decompose_over_basis(ctx, steps)
@@ -239,7 +239,7 @@ def test_criterion_9_k4_family_partition():
     ok = len(base_wu.coords) == 7
     ok &= sum(n.startswith("X") for n in base_wu.basis_names) == 3
     ok &= sum(n.startswith("Y") for n in base_wu.basis_names) == 4
-    tree = prepare(base).complex.graph_tree
+    tree = prepare(base).plan.complex.graph_tree
     deltas = {}
     for eid in range(1, 7):
         deltas[eid] = {

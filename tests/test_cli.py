@@ -42,7 +42,7 @@ def test_basis_k4(tmp_path, capsys):
             == 0
         tc = tube_spanning_tree(build_symmetric_tube(g))
         assert json.loads(capsys.readouterr().out) == \
-            {"basis": wu_basis(tc).names(), "rank": rank(g)}
+            {"basis": [b.name for b in wu_basis(tc)], "rank": rank(g)}
 
 
 def test_tube_dot_and_json(tmp_path, capsys):

@@ -104,9 +104,10 @@ def test_star_wu_depends_only_on_cyclic_order():
 
 def test_pair_path_cells_share_boundary_pairs(k4):
     ctx = prepare(k4)
-    for label in ctx.basis.labels:
-        steps = basis_cycle(ctx.complex, label)
-        p = pair_path(ctx.tube, steps, k4, ctx.eps, ctx.report.tau)
+    for label in ctx.plan.labels:
+        steps = basis_cycle(ctx.plan.complex, label)
+        p = pair_path(ctx.plan.complex.tube, steps,
+                      k4, ctx.eps, ctx.report.tau)
         for i in range(len(steps)):
             j = (i + 1) % len(steps)
             a = p.pair_at(i, 1.0)
@@ -119,16 +120,18 @@ def test_pair_path_cells_share_boundary_pairs(k4):
 def test_winding_rejects_oversized_eps():
     f = standard_curve(1)
     ctx = prepare(f)
-    steps = basis_cycle(ctx.complex, ctx.basis.labels[0])
+    steps = basis_cycle(ctx.plan.complex, ctx.plan.labels[0])
     with pytest.raises(WindingError):
-        pair_path(ctx.tube, steps, f, f.polylines[1].length, ctx.report.tau)
+        pair_path(ctx.plan.complex.tube, steps,
+                  f, f.polylines[1].length, ctx.report.tau)
 
 
 def test_winding_rejects_open_paths(k4):
     ctx = prepare(k4)
-    steps = basis_cycle(ctx.complex, ctx.basis.labels[0])
+    steps = basis_cycle(ctx.plan.complex, ctx.plan.labels[0])
     with pytest.raises(WindingError):
-        pair_path(ctx.tube, steps[:-1], k4, ctx.eps, ctx.report.tau)
+        pair_path(ctx.plan.complex.tube, steps[:-1],
+                  k4, ctx.eps, ctx.report.tau)
 
 
 def test_prepare_rejects_eps_above_suggested(k4):
@@ -139,24 +142,23 @@ def test_prepare_rejects_eps_above_suggested(k4):
 
 
 def test_wu_computes_each_angle_once(monkeypatch):
-    # one turn per bend, one per Y tube edge and one per germ pair (the
-    # least germ angle): 111 + 24 + 12 on this K4
+    # one turn per bend and one angle per germ, 111 and 12 on this K4: the
+    # cyclic orders, the least germ angle and every Y angle are read off
+    # the germ angles
     rng = random.Random(3)
     f = random_bent_kn(rng, 4)
-    calls = []
-    turn = geometry.turn_angle
+    calls = {"turn_angle": 0, "angle_of": 0}
+    for name in calls:
+        def counted(*args, real=getattr(geometry, name), name=name):
+            calls[name] += 1
+            return real(*args)
 
-    def counted(u, w):
-        calls.append(1)
-        return turn(u, w)
-
-    monkeypatch.setattr(geometry, "turn_angle", counted)
+        monkeypatch.setattr(geometry, name, counted)
     wu(f)
     bends = sum(len(pl.points) - 2 for pl in f.polylines.values())
-    degrees = [f.graph.degree(v) for v in f.graph.vertices()]
-    y_edges = sum(d * (d - 1) for d in degrees)
-    assert len(calls) == bends + y_edges + sum(math.comb(d, 2)
-                                               for d in degrees) == 147
+    germs = 2 * f.graph.num_edges
+    assert (calls["turn_angle"], calls["angle_of"]) == (bends, germs) \
+        == (111, 12)
 
 
 def test_wu_k4_shape(k4):
@@ -216,7 +218,7 @@ def test_rotation_consistency_k4_cycles():
             rot = rotation_number_on_cycle(ctx, c)
             assert rot == turning_number(trace_cycle(f, c))
             raw = evaluate_on_tube_cycle(
-                ctx, tube_cycle_over_graph_cycle(ctx.tube, c))
+                ctx, tube_cycle_over_graph_cycle(ctx.plan.complex.tube, c))
             assert raw == 2 * rot
 
 
@@ -239,7 +241,7 @@ def test_linearity_random_cycles(k4):
     raw = raw_basis_windings(ctx)
     rng = random.Random(3)
     for _ in range(25):
-        steps = random_tube_cycle(ctx.complex, rng)
+        steps = random_tube_cycle(ctx.plan.complex, rng)
         assert cycle_is_closed(steps)
         val = evaluate_on_tube_cycle(ctx, steps)
         dec = decompose_over_basis(ctx, steps)
@@ -248,8 +250,8 @@ def test_linearity_random_cycles(k4):
 
 def test_reversed_cycle_negates(k4):
     ctx = prepare(k4)
-    for label in ctx.basis.labels:
-        steps = basis_cycle(ctx.complex, label)
+    for label in ctx.plan.labels:
+        steps = basis_cycle(ctx.plan.complex, label)
         rev = [(e, -d) for e, d in reversed(steps)]
         assert evaluate_on_tube_cycle(ctx, rev) == \
             -evaluate_on_tube_cycle(ctx, steps)
@@ -258,8 +260,8 @@ def test_reversed_cycle_negates(k4):
 def test_fundamental_cycle_evaluation_is_raw_coordinate(k4):
     ctx = prepare(k4)
     raw = raw_basis_windings(ctx)
-    for b in ctx.basis.labels:
-        steps = fundamental_cycle_tube(ctx.complex, b.edge)
+    for b in ctx.plan.labels:
+        steps = fundamental_cycle_tube(ctx.plan.complex, b.edge)
         assert evaluate_on_tube_cycle(ctx, steps) == raw[b.name]
 
 
@@ -321,8 +323,8 @@ def test_coordinates_match_stepwise_omega_sums():
             f = random_bent_kn(rng, n)
         for g in (f, reflect(f)):
             ctx = prepare(g)
-            for label in ctx.basis.labels:
-                steps = basis_cycle(ctx.complex, label)
+            for label in ctx.plan.labels:
+                steps = basis_cycle(ctx.plan.complex, label)
                 k = round(sum(d * omega(g, e) for e, d in steps) / math.pi)
                 assert swap_parity(steps) == k % 2 == (label.kind == "Y")
                 assert coordinate(ctx, label) == \
@@ -346,7 +348,7 @@ def test_plan_cache_is_bounded():
 def test_fingerprint_is_sha256_of_conventions():
     for g in (complete_graph(3), complete_graph(4), star_graph(5)):
         plan = wu_plan(g)
-        blob = _conventions_blob(plan.complex, plan.basis)
+        blob = _conventions_blob(plan.complex, plan.names)
         assert conventions_fingerprint(g) == \
             hashlib.sha256(blob).hexdigest()[:16]
     # it changes only when the conventions do

@@ -49,7 +49,7 @@ def test_curl_rejects_vertex_positions():
 def test_curl_sensitivity_exhaustive_k3_k4():
     for f in (standard_curve(1), planar_k4()):
         base = wu(f)
-        tree = prepare(f).complex.graph_tree
+        tree = prepare(f).plan.complex.graph_tree
         for eid in range(1, f.graph.num_edges + 1):
             for sign in (+1, -1):
                 t = f.polylines[eid].length * 0.41

@@ -115,9 +115,9 @@ def dense_equals_adaptive(f, per_cell=1500):
     """Exact cochain, certified tracer and dense sampler agree on every
     basis cycle."""
     ctx = prepare(f)
-    for label in ctx.basis.labels:
-        steps = basis_cycle(ctx.complex, label)
-        p = pair_path(ctx.tube, steps, f, ctx.eps, ctx.report.tau)
+    for label in ctx.plan.labels:
+        steps = basis_cycle(ctx.plan.complex, label)
+        p = pair_path(ctx.plan.complex.tube, steps, f, ctx.eps, ctx.report.tau)
         exact = evaluate_on_tube_cycle(ctx, steps)
         assert exact == winding(p) == dense_winding_oracle(p, per_cell), \
             label.name
@@ -150,15 +150,16 @@ def test_dense_oracle_anchor_values():
     # which is two half-turns of the undirected direction
     f = standard_curve(1)
     ctx = prepare(f)
-    t = ctx.complex.graph_tree
-    steps = tube_cycle_over_graph_cycle(ctx.tube, fundamental_cycle(t, 3))
-    p = pair_path(ctx.tube, steps, f, ctx.eps, ctx.report.tau)
+    t = ctx.plan.complex.graph_tree
+    steps = tube_cycle_over_graph_cycle(ctx.plan.complex.tube,
+                                        fundamental_cycle(t, 3))
+    p = pair_path(ctx.plan.complex.tube, steps, f, ctx.eps, ctx.report.tau)
     assert dense_winding_oracle(p, 3000) == 2
 
     # mirrored three-spoke star: the block hexagon winds minus one half-turn
     f = standard_star((1, 3, 2))
     ctx = prepare(f)
-    label = ctx.basis.labels[0]
-    steps = basis_cycle(ctx.complex, label)
-    p = pair_path(ctx.tube, steps, f, ctx.eps, ctx.report.tau)
+    label = ctx.plan.labels[0]
+    steps = basis_cycle(ctx.plan.complex, label)
+    p = pair_path(ctx.plan.complex.tube, steps, f, ctx.eps, ctx.report.tau)
     assert dense_winding_oracle(p, 3000) == -1
