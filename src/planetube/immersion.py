@@ -12,7 +12,7 @@ from typing import NamedTuple
 from . import geometry as geo
 from .geometry import Polyline, Point
 from .graphs import (Graph, EdgeCycle, SubgraphMap, complete_graph,
-                     star_graph)
+                     star_graph, validate_graph)
 
 
 class ImmersionError(ValueError):
@@ -103,14 +103,26 @@ class PlaneImmersion:
 
 
 def immersion_from_json_dict(data: dict) -> PlaneImmersion:
-    from .graphs import validate_graph
     gd = data["graph"]
     g = validate_graph(gd["vertices"], gd["edges"])
-    sizes = set(map(len, chain(data["positions"].values(),
-                               *data["polylines"].values())))
+    points = list(chain(data["positions"].values(),
+                        *data["polylines"].values()))
+    sizes = set(map(len, points))
     if sizes - {2}:
         raise ImmersionError("every point needs exactly two coordinates, "
                              f"not {sorted(sizes - {2})}")
+    # a JSON string or boolean would pass float(); the points are searched
+    # for it only when their types show one
+    if {str, bool} & set(map(type, chain.from_iterable(points))):
+        for where, pts in chain(
+                ((f"vertex {k} position", [p])
+                 for k, p in data["positions"].items()),
+                ((f"edge {k} polyline", pl)
+                 for k, pl in data["polylines"].items())):
+            for x in chain.from_iterable(pts):
+                if isinstance(x, (str, bool)):
+                    raise ImmersionError(
+                        f"{where}: coordinate {x!r} is not a number")
     positions = {int(k): tuple(map(float, v))
                  for k, v in data["positions"].items()}
     polylines = {int(k): Polyline(v) for k, v in data["polylines"].items()}

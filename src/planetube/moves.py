@@ -43,8 +43,15 @@ class MoveRecord:
 
     @staticmethod
     def from_json_dict(d: dict) -> "MoveRecord":
+        def number(key, default=0):
+            x = d.get(key, default)
+            # a JSON string or boolean would pass float() and int()
+            if isinstance(x, (str, bool)):
+                raise MoveError(f"move {key} must be a number, not {x!r}")
+            return x
+
         def whole(key):
-            x = d.get(key, 0)
+            x = number(key)
             if isinstance(x, float) and not x.is_integer():
                 raise MoveError(f"move {key} must be a whole number, not {x}")
             return int(x)
@@ -53,10 +60,10 @@ class MoveRecord:
             return MoveRecord(
                 kind=d["kind"],
                 edge=whole("edge"),
-                t=float(d.get("t", 0.0)),
+                t=float(number("t", 0.0)),
                 sign=whole("sign"),
                 seed=whole("seed"),
-                delta=float(d["delta"]) if "delta" in d else None,
+                delta=float(number("delta")) if "delta" in d else None,
             )
         except TypeError as exc:        # a null, list or object for a number
             raise MoveError(f"malformed move record {d}: {exc}") from None

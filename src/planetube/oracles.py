@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from . import geometry as geo
 from .graphs import Graph
 from .immersion import PlaneImmersion, _all_segments, _check_pair
-from .tube import SymmetricTube, TubeEdge
+from .tube import SymmetricTube, TubeEdge, cycle_is_closed
 from .invariant import WindingError, INTEGER_TOL
 
 
@@ -279,7 +279,6 @@ class PairPath:
 
 def pair_path(tube: SymmetricTube, steps, f: PlaneImmersion, eps: float,
               tau: float = 0.0) -> PairPath:
-    from .tube import cycle_is_closed
     if not cycle_is_closed(steps):
         raise WindingError("tube cycle is not closed")
     for e in f.graph.edges:

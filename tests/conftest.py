@@ -100,6 +100,21 @@ def random_bent_kn(rng, n, snap=0.0):
     return drawing(pos, edges, bends)
 
 
+def random_tube_cycle(tc, rng, max_len=40):
+    """Random closed walk in a tube complex: wander, then close through the
+    tree."""
+    adj = tc.tube.adjacency()
+    start = rng.choice(tc.tube.vertices)
+    cur = start
+    steps = []
+    for _ in range(rng.randint(1, max_len)):
+        e, sgn = rng.choice(adj[cur])
+        steps.append((e, sgn))
+        cur = e.v if sgn > 0 else e.u
+    steps += tc.tree_path(cur, start)
+    return steps
+
+
 @pytest.fixture
 def k4():
     from planetube.immersion import planar_k4

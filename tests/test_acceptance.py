@@ -29,7 +29,7 @@ from planetube.moves import insert_curl, whitney_pair, perturb
 from planetube.oracles import betti_oracle, cell_census
 
 from conftest import (resample_midpoints, random_k4, connected_graphs_upto,
-                      random_connected_graph)
+                      random_connected_graph, random_tube_cycle)
 
 
 def report(number: int, text: str, ok: bool):
@@ -182,19 +182,6 @@ def test_criterion_7_restriction():
             ok &= star_wu(order) == (y,)
     report(7, "per-vertex Y coordinates equal the invariant of the "
            "restricted star and of its cyclic order (random K4 drawings)", ok)
-
-
-def random_tube_cycle(tc, rng, max_len=40):
-    adj = tc.tube.adjacency()
-    start = rng.choice(tc.tube.vertices)
-    cur = start
-    steps = []
-    for _ in range(rng.randint(1, max_len)):
-        e, sgn = rng.choice(adj[cur])
-        steps.append((e, sgn))
-        cur = e.v if sgn > 0 else e.u
-    steps += tc.tree_path(cur, start)
-    return steps
 
 
 K4_SIMPLE_CYCLES = [

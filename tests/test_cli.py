@@ -219,6 +219,45 @@ def test_malformed_input_gives_json_errors(tmp_path, capsys):
         (["rotation", k4_file, "--cycle", "0", "1", "2"],
          "cycle edge ids are signed and nonzero"),
     ])
+    # a JSON string or boolean where a number belongs would pass float() or
+    # int(); each is refused by its field
+    curl = {"kind": "curl", "edge": 1, "t": 3.0, "sign": 1}
+
+    def moves(name, record):
+        return ["move", k4_file, write(tmp_path, name, [record])]
+
+    def at_vertex_1(zero):
+        def edit(d):
+            d["positions"]["1"] = [zero, zero]
+            for eid in ("1", "2", "3"):      # the edges that start at v1
+                d["polylines"][eid][0] = [zero, zero]
+        return edit
+
+    assert_validation_errors(capsys, [
+        (moves("edge_text.json", dict(curl, edge="1")),
+         "move edge must be a number, not '1'"),
+        (moves("edge_frac_text.json", dict(curl, edge="1.5")),
+         "move edge must be a number, not '1.5'"),
+        (moves("t_text.json", dict(curl, t="3.0")),
+         "move t must be a number"),
+        (moves("sign_bool.json", dict(curl, sign=True)),
+         "move sign must be a number, not True"),
+        (moves("seed_bool.json", {"kind": "perturb", "seed": True}),
+         "move seed must be a number"),
+        (moves("delta_text.json", {"kind": "perturb", "delta": "0.01"}),
+         "move delta must be a number"),
+        (["invariant", k4_with("v1_text.json", at_vertex_1("0"))],
+         "vertex 1 position: coordinate '0' is not a number"),
+        (["invariant", k4_with("v1_bool.json", at_vertex_1(False))],
+         "vertex 1 position: coordinate False is not a number"),
+        (["validate", k4_with("bend_text.json", lambda d: d["polylines"]["4"]
+                              .insert(1, [3.0, "0.5"]))],
+         "edge 4 polyline: coordinate '0.5' is not a number"),
+        (["rank", graph_file("end_bool.json", 2, [[True, 2]])],
+         "edge 1: [True, 2] is not a pair of vertex ids"),
+        (["rank", graph_file("count_bool.json", True, [[1, 2]])],
+         "vertex count True is not an integer"),
+    ])
 
 
 def test_move_delta_outside_range_is_refused(tmp_path, capsys):

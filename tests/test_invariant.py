@@ -29,7 +29,8 @@ from planetube.tube import (basis_cycle, fundamental_cycle_tube,
                             tube_cycle_over_graph_cycle, cycle_is_closed,
                             swap_parity)
 
-from conftest import resample_midpoints, random_k4, random_bent_kn
+from conftest import (resample_midpoints, random_k4, random_bent_kn,
+                      random_tube_cycle)
 
 
 K3_CYCLE = ((3, 1), (2, -1), (1, 1))       # v2 -> v3 -> v1 -> v2
@@ -222,20 +223,6 @@ def test_rotation_consistency_k4_cycles():
             assert raw == 2 * rot
 
 
-def random_tube_cycle(tc, rng, max_len=40):
-    """Random closed walk: wander, then close through the tree."""
-    adj = tc.tube.adjacency()
-    start = rng.choice(tc.tube.vertices)
-    cur = start
-    steps = []
-    for _ in range(rng.randint(1, max_len)):
-        e, sgn = rng.choice(adj[cur])
-        steps.append((e, sgn))
-        cur = e.v if sgn > 0 else e.u
-    steps += tc.tree_path(cur, start)
-    return steps
-
-
 def test_linearity_random_cycles(k4):
     ctx = prepare(k4)
     raw = raw_basis_windings(ctx)
@@ -329,6 +316,25 @@ def test_coordinates_match_stepwise_omega_sums():
                 assert swap_parity(steps) == k % 2 == (label.kind == "Y")
                 assert coordinate(ctx, label) == \
                     (k // 2 if label.kind == "X" else k)
+
+
+def test_each_tube_edge_angle_matches_stepwise_omega():
+    # every omega of the cochain on its own, not only the rounded totals of
+    # the basis rows, against its step-by-step recomputation from the points
+    # (`oracles.omega`); a wrong Y angle that rounds away shows here
+    drawings = [planar_k4(), standard_curve(5), standard_curve(-3)]
+    rng = random.Random(10)
+    for n in range(3, 8):
+        for _ in range(4):
+            f = random_bent_kn(rng, n)
+            while not validate_generic(f).passed:
+                f = random_bent_kn(rng, n)
+            drawings.append(f)
+    for f in drawings:
+        for g in (f, reflect(f)):
+            ctx = prepare(g)
+            for i, e in enumerate(ctx.plan.complex.tube.edges):
+                assert abs(ctx.cochain[i] - omega(g, e)) <= 1e-12, e.label()
 
 
 def test_equal_graphs_share_one_plan():
