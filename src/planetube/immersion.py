@@ -339,7 +339,7 @@ def _cyclic_order(v: int, angles: dict) -> tuple[CyclicOrder, float]:
     least = math.pi
     for (a1, e1), (a2, e2) in zip(ring, ring[1:] + [(ring[0][0] + 2 * math.pi,
                                                      ring[0][1])]):
-        if abs(a2 - a1) < ANGLE_TOL:
+        if a2 - a1 < ANGLE_TOL:         # sorted, so no gap is negative
             raise NotGenericError(
                 f"coincident germ angles at vertex {v}: edges {e1}, {e2}")
         least = min(least, a2 - a1)
