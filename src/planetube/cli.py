@@ -88,7 +88,7 @@ def cmd_rank(args) -> int:
 
 def cmd_basis(args) -> int:
     g = _load_graph(args.graph)
-    _emit({"basis": list(wu_plan(g).names), "rank": rank(g)})
+    _emit({"basis": wu_plan(g).names, "rank": rank(g)})
     return 0
 
 

@@ -119,7 +119,7 @@ def _conventions_blob(tc: TubeComplex, names) -> bytes:
         "graph": tc.tube.graph.to_json_dict(),
         "graph_tree": sorted(tc.graph_tree.edge_ids),
         "tube_tree": sorted(e.label() for e in tc.tree_edges),
-        "basis": list(names),
+        "basis": names,
         "x_rule": "graph-fundamental-cycle winding / 2",
         "y_rule": "block cycle, non-tree moving point leaves vertex first",
         "eps_rule": "half minimum feature clearance",
