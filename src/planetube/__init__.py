@@ -6,8 +6,7 @@ from .graphs import (Graph, Edge, EdgeCycle, SpanningTree, GraphError,
                      cycle_graph, path_graph, star, subgraph_from_edges)
 from .tube import (SymmetricTube, TubeComplex, TubeError,
                    build_symmetric_tube, tube_spanning_tree, rank, wu_basis,
-                   basis_cycle, fundamental_cycle_tube,
-                   tube_cycle_over_graph_cycle)
+                   basis_cycle, tube_cycle_over_graph_cycle)
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         ImmersionError, NotGenericError, CyclicOrder,
                         immersion_from_json_dict, validate_generic,

@@ -140,7 +140,8 @@ class EdgeCycle:
 def validate_graph(num_vertices: int, edge_pairs) -> Graph:
     """Build a canonical Graph or raise GraphError listing all violations;
     a vertex count that is not an integer is refused on its own.  A JSON
-    boolean is not an integer here, as a vertex count or an endpoint."""
+    boolean or float, even a whole one such as 1.0, is not an integer here,
+    as a vertex count or an endpoint."""
     if not isinstance(num_vertices, int) or isinstance(num_vertices, bool):
         raise GraphError(f"vertex count {num_vertices!r} is not an integer")
     problems = []
@@ -154,8 +155,8 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
     for idx, pair in enumerate(pairs, start=1):
         try:
             a, b = pair
-            if isinstance(a, bool) or isinstance(b, bool):
-                raise TypeError("a boolean is not a vertex id")
+            if type(a) is not int or type(b) is not int:   # nor a bool
+                raise TypeError("a vertex id is an integer")
             inside = 1 <= a <= num_vertices and 1 <= b <= num_vertices
         except (TypeError, ValueError):
             problems.append(f"edge {idx}: {pair!r} is not a pair of vertex ids")

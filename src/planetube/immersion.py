@@ -102,6 +102,18 @@ class PlaneImmersion:
         }
 
 
+def _key_ids(table: dict, name: str, what: str, ids: range) -> dict:
+    """Decimal key -> id for the ids in `ids`, once every key of the JSON
+    table is one of them; any other key, such as "x", "1.0" or an id the
+    graph lacks, is refused by the table's name."""
+    by_key = {str(i): i for i in ids}
+    for k in table:
+        if k not in by_key:
+            raise ImmersionError(f"{name}: key {k!r} names no {what} of the "
+                                 f"graph ({ids.start}..{ids.stop - 1})")
+    return by_key
+
+
 def immersion_from_json_dict(data: dict) -> PlaneImmersion:
     gd = data["graph"]
     g = validate_graph(gd["vertices"], gd["edges"])
@@ -123,9 +135,12 @@ def immersion_from_json_dict(data: dict) -> PlaneImmersion:
                 if isinstance(x, (str, bool)):
                     raise ImmersionError(
                         f"{where}: coordinate {x!r} is not a number")
-    positions = {int(k): tuple(map(float, v))
+    vid = _key_ids(data["positions"], "positions", "vertex", g.vertices())
+    eid = _key_ids(data["polylines"], "polylines", "edge",
+                   range(1, g.num_edges + 1))
+    positions = {vid[k]: tuple(map(float, v))
                  for k, v in data["positions"].items()}
-    polylines = {int(k): Polyline(v) for k, v in data["polylines"].items()}
+    polylines = {eid[k]: Polyline(v) for k, v in data["polylines"].items()}
     return PlaneImmersion(g, positions, polylines)
 
 

@@ -12,12 +12,18 @@ the signed sum of omega over its steps, in units of pi, and must be an
 integer.  Coordinates over the cohomology basis:
 
   X labels: the pair sweeps once around the graph cycle attached to the
-            non-tree edge; that winding is always even and half of it is the
-            classical rotation number of the restricted curve, which is the
-            stored coordinate.
-  Y labels: the block cycle at the vertex, traversed so the moving point of
-            the non-tree cell leaves the vertex first; the winding is odd
-            and stored as-is.  A counterclockwise three-spoke star gives +1.
+            non-tree edge, lifted to the tube; that winding is always even
+            and half of it is the classical rotation number of the
+            restricted curve, which is the stored coordinate.
+  Y labels: the triangle of three germ pairs at the vertex, traversed so
+            the moving point of the non-tree cell leaves the vertex first;
+            the winding is odd and stored as-is.  A counterclockwise
+            three-spoke star gives +1.
+
+Both cycles are written by rule (`tube.basis_cycle`); the tube's spanning
+tree only names the basis and feeds the fingerprint.  The fundamental
+cycles closed through that tree, and the windings and decompositions over
+them, are references in `oracles`.
 
 What depends on the graph alone is built once per graph into one plan
 object and cached (`wu_plan`, a `WuPlan`): the tube complex, whose tube's
@@ -61,8 +67,8 @@ from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         NotGenericError, validate_generic, standard_star)
 from .tube import (SymmetricTube, TubeComplex, TubeEdge, BasisLabel,
                    build_symmetric_tube, tube_spanning_tree, wu_basis,
-                   basis_cycle, fundamental_cycle_tube,
-                   tube_cycle_over_graph_cycle, cycle_is_closed, swap_parity)
+                   basis_cycle, tube_cycle_over_graph_cycle,
+                   cycle_is_closed, swap_parity)
 
 
 class WindingError(ArithmeticError):
@@ -258,21 +264,6 @@ def wu(f: PlaneImmersion, tol: Tolerances | None = None,
     ctx = prepare(f, tol, eps)
     coords = tuple(coordinate(ctx, b) for b in ctx.plan.labels)
     return WuVector(ctx.plan.names, coords, conventions_fingerprint(f.graph))
-
-
-def raw_basis_windings(ctx: InvariantContext) -> dict:
-    """Winding of the fundamental tube cycle of each non-tree edge, keyed by
-    basis label name (stored-orientation convention)."""
-    return {b.name: evaluate_on_tube_cycle(
-                ctx, fundamental_cycle_tube(ctx.plan.complex, b.edge))
-            for b in ctx.plan.labels}
-
-
-def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
-    """Signed multiplicity of each non-tree tube edge in a closed cycle."""
-    index = ctx.plan.complex.tube.index
-    row = dict(_row(index, steps))
-    return {b.name: row.get(index[b.edge], 0) for b in ctx.plan.labels}
 
 
 def rotation_number_on_cycle(ctx: InvariantContext, c: EdgeCycle) -> int:

@@ -7,10 +7,20 @@ all_pairs_crossings and min_clearance_oracle rerun the genericity
 validator's crossing scan and feature clearance over every pair, without
 its pruning.
 betti_oracle recomputes the tube's first Betti number from the boundary
-matrix by exact elimination.  omega recomputes one tube edge's exact angle
-from the polyline points, step by step, apart from the cochain `invariant`
-builds out of the genericity report.  The windings that `invariant` sums
-exactly are realized here as closed paths of point pairs at scale eps:
+matrix by exact elimination.
+tube_tree walks the canonical spanning tree of the tube breadth first,
+with the generic `graphs.bfs_tree`: fundamental_cycle_tube closes a
+non-tree tube edge through it, raw_basis_windings sums those cycles and
+decompose_over_basis reads a closed cycle's non-tree multiplicities.  The
+package writes both kinds of basis cycle by rule instead
+(`tube.basis_cycle`: the lifted graph cycle for X, the vertex triangle for
+Y), and its tube tree only names the basis and feeds the fingerprint and
+the `tube` output; this walk is the independent reference the rules are
+checked against.
+omega recomputes one tube edge's exact angle from the polyline points,
+step by step, apart from the cochain `invariant` builds out of the
+genericity report.  The windings that `invariant` sums exactly are
+realized here as closed paths of point pairs at scale eps:
 `winding` traces a PairPath with certified Lipschitz refinement, and
 dense_winding_oracle re-traces it with fixed uniform sampling and naive
 angle accumulation.  Both are references only; their cost grows as 1/eps.
@@ -25,10 +35,12 @@ import math
 from dataclasses import dataclass, field
 
 from . import geometry as geo
-from .graphs import Graph
+from .graphs import Graph, bfs_tree, tree_path
 from .immersion import PlaneImmersion, _all_segments, _check_pair
-from .tube import SymmetricTube, TubeEdge, cycle_is_closed
-from .invariant import WindingError, INTEGER_TOL
+from .tube import (SymmetricTube, TubeComplex, TubeEdge, TubeError,
+                   cycle_is_closed)
+from .invariant import (WindingError, INTEGER_TOL, InvariantContext, _row,
+                        evaluate_on_tube_cycle)
 
 
 @dataclass(frozen=True)
@@ -141,6 +153,48 @@ def betti_oracle(tube: SymmetricTube) -> int:
     r = _matrix_rank(rows)
     components = len(tube.vertices) - r
     return len(tube.edges) - len(tube.vertices) + components
+
+
+def adjacency(tube: SymmetricTube, edge_subset=None) -> dict:
+    """cell -> list of (tube edge, +1 if leaving via u->v), over every tube
+    edge or over `edge_subset`."""
+    adj: dict = {c: [] for c in tube.vertices}
+    for e in tube.edges if edge_subset is None else edge_subset:
+        adj[e.u].append((e, +1))
+        adj[e.v].append((e, -1))
+    return adj
+
+
+def tube_tree(tc: TubeComplex) -> dict:
+    """The tree edges of tc walked breadth first from the tube's first cell,
+    as `graphs.bfs_tree` returns it: cell -> (tube edge, direction, parent
+    cell).  The tree spans the tube iff every cell is a key."""
+    adj = adjacency(tc.tube, tc.tree_edges)
+    return bfs_tree(tc.tube.vertices[0], lambda c: [
+        (e, sgn, e.v if sgn > 0 else e.u) for e, sgn in adj[c]])
+
+
+def fundamental_cycle_tube(tc: TubeComplex, edge: TubeEdge):
+    """Non-tree tube edge traversed positively, closed by the tree path
+    v -> u.  Returns (tube edge, direction) steps."""
+    if edge in tc.tree_edges:
+        raise TubeError(f"{edge.label()} is a tree edge")
+    return [(edge, +1)] + tree_path(tube_tree(tc), edge.v, edge.u)
+
+
+def raw_basis_windings(ctx: InvariantContext) -> dict:
+    """Winding of the fundamental tube cycle of each non-tree edge, keyed by
+    basis label name (stored-orientation convention)."""
+    return {b.name: evaluate_on_tube_cycle(
+                ctx, fundamental_cycle_tube(ctx.plan.complex, b.edge))
+            for b in ctx.plan.labels}
+
+
+def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
+    """Signed multiplicity of each non-tree tube edge in a closed cycle."""
+    index = ctx.plan.complex.tube.index
+    row = dict(_row(index, steps))
+    return {b.name: row.get(index[b.edge], 0) for b in ctx.plan.labels}
 
 
 def all_pairs_crossings(f: PlaneImmersion, tau: float):

@@ -15,14 +15,22 @@ Each tube edge has one position, its place in `SymmetricTube.edges`, and
 edge, both from its cell data (`x_edge`, `y_edge`) and into the rows that
 `invariant` sums.  The basis is the tuple of `BasisLabel`s that `wu_basis`
 returns, one per non-tree tube edge.
+
+Both kinds of basis cycle are written by rule (`basis_cycle`): an X label's
+is its graph fundamental cycle lifted to the tube, a Y label's the 6-step
+triangle at its vertex.  The canonical spanning tree of the tube only
+names the basis and feeds the conventions fingerprint and the `tube`
+output; nothing here walks it.  The breadth-first walk through it, which
+closes any non-tree tube edge into its fundamental cycle, is a reference
+in `oracles`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import (Graph, SpanningTree, EdgeCycle, GraphError, bfs_tree,
-                     canonical_spanning_tree, fundamental_cycle, tree_path)
+from .graphs import (Graph, SpanningTree, EdgeCycle, GraphError,
+                     canonical_spanning_tree, fundamental_cycle)
 
 
 class TubeError(ValueError):
@@ -89,15 +97,6 @@ class SymmetricTube:
     def y_edge(self, v: int, fixed: int, moving: int) -> TubeEdge:
         return self.edges[self.index[TubeEdge("Y", v, fixed, moving)]]
 
-    def adjacency(self, edge_subset=None):
-        """cell -> list of (tube edge, +1 if leaving via u->v)."""
-        adj: dict[TubeVertex, list] = {c: [] for c in self.vertices}
-        edges = self.edges if edge_subset is None else edge_subset
-        for e in edges:
-            adj[e.u].append((e, +1))
-            adj[e.v].append((e, -1))
-        return adj
-
 
 @dataclass(frozen=True)
 class BasisLabel:
@@ -113,23 +112,10 @@ class TubeComplex:
     tube: SymmetricTube
     tree_edges: frozenset        # of TubeEdge
     graph_tree: SpanningTree
-    _parent: dict = field(compare=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        adj = self.tube.adjacency(self.tree_edges)
-        parent = bfs_tree(self.tube.vertices[0], lambda c: [
-            (e, sgn, e.v if sgn > 0 else e.u) for e, sgn in adj[c]])
-        if len(parent) != len(self.tube.vertices):
-            raise TubeError("tube tree does not span the tube")
-        object.__setattr__(self, "_parent", parent)
 
     @property
     def non_tree_edges(self) -> list[TubeEdge]:
         return [e for e in self.tube.edges if e not in self.tree_edges]
-
-    def tree_path(self, a: TubeVertex, b: TubeVertex):
-        """Path a -> b within the tree, as (tube edge, direction) steps."""
-        return tree_path(self._parent, a, b)
 
 
 def build_symmetric_tube(g: Graph) -> SymmetricTube:
@@ -220,32 +206,31 @@ def wu_basis(tc: TubeComplex) -> tuple[BasisLabel, ...]:
     return tuple(labels)
 
 
-def fundamental_cycle_tube(tc: TubeComplex, edge: TubeEdge):
-    """Non-tree tube edge traversed positively, closed by the tree path
-    v -> u.  Returns (tube edge, direction) steps."""
-    if edge in tc.tree_edges:
-        raise TubeError(f"{edge.label()} is a tree edge")
-    return [(edge, +1)] + tc.tree_path(edge.v, edge.u)
-
-
 def basis_cycle(tc: TubeComplex, label: BasisLabel):
-    """The evaluation cycle for a basis label.
+    """The evaluation cycle for a basis label, written by rule.
 
     X labels: the tube cycle realizing the graph fundamental cycle of the
     non-tree graph edge (pair sweeps around that cycle once).
-    Y labels: the block cycle traversing the non-tree Y edge from its Z cell
-    to its W cell (moving point leaving the vertex), closed in the tree.
-    This fixed geometric direction, not the stored edge orientation, pins the
-    sign convention.
+    Y labels: the triangle at the label's vertex v through the cells of its
+    moving edge a, its fixed edge b and v's last incident edge c,
+    Z(b) -> W(a,b) -> Z(a) -> W(a,c) -> Z(c) -> W(b,c) -> Z(b).  Its first
+    step is the non-tree Y edge from its Z cell to its W cell (moving point
+    leaving the vertex); the other five are tree edges.  This fixed
+    geometric direction, not the stored edge orientation, pins the sign
+    convention.
     """
     if label.kind == "X":
         gamma = fundamental_cycle(tc.graph_tree, label.edge.edge_a)
         return tube_cycle_over_graph_cycle(tc.tube, gamma)
-    e = label.edge
-    zc = e.u if e.u.kind == "Z" else e.v
-    wc = e.v if e.u.kind == "Z" else e.u
-    direction = +1 if e.u.kind == "Z" else -1     # make traversal Z -> W
-    return [(e, direction)] + tc.tree_path(wc, zc)
+    v, b, a = label.edge.vertex, label.edge.edge_a, label.edge.edge_b
+    c = tc.tube.graph.incident_edges(v)[-1]
+    steps = []
+    # (fixed, moving) per step; even steps leave Z(fixed), odd steps W
+    for i, (fixed, moving) in enumerate(
+            ((b, a), (a, b), (a, c), (c, a), (c, b), (b, c))):
+        e = tc.tube.y_edge(v, fixed, moving)
+        steps.append((e, +1 if e.u.kind == "ZW"[i % 2] else -1))
+    return steps
 
 
 def tube_cycle_over_graph_cycle(tube: SymmetricTube, c: EdgeCycle):

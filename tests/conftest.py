@@ -6,9 +6,10 @@ import pytest
 
 from planetube.geometry import Polyline
 from planetube.graphs import (Graph, GraphError, validate_graph,
-                              complete_graph)
+                              complete_graph, tree_path)
 from planetube.immersion import (PlaneImmersion, ImmersionError,
                                  validate_generic)
+from planetube.oracles import adjacency, tube_tree
 
 
 def resample_midpoints(f: PlaneImmersion) -> PlaneImmersion:
@@ -103,7 +104,7 @@ def random_bent_kn(rng, n, snap=0.0):
 def random_tube_cycle(tc, rng, max_len=40):
     """Random closed walk in a tube complex: wander, then close through the
     tree."""
-    adj = tc.tube.adjacency()
+    adj = adjacency(tc.tube)
     start = rng.choice(tc.tube.vertices)
     cur = start
     steps = []
@@ -111,7 +112,7 @@ def random_tube_cycle(tc, rng, max_len=40):
         e, sgn = rng.choice(adj[cur])
         steps.append((e, sgn))
         cur = e.v if sgn > 0 else e.u
-    steps += tc.tree_path(cur, start)
+    steps += tree_path(tube_tree(tc), cur, start)
     return steps
 
 

@@ -22,11 +22,11 @@ from planetube.immersion import (validate_generic, trace_cycle,
                                  map_points, restrict, standard_curve,
                                  standard_star, planar_k4)
 from planetube.invariant import (wu, prepare, star_wu, equivalent,
-                                 evaluate_on_tube_cycle, raw_basis_windings,
-                                 decompose_over_basis,
+                                 evaluate_on_tube_cycle,
                                  rotation_number_on_cycle)
 from planetube.moves import insert_curl, whitney_pair, perturb
-from planetube.oracles import betti_oracle, cell_census
+from planetube.oracles import (betti_oracle, cell_census,
+                               raw_basis_windings, decompose_over_basis)
 
 from conftest import (resample_midpoints, random_k4, connected_graphs_upto,
                       random_connected_graph, random_tube_cycle)

@@ -233,6 +233,14 @@ def test_malformed_input_gives_json_errors(tmp_path, capsys):
                 d["polylines"][eid][0] = [zero, zero]
         return edit
 
+    def first_edge(pair):
+        def edit(d):
+            d["graph"]["edges"][0] = pair
+        return edit
+
+    def add(table, key, value):
+        return lambda d: d[table].update({key: value})
+
     assert_validation_errors(capsys, [
         (moves("edge_text.json", dict(curl, edge="1")),
          "move edge must be a number, not '1'"),
@@ -257,6 +265,30 @@ def test_malformed_input_gives_json_errors(tmp_path, capsys):
          "edge 1: [True, 2] is not a pair of vertex ids"),
         (["rank", graph_file("count_bool.json", True, [[1, 2]])],
          "vertex count True is not an integer"),
+        # an endpoint is an int: 1.0 would read as vertex 1, and 1.5 would
+        # fail on its own, naming no edge
+        (["rank", graph_file("end_whole.json", 2, [[1.0, 2]])],
+         "edge 1: [1.0, 2] is not a pair of vertex ids"),
+        (["rank", graph_file("end_frac.json", 2, [[1.5, 2]])],
+         "edge 1: [1.5, 2] is not a pair of vertex ids"),
+        (["invariant", k4_with("end_whole_imm.json", first_edge([1.0, 2]))],
+         "edge 1: [1.0, 2] is not a pair of vertex ids"),
+        (["invariant", k4_with("end_frac_imm.json", first_edge([1.5, 2]))],
+         "edge 1: [1.5, 2] is not a pair of vertex ids"),
+        # a table key is the decimal id of a vertex or edge of the graph
+        (["invariant", k4_with("pos_x.json", add("positions", "x", [0, 0]))],
+         "positions: key 'x' names no vertex"),
+        (["invariant", k4_with("pos_1.0.json",
+                               add("positions", "1.0", [0, 0]))],
+         "positions: key '1.0' names no vertex"),
+        (["invariant", k4_with("pos_9.json", add("positions", "9", [0, 0]))],
+         "positions: key '9' names no vertex"),
+        (["invariant", k4_with("pl_x.json",
+                               add("polylines", "x", [[0, 0], [1, 1]]))],
+         "polylines: key 'x' names no edge"),
+        (["invariant", k4_with("pl_7.json",
+                               add("polylines", "7", [[0, 0], [1, 1]]))],
+         "polylines: key '7' names no edge"),
     ])
 
 

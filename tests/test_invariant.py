@@ -21,13 +21,13 @@ from planetube.immersion import (trace_cycle, turning_number, reflect,
 from planetube.invariant import (WindingError, wu, prepare,
                                  evaluate_on_tube_cycle, equivalent,
                                  star_wu, rotation_number_on_cycle,
-                                 raw_basis_windings, decompose_over_basis,
                                  coordinate, wu_plan, PLAN_CACHE_SIZE,
                                  conventions_fingerprint, _conventions_blob)
-from planetube.oracles import omega, pair_path, winding
-from planetube.tube import (basis_cycle, fundamental_cycle_tube,
-                            tube_cycle_over_graph_cycle, cycle_is_closed,
-                            swap_parity)
+from planetube.oracles import (omega, pair_path, winding,
+                               fundamental_cycle_tube, raw_basis_windings,
+                               decompose_over_basis)
+from planetube.tube import (basis_cycle, tube_cycle_over_graph_cycle,
+                            cycle_is_closed, swap_parity)
 
 from conftest import (resample_midpoints, random_k4, random_bent_kn,
                       random_tube_cycle)

@@ -15,11 +15,13 @@ from planetube.graphs import (complete_graph, star_graph, path_graph,
 from planetube.tube import (SymmetricTube, W, build_symmetric_tube, rank,
                             basis_cycle, tube_cycle_over_graph_cycle)
 from planetube.immersion import standard_curve, standard_star, planar_k4
-from planetube.invariant import prepare, evaluate_on_tube_cycle
+from planetube.invariant import (prepare, evaluate_on_tube_cycle, wu_plan,
+                                 _row)
 from planetube.moves import insert_curl
 from planetube.oracles import (cell_census, census_matches_tube,
                                betti_oracle, dense_winding_oracle,
-                               _matrix_rank, pair_path, winding)
+                               _matrix_rank, pair_path, winding,
+                               tube_tree, fundamental_cycle_tube)
 
 from conftest import (connected_graphs_upto, random_connected_graph,
                       random_k4, straight_line_immersion)
@@ -98,6 +100,39 @@ def test_betti_oracle_leaves_numpy_unloaded():
         check=True, env=dict(os.environ, PYTHONPATH=str(
             Path(planetube.__file__).parents[1])))
     assert out.stdout.split() == ["21", "False"]
+
+
+def test_rule_rows_match_the_tree_walk():
+    """The tube tree spans the tube, and every rule-written basis row is
+    its non-tree multiplicities times the fundamental cycles that the
+    breadth-first tree walk closes: a Y row is exactly its own edge's
+    cycle, negated where the stored orientation runs W -> Z, and an X row
+    meets its own X edge once and no other non-tree X edge."""
+    graphs = list(connected_graphs_upto(4)) + \
+        [complete_graph(n) for n in range(3, 9)]
+    for g in graphs:
+        plan = wu_plan(g)
+        tc = plan.complex
+        assert len(tube_tree(tc)) == len(tc.tube.vertices)
+        index = tc.tube.index
+        walked = {index[b.edge]: _row(index,
+                                      fundamental_cycle_tube(tc, b.edge))
+                  for b in plan.labels}
+        for label in plan.labels:
+            row = dict(plan.terms[label.name])
+            crossed = {i: row[i] for i in walked if i in row}
+            expected = {}
+            for i, m in crossed.items():
+                for j, k in walked[i]:
+                    expected[j] = expected.get(j, 0) + m * k
+            assert row == {j: k for j, k in expected.items() if k}, label.name
+            if label.kind == "Y":
+                sign = -1 if label.edge.u.kind == "W" else 1
+                assert crossed == {index[label.edge]: sign}, label.name
+            else:
+                assert {i: m for i, m in crossed.items()
+                        if tc.tube.edges[i].kind == "X"} == \
+                    {index[label.edge]: 1}, label.name
 
 
 def test_package_import_leaves_oracles_unloaded():

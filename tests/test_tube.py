@@ -8,9 +8,9 @@ from planetube.graphs import (complete_graph, star_graph, path_graph,
                               cycle_graph, fundamental_cycle, GraphError)
 from planetube.tube import (TubeError, Z, W, build_symmetric_tube,
                             tube_spanning_tree, rank, wu_basis, basis_cycle,
-                            fundamental_cycle_tube,
                             tube_cycle_over_graph_cycle, cycle_is_closed,
                             swap_parity, to_dot, to_json_dict)
+from planetube.oracles import fundamental_cycle_tube
 
 from conftest import random_connected_graph
 
