@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, groupby
 from typing import NamedTuple
 
@@ -76,10 +77,18 @@ class PlaneImmersion:
                 raise ImmersionError(
                     f"edge {e.id}: polyline does not end at head position")
 
-    def bbox_diagonal(self) -> float:
+    @cached_property
+    def bbox(self) -> tuple[float, float, float, float]:
+        """(least x, greatest x, least y, greatest y) of the polylines, read
+        once per drawing: validation takes tau and its segment index from
+        it."""
         xs = [p[0] for pl in self.polylines.values() for p in pl.points]
         ys = [p[1] for pl in self.polylines.values() for p in pl.points]
-        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        return min(xs), max(xs), min(ys), max(ys)
+
+    def bbox_diagonal(self) -> float:
+        x0, x1, y0, y1 = self.bbox
+        return math.hypot(x1 - x0, y1 - y0)
 
     def point_from(self, eid: int, v: int, s: float) -> Point:
         """Point at arclength s along edge eid measured from endpoint v."""
@@ -114,27 +123,38 @@ def _key_ids(table: dict, name: str, what: str, ids: range) -> dict:
     return by_key
 
 
+_NOT_NUMBERS = {str, bool, type(None)}
+
+
 def immersion_from_json_dict(data: dict) -> PlaneImmersion:
     gd = data["graph"]
     g = validate_graph(gd["vertices"], gd["edges"])
+    for k, pl in data["polylines"].items():
+        if len(pl) < 2:
+            raise ImmersionError(
+                f"edge {k} polyline: needs at least two points")
     points = list(chain(data["positions"].values(),
                         *data["polylines"].values()))
-    sizes = set(map(len, points))
-    if sizes - {2}:
-        raise ImmersionError("every point needs exactly two coordinates, "
-                             f"not {sorted(sizes - {2})}")
-    # a JSON string or boolean would pass float(); the points are searched
-    # for it only when their types show one
-    if {str, bool} & set(map(type, chain.from_iterable(points))):
+    # a point that is not a pair, or a JSON string, boolean or null where a
+    # number belongs (a string or boolean would pass float()); the fields
+    # are searched for it only when the points' types or sizes show one
+    if (set(map(type, points)) - {list, tuple} or set(map(len, points)) - {2}
+            or _NOT_NUMBERS & set(map(type, chain.from_iterable(points)))):
         for where, pts in chain(
                 ((f"vertex {k} position", [p])
                  for k, p in data["positions"].items()),
                 ((f"edge {k} polyline", pl)
                  for k, pl in data["polylines"].items())):
-            for x in chain.from_iterable(pts):
-                if isinstance(x, (str, bool)):
-                    raise ImmersionError(
-                        f"{where}: coordinate {x!r} is not a number")
+            for p in pts:
+                if not isinstance(p, (list, tuple)):
+                    raise ImmersionError(f"{where}: {p!r} is not a point")
+                if len(p) != 2:
+                    raise ImmersionError(f"{where}: point {p!r} needs "
+                                         "exactly two coordinates")
+                for x in p:
+                    if type(x) in _NOT_NUMBERS:
+                        raise ImmersionError(
+                            f"{where}: coordinate {x!r} is not a number")
     vid = _key_ids(data["positions"], "positions", "vertex", g.vertices())
     eid = _key_ids(data["polylines"], "polylines", "edge",
                    range(1, g.num_edges + 1))
@@ -231,7 +251,9 @@ class _SegmentIndex:
     """The segments of a drawing (`_all_segments`), each with its bounding
     box widened by tau on every side, sorted by left edge once for every
     scan of segments near a point or a segment: `find_crossings`,
-    `_min_clearance` and `moves._local_clearance`."""
+    `_min_clearance` and `moves._local_clearance`.  `big` is the drawing's
+    largest absolute coordinate, which scales the rounding allowance of
+    `find_crossings`' line-side reject."""
 
     def __init__(self, f: PlaneImmersion, tau: float):
         self.segs, self.tau = _all_segments(f), tau
@@ -244,6 +266,8 @@ class _SegmentIndex:
         self.boxes = boxes
         self.lefts = [box[0] for box in boxes]
         self.wide = max(x1 - x0 for x0, x1, _, _, _ in boxes)
+        x0, x1, y0, y1 = f.bbox
+        self.big = max(-x0, x1, -y0, y1)
 
     def nearest(self, pos: Point, best: float, skip) -> float:
         """The least of best and the distance from pos to each segment s
@@ -268,18 +292,41 @@ class _SegmentIndex:
         return best
 
 
-def _check_pair(s: _Segment, t: _Segment, tau: float, crossings,
+def _beside(s: _Segment, p: Point, q: Point, far: float) -> bool:
+    """Whether p and q both lie on one side of the line of s, at least far
+    from it; False when s has no direction."""
+    if s.u is None:
+        return False
+    (ux, uy), (ax, ay) = s.u, s.a
+    hp = ux * (p[1] - ay) - uy * (p[0] - ax)
+    hq = ux * (q[1] - ay) - uy * (q[0] - ax)
+    return (hp >= far and hq >= far) or (hp <= -far and hq <= -far)
+
+
+def _check_pair(s: _Segment, t: _Segment, tau: float, far: float, crossings,
                 violations) -> None:
-    """Pair test of two segments, s before t in `_all_segments` order:
-    appends their proper transversal crossing to `crossings`, or a
-    near-contact or non-transversal violation to `violations`."""
-    # only neighbours in the graph may touch: consecutive segments of one
-    # edge, and germs at a common vertex
-    if (s.edge == t.edge and t.index - s.index <= 1) or s.ends & t.ends:
-        return
+    """Pair test of two segments that are not graph neighbours, s before t
+    in `_all_segments` order: appends their proper transversal crossing to
+    `crossings`, or a near-contact or non-transversal violation to
+    `violations`.
+
+    A pair that does not cross is measured, by the distance from each
+    endpoint to the other segment, only when neither segment's line has
+    the other segment at least `far` to one side of it (`_beside`): then
+    every point of the one lies at least about far from every point of
+    the other.  With far = 2 tau + 2^-40 M, M the largest absolute
+    coordinate (`_SegmentIndex.big`), the reject is exact.  The 2 tau keeps
+    it away from the d < tau boundary, and 2^-40 M covers the rounding of
+    the signed distances and of `geometry.point_segment_distance`, both
+    taken in absolute coordinates, which is a few units of 2^-53 M.  So the
+    four distances of a rejected pair would all have read at least tau,
+    however far from the origin the drawing lies and however small tau
+    is."""
     a1, b1, a2, b2 = s.a, s.b, t.a, t.b
     hit = geo.segment_intersection(a1, b1, a2, b2)
     if hit is None:
+        if _beside(s, a2, b2, far) or _beside(t, a1, b1, far):
+            return
         # flag tangential / endpoint contact of unrelated strands, at the
         # endpoint that comes closest to the other segment
         d, p = min(((geo.point_segment_distance(a1, a2, b2), a1),
@@ -315,18 +362,31 @@ def find_crossings(index: _SegmentIndex):
     test flags is closer than tau: a proper crossing puts a common point in
     both boxes, and a near-contact puts an endpoint within tau of the other
     segment, so the widened boxes overlap with a margin of tau.
+
+    Graph neighbours are dropped in the sweep, before a pair is kept: only
+    they may touch, so the pair test would flag none of them.  They are
+    consecutive segments of one edge, adjacent in `_all_segments`, and
+    segments that end at a common graph vertex.  A kept pair that does not
+    cross is then measured only when neither segment lies at least
+    2 tau + 2^-40 M to one side of the other's line (`_check_pair`).
     """
     boxes, lefts, segs = index.boxes, index.lefts, index.segs
     pairs = []
     for m, (_, x1, y0, y1, k) in enumerate(boxes):
+        s = segs[k]
         for _, _, v0, v1, j in boxes[m + 1:bisect_right(lefts, x1, m + 1)]:
             if v0 <= y1 and y0 <= v1:
-                pairs.append((j, k) if j < k else (k, j))
+                t = segs[j]
+                if s.ends.isdisjoint(t.ends) and (abs(j - k) != 1
+                                                  or s.edge != t.edge):
+                    pairs.append((j, k) if j < k else (k, j))
     pairs.sort()
     crossings = []
     violations = []
+    tau = index.tau
+    far = 2.0 * tau + 2.0 ** -40 * index.big
     for i, j in pairs:
-        _check_pair(segs[i], segs[j], index.tau, crossings, violations)
+        _check_pair(segs[i], segs[j], tau, far, crossings, violations)
     return crossings, violations
 
 
@@ -376,8 +436,13 @@ def validate_generic(f: PlaneImmersion,
     and the invariant's cochain reads it and the turns off the report.  The
     moves read the segment index there too.  The scans over pairs of
     features are pruned.
-    Segments are pair-tested only where their widened boxes overlap
-    (`find_crossings`), a crossing is measured only against the vertices,
+    Segments are pair-tested only where their widened boxes overlap and
+    they are not graph neighbours, which are dropped in the sweep
+    (`find_crossings`); a pair that does not cross has its four
+    endpoint-to-segment distances measured only when neither segment lies
+    at least 2 tau + 2^-40 M (M the largest absolute coordinate) to one
+    side of the other's line, an exact reject (`_check_pair`).  A crossing
+    is measured only against the vertices,
     bends and crossings within 2 tau of it in x, and `_min_clearance` skips
     the distances its running minimum already bounds.  Each skipped test
     could not have fired or lowered the minimum, so the report is that of
@@ -669,9 +734,7 @@ def planar_k4() -> PlaneImmersion:
 
 def to_svg(f: PlaneImmersion, report: GenericityReport | None = None) -> str:
     size = 480
-    xs = [p[0] for pl in f.polylines.values() for p in pl.points]
-    ys = [p[1] for pl in f.polylines.values() for p in pl.points]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    x0, x1, y0, y1 = f.bbox
     span = max(x1 - x0, y1 - y0, 1e-9)
     pad = 0.05 * span
 

@@ -5,7 +5,8 @@ the point swap from their definition, with each tube edge's end cells, and
 census_matches_tube checks a built tube and the closed forms against it.
 all_pairs_crossings and min_clearance_oracle rerun the genericity
 validator's crossing scan and feature clearance over every pair, without
-its pruning.
+its pruning; all_pairs_crossings keeps its own copy of the full pair test,
+without the validator's line-side reject.
 betti_oracle recomputes the tube's first Betti number from the boundary
 matrix by exact elimination.
 tube_tree walks the canonical spanning tree of the tube breadth first,
@@ -36,7 +37,8 @@ from dataclasses import dataclass, field
 
 from . import geometry as geo
 from .graphs import Graph, bfs_tree, tree_path
-from .immersion import PlaneImmersion, _all_segments, _check_pair
+from .immersion import (ANGLE_TOL, Crossing, PlaneImmersion, StrandPoint,
+                        _all_segments)
 from .tube import (SymmetricTube, TubeComplex, TubeEdge, TubeError,
                    cycle_is_closed)
 from .invariant import (WindingError, INTEGER_TOL, InvariantContext, _row,
@@ -197,14 +199,46 @@ def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
     return {b.name: row.get(index[b.edge], 0) for b in ctx.plan.labels}
 
 
+def _pair_test(s, t, tau: float, crossings, violations) -> None:
+    """The genericity pair test of two segments, s before t, with none of
+    `immersion._check_pair`'s shortcuts: graph neighbours pass, any other
+    pair either crosses properly or has its four endpoint-to-segment
+    distances measured."""
+    if (s.edge == t.edge and t.index - s.index <= 1) or s.ends & t.ends:
+        return
+    a1, b1, a2, b2 = s.a, s.b, t.a, t.b
+    hit = geo.segment_intersection(a1, b1, a2, b2)
+    if hit is None:
+        d, p = min(((geo.point_segment_distance(a1, a2, b2), a1),
+                    (geo.point_segment_distance(b1, a2, b2), b1),
+                    (geo.point_segment_distance(a2, a1, b1), a2),
+                    (geo.point_segment_distance(b2, a1, b1), b2)),
+                   key=lambda dp: dp[0])
+        if d < tau:
+            violations.append(
+                ("near-contact", f"edges {s.edge}/{t.edge} touch without "
+                 f"transversal crossing near {p}"))
+        return
+    pt, t1, t2 = hit
+    if abs(geo.cross(s.u, t.u)) < ANGLE_TOL:
+        violations.append(
+            ("non-transversal", f"edges {s.edge}/{t.edge} cross at {pt} "
+             "with near-parallel strands"))
+        return
+    crossings.append(Crossing(pt,
+                              StrandPoint(s.edge, s.s0 + t1 * (s.s1 - s.s0)),
+                              StrandPoint(t.edge, t.s0 + t2 * (t.s1 - t.s0))))
+
+
 def all_pairs_crossings(f: PlaneImmersion, tau: float):
-    """`immersion.find_crossings` without pruning: the same pair test on
-    every segment pair (i, j), i < j, in order."""
+    """`immersion.find_crossings` without pruning or shortcuts: the full
+    pair test (`_pair_test`) on every segment pair (i, j), i < j, in
+    order."""
     segs = _all_segments(f)
     crossings, violations = [], []
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
-            _check_pair(segs[i], segs[j], tau, crossings, violations)
+            _pair_test(segs[i], segs[j], tau, crossings, violations)
     return crossings, violations
 
 

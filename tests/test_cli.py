@@ -289,6 +289,18 @@ def test_malformed_input_gives_json_errors(tmp_path, capsys):
         (["invariant", k4_with("pl_7.json",
                                add("polylines", "7", [[0, 0], [1, 1]]))],
          "polylines: key '7' names no edge"),
+        # a polyline of one point, and a null point or position, name their
+        # field
+        (["validate", k4_with("pl_one.json", add("polylines", "1", [[0, 0]]))],
+         "edge 1 polyline: needs at least two points"),
+        (["validate", k4_with("pl_null.json", lambda d: d["polylines"]["4"]
+                              .insert(1, None))],
+         "edge 4 polyline: None is not a point"),
+        (["validate", k4_with("pos_null.json", add("positions", "2", None))],
+         "vertex 2 position: None is not a point"),
+        (["validate", k4_with("coord_null.json", lambda d: d["polylines"]["4"]
+                              .insert(1, [3.0, None]))],
+         "edge 4 polyline: coordinate None is not a number"),
     ])
 
 

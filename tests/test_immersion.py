@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from planetube import immersion
 from planetube.geometry import Polyline, kink_waypoints
 from planetube.graphs import EdgeCycle, complete_graph, star, validate_graph
 from planetube.immersion import (PlaneImmersion, ImmersionError,
@@ -180,11 +181,14 @@ def test_near_contact_names_where_strands_touch():
 
 def pruning_cases():
     """(drawing, tau) pairs for the pruned scans: random bent K4-K6, plain
-    and snapped to a grid, at their own tau and one at a coarse tau; parallel
-    and collinear segments just inside and outside tau; a ladder of
-    zero-width and zero-height boxes with ties on the left edge; curled
-    drawings; and the drawing of every violation kind.  Sizes keep the all-pairs oracle
-    under a second."""
+    and snapped to a grid, at their own tau, one at a coarse tau and one at
+    tau 1e-12; parallel and collinear segments just inside and outside tau
+    and 2 tau; a zero-length interior segment beside another strand; a
+    ladder of zero-width and zero-height boxes with ties on the left edge;
+    curled drawings; and the drawing of every violation kind.  Each comes
+    as drawn, translated by (1e6, -1e6) and by (1e12, 1e12), and those two
+    reflected, where rounding is coarse against tau.  Sizes keep the
+    all-pairs oracle to a few seconds."""
     rng = random.Random(7)
     k4, k4_snapped = random_bent_kn(rng, 4), random_bent_kn(rng, 4, snap=0.5)
     k5_snapped, k6 = random_bent_kn(rng, 5, snap=0.5), random_bent_kn(rng, 6)
@@ -197,9 +201,9 @@ def pruning_cases():
                            6, k4.polylines[6].length / 2))
     cases = [(f, 1e-6 * f.bbox_diagonal())
              for f in (k4, k4_snapped, k5_snapped, k6, *curled)]
-    cases.append((k4, 0.05))
+    cases += [(k4, 0.05), (k4, 1e-12)]
     tau = 1e-3
-    for gap in (0.5, 0.999, 1.001, 2.0):
+    for gap in (0.5, 0.999, 1.001, 1.999, 2.0, 2.001):
         d = gap * tau
         for a, b, c, e in (((0, 0), (1, 0), (0.5, d), (1.5, d)),
                            ((0, 0), (0, 1), (d, 0.5), (d, 1.5)),
@@ -208,6 +212,19 @@ def pruning_cases():
             cases.append((drawing({1: a, 2: b, 3: c, 4: e},
                                   [(1, 2), (3, 4), (2, 4)],
                                   {3: [(3, 3)]}), tau))
+    # edge 1 has a segment of length 0 at (1, 0), which has no line
+    for gap in (0.5, 2.5):
+        cases.append((drawing({1: (0, 0), 2: (2, 0), 3: (0.5, gap * tau),
+                               4: (1.5, gap * tau)}, [(1, 2), (3, 4), (2, 4)],
+                              {1: [(1, 0), (1, 0)], 3: [(3, 3)]}), tau))
+    # near (1e12, 1e12) strands about 6 tau apart, at tau 1e-5, where
+    # `point_segment_distance` rounds their distance below tau: a reject
+    # threshold of 2 tau alone would skip this near-contact
+    o = 1e12
+    cases.append((drawing({1: (o, o), 2: (o + 0.28, o + 0.96),
+                           3: (o + 0.07, o + 0.24), 4: (o + 0.21, o + 0.72)},
+                          [(1, 2), (3, 4), (2, 4)], {3: [(o + 3, o + 3)]}),
+                  1e-5))
     ladder = {k + 1: (0.0, float(k)) for k in range(4)}
     ladder.update({k + 5: (1.0, float(k)) for k in range(4)})
     ladder.update({9: (0.5, -1.0), 10: (0.5, 4.0), 11: (1 + 0.999 * tau, -1.0),
@@ -219,7 +236,9 @@ def pruning_cases():
     for _, _, build in VIOLATION_DRAWINGS:
         f = build()
         cases.append((f, 1e-6 * f.bbox_diagonal()))
-    return cases
+    moved = [(map_points(f, lambda p: (p[0] + dx, p[1] + dy)), tau)
+             for dx, dy in ((1e6, -1e6), (1e12, 1e12)) for f, tau in cases]
+    return cases + moved + [(reflect(f), tau) for f, tau in moved]
 
 
 def test_pruned_scans_match_all_pairs():
@@ -229,6 +248,25 @@ def test_pruned_scans_match_all_pairs():
         assert (crossings, violations) == all_pairs_crossings(f, tau)
         assert _min_clearance(f, index, crossings) \
             == min_clearance_oracle(f, crossings)
+
+
+def test_sweep_drops_graph_neighbours(monkeypatch):
+    # only pairs that may fire reach the pair test: no consecutive
+    # segments of one edge, no segments that end at a common vertex
+    seen = []
+
+    def check_pair(s, t, *rest):
+        seen.append((s, t))
+        return pair_test(s, t, *rest)
+
+    pair_test = immersion._check_pair
+    monkeypatch.setattr(immersion, "_check_pair", check_pair)
+    for f, tau in pruning_cases():
+        find_crossings(_SegmentIndex(f, tau))
+    assert seen
+    for s, t in seen:
+        assert not (s.edge == t.edge and abs(t.index - s.index) <= 1)
+        assert not s.ends & t.ends
 
 
 def test_cyclic_order_anchors():
