@@ -4,10 +4,12 @@ orders, turning numbers, fixtures.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import geometry as geo
@@ -126,14 +128,25 @@ def _key_ids(table: dict, name: str, what: str, ids: range) -> dict:
 _NOT_NUMBERS = {str, bool, type(None)}
 
 
+def _object(value, name: str) -> dict:
+    """value, once it is a JSON object; anything else is refused by name."""
+    if not isinstance(value, dict):
+        raise ImmersionError(
+            f"{name} must be an object, not {type(value).__name__}")
+    return value
+
+
 def immersion_from_json_dict(data: dict) -> PlaneImmersion:
-    gd = data["graph"]
+    gd = _object(_object(data, "immersion")["graph"], "graph")
     g = validate_graph(gd["vertices"], gd["edges"])
-    for k, pl in data["polylines"].items():
+    for k, pl in _object(data["polylines"], "polylines").items():
+        if not isinstance(pl, (list, tuple)):
+            raise ImmersionError(
+                f"edge {k} polyline: {pl!r} is not a list of points")
         if len(pl) < 2:
             raise ImmersionError(
                 f"edge {k} polyline: needs at least two points")
-    points = list(chain(data["positions"].values(),
+    points = list(chain(_object(data["positions"], "positions").values(),
                         *data["polylines"].values()))
     # a point that is not a pair, or a JSON string, boolean or null where a
     # number belongs (a string or boolean would pass float()); the fields
@@ -198,7 +211,9 @@ class GenericityReport:
     """What `validate_generic` found, and the drawing as it read it.  The
     hidden fields are all the moves and the invariant's cochain read of
     the drawing: its segment index, the angle of each germ by vertex and
-    edge id, and each edge's bend turns summed tail to head."""
+    edge id, each edge's bend turns summed tail to head, and the segment
+    rows (s, t), s first in `_all_segments` order, of each crossing, by
+    which `revalidate` merges a splice's crossings."""
     passed: bool
     violations: list
     crossings: list
@@ -208,6 +223,7 @@ class GenericityReport:
     index: _SegmentIndex = field(repr=False, compare=False)
     germs: dict = field(repr=False, compare=False)     # v -> e -> radians
     turns: dict = field(repr=False, compare=False)     # edge id -> radians
+    pairs: list = field(repr=False, compare=False)     # (s, t) per crossing
 
 
 class _Segment(NamedTuple):
@@ -225,47 +241,65 @@ class _Segment(NamedTuple):
 _NO_ENDS = frozenset()
 
 
+def _edge_rows(e, pl: Polyline) -> list[_Segment]:
+    """The segments of edge e drawn as pl, tail to head, with their lengths
+    and unit directions, each computed once here for every step of
+    `validate_generic` that reads them.  Rows sort as the edge id, then the
+    position along the edge: the order of `_all_segments`."""
+    out = []
+    pts, cum = pl.points, pl.cum
+    last = len(pts) - 2
+    first_ends = frozenset((e.tail, e.head) if last == 0 else (e.tail,))
+    last_ends = frozenset((e.head,))
+    for i in range(last + 1):
+        a, b = pts[i], pts[i + 1]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        n = math.hypot(dx, dy)
+        out.append(_Segment(
+            e.id, i, a, b,
+            first_ends if i == 0 else last_ends if i == last else _NO_ENDS,
+            cum[i], cum[i + 1], n, (dx / n, dy / n) if n else None))
+    return out
+
+
 def _all_segments(f: PlaneImmersion) -> list[_Segment]:
-    """Every polyline segment, edge by edge, tail to head, with its length
-    and unit direction, each computed once here for every step of
-    `validate_generic` that reads them."""
+    """Every polyline segment (`_edge_rows`), edge by edge."""
     out = []
     for e in f.graph.edges:
-        pl = f.polylines[e.id]
-        pts, cum = pl.points, pl.cum
-        last = len(pts) - 2
-        first_ends = frozenset((e.tail, e.head) if last == 0 else (e.tail,))
-        last_ends = frozenset((e.head,))
-        for i in range(last + 1):
-            a, b = pts[i], pts[i + 1]
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            n = math.hypot(dx, dy)
-            out.append(_Segment(
-                e.id, i, a, b,
-                first_ends if i == 0 else last_ends if i == last else _NO_ENDS,
-                cum[i], cum[i + 1], n, (dx / n, dy / n) if n else None))
+        out += _edge_rows(e, f.polylines[e.id])
+    return out
+
+
+def _boxes(rows, tau: float) -> list:
+    """(least x, greatest x, least y, greatest y, row) of each row, the
+    bounding box widened by tau on every side."""
+    out = []
+    for s in rows:
+        (ax, ay), (bx, by) = s.a, s.b
+        out.append((min(ax, bx) - tau, max(ax, bx) + tau,
+                    min(ay, by) - tau, max(ay, by) + tau, s))
     return out
 
 
 class _SegmentIndex:
-    """The segments of a drawing (`_all_segments`), each with its bounding
-    box widened by tau on every side, sorted by left edge once for every
-    scan of segments near a point or a segment: `find_crossings`,
-    `_min_clearance` and `moves._local_clearance`.  `big` is the drawing's
-    largest absolute coordinate, which scales the rounding allowance of
-    `find_crossings`' line-side reject."""
+    """The segments of a drawing (`_all_segments`), each in a box widened by
+    tau on every side (`_boxes`), the boxes sorted by left edge once for
+    every scan of segments near a point or a segment: `find_crossings`,
+    `_min_clearance` and `moves._local_clearance`.  A box holds its segment
+    row, not the row's position, so the boxes of an edge that a splice
+    leaves alone carry over to the splice's index as they are (`segs` and
+    `boxes`, f's rows and their sorted boxes, are given then).  `big` is the
+    drawing's largest absolute coordinate, which scales the rounding
+    allowance of `find_crossings`' line-side reject."""
 
-    def __init__(self, f: PlaneImmersion, tau: float):
-        self.segs, self.tau = _all_segments(f), tau
-        boxes = []
-        for k, s in enumerate(self.segs):
-            (ax, ay), (bx, by) = s.a, s.b
-            boxes.append((min(ax, bx) - tau, max(ax, bx) + tau,
-                          min(ay, by) - tau, max(ay, by) + tau, k))
-        boxes.sort()
-        self.boxes = boxes
-        self.lefts = [box[0] for box in boxes]
-        self.wide = max(x1 - x0 for x0, x1, _, _, _ in boxes)
+    def __init__(self, f: PlaneImmersion, tau: float, segs=None, boxes=None):
+        if segs is None:
+            segs = _all_segments(f)
+            boxes = sorted(_boxes(segs, tau))
+        self.segs, self.boxes, self.tau = segs, boxes, tau
+        self.lefts = list(map(itemgetter(0), boxes))
+        self.wide = max(map(operator.sub, map(itemgetter(1), boxes),
+                            self.lefts))
         x0, x1, y0, y1 = f.bbox
         self.big = max(-x0, x1, -y0, y1)
 
@@ -281,14 +315,12 @@ class _SegmentIndex:
         gap, so it could not lower the minimum; tau covers rounding in
         `geometry.point_segment_distance` and in the bisection bounds."""
         px, py = pos
-        segs, tau = self.segs, self.tau
-        lo = bisect_left(self.lefts, px - best - self.wide - tau)
-        hi = bisect_right(self.lefts, px + best + tau)
-        for x0, x1, y0, y1, k in self.boxes[lo:hi]:
+        lo = bisect_left(self.lefts, px - best - self.wide - self.tau)
+        hi = bisect_right(self.lefts, px + best + self.tau)
+        for x0, x1, y0, y1, s in self.boxes[lo:hi]:
             if (x0 - px < best and px - x1 < best and y0 - py < best
-                    and py - y1 < best and not skip(segs[k])):
-                best = min(best, geo.point_segment_distance(pos, segs[k].a,
-                                                             segs[k].b))
+                    and py - y1 < best and not skip(s)):
+                best = min(best, geo.point_segment_distance(pos, s.a, s.b))
         return best
 
 
@@ -303,12 +335,20 @@ def _beside(s: _Segment, p: Point, q: Point, far: float) -> bool:
     return (hp >= far and hq >= far) or (hp <= -far and hq <= -far)
 
 
-def _check_pair(s: _Segment, t: _Segment, tau: float, far: float, crossings,
-                violations) -> None:
+def _may_touch(s: _Segment, t: _Segment) -> bool:
+    """Whether s and t are not graph neighbours, the only segments that may
+    touch: consecutive segments of one edge, or segments that end at a
+    common graph vertex."""
+    return s.ends.isdisjoint(t.ends) and (s.edge != t.edge
+                                          or abs(s.index - t.index) != 1)
+
+
+def _check_pair(s: _Segment, t: _Segment, tau: float, far: float,
+                violations) -> Crossing | None:
     """Pair test of two segments that are not graph neighbours, s before t
-    in `_all_segments` order: appends their proper transversal crossing to
-    `crossings`, or a near-contact or non-transversal violation to
-    `violations`.
+    in `_all_segments` order: their proper transversal crossing, or None
+    with a near-contact or non-transversal violation appended to
+    `violations` when they come closer than tau without one.
 
     A pair that does not cross is measured, by the distance from each
     endpoint to the other segment, only when neither segment's line has
@@ -326,7 +366,7 @@ def _check_pair(s: _Segment, t: _Segment, tau: float, far: float, crossings,
     hit = geo.segment_intersection(a1, b1, a2, b2)
     if hit is None:
         if _beside(s, a2, b2, far) or _beside(t, a1, b1, far):
-            return
+            return None
         # flag tangential / endpoint contact of unrelated strands, at the
         # endpoint that comes closest to the other segment
         d, p = min(((geo.point_segment_distance(a1, a2, b2), a1),
@@ -338,22 +378,35 @@ def _check_pair(s: _Segment, t: _Segment, tau: float, far: float, crossings,
             violations.append(
                 ("near-contact", f"edges {s.edge}/{t.edge} touch without "
                  f"transversal crossing near {p}"))
-        return
+        return None
     pt, t1, t2 = hit
     if abs(geo.cross(s.u, t.u)) < ANGLE_TOL:
         violations.append(
             ("non-transversal", f"edges {s.edge}/{t.edge} cross at {pt} "
              "with near-parallel strands"))
-        return
-    crossings.append(Crossing(pt,
-                              StrandPoint(s.edge, s.s0 + t1 * (s.s1 - s.s0)),
-                              StrandPoint(t.edge, t.s0 + t2 * (t.s1 - t.s0))))
+        return None
+    return Crossing(pt, StrandPoint(s.edge, s.s0 + t1 * (s.s1 - s.s0)),
+                    StrandPoint(t.edge, t.s0 + t2 * (t.s1 - t.s0)))
+
+
+def _test_pairs(index: _SegmentIndex, pairs):
+    """`_check_pair` on each pair (s, t) of the index's segments, in the
+    given order: (crossings, their pairs, violations)."""
+    crossings, crossed, violations = [], [], []
+    tau = index.tau
+    far = 2.0 * tau + 2.0 ** -40 * index.big
+    for s, t in pairs:
+        c = _check_pair(s, t, tau, far, violations)
+        if c is not None:
+            crossings.append(c)
+            crossed.append((s, t))
+    return crossings, crossed, violations
 
 
 def find_crossings(index: _SegmentIndex):
-    """Proper transversal crossings plus degeneracy violations of the
-    index's segments, in the order of a test of every pair (i, j), i < j,
-    of `_all_segments`.
+    """Proper transversal crossings, the segment pair (s, t) of each, and
+    degeneracy violations of the index's segments, in the order of a test
+    of every pair (s, t), s before t, of `_all_segments`.
 
     Only pairs whose bounding boxes, widened by tau on every side, overlap
     are tested: with the boxes sorted by left edge, each box is paired with
@@ -363,31 +416,41 @@ def find_crossings(index: _SegmentIndex):
     both boxes, and a near-contact puts an endpoint within tau of the other
     segment, so the widened boxes overlap with a margin of tau.
 
-    Graph neighbours are dropped in the sweep, before a pair is kept: only
-    they may touch, so the pair test would flag none of them.  They are
-    consecutive segments of one edge, adjacent in `_all_segments`, and
-    segments that end at a common graph vertex.  A kept pair that does not
-    cross is then measured only when neither segment lies at least
-    2 tau + 2^-40 M to one side of the other's line (`_check_pair`).
+    Graph neighbours are dropped in the sweep, before a pair is kept
+    (`_may_touch`).  A kept pair that does not cross is then measured only
+    when neither segment lies at least 2 tau + 2^-40 M to one side of the
+    other's line (`_check_pair`).
     """
-    boxes, lefts, segs = index.boxes, index.lefts, index.segs
+    boxes, lefts = index.boxes, index.lefts
     pairs = []
-    for m, (_, x1, y0, y1, k) in enumerate(boxes):
-        s = segs[k]
-        for _, _, v0, v1, j in boxes[m + 1:bisect_right(lefts, x1, m + 1)]:
-            if v0 <= y1 and y0 <= v1:
-                t = segs[j]
-                if s.ends.isdisjoint(t.ends) and (abs(j - k) != 1
-                                                  or s.edge != t.edge):
-                    pairs.append((j, k) if j < k else (k, j))
+    for m, (_, x1, y0, y1, s) in enumerate(boxes):
+        for _, _, v0, v1, t in boxes[m + 1:bisect_right(lefts, x1, m + 1)]:
+            if v0 <= y1 and y0 <= v1 and _may_touch(s, t):
+                pairs.append((s, t) if s < t else (t, s))
     pairs.sort()
-    crossings = []
-    violations = []
-    tau = index.tau
-    far = 2.0 * tau + 2.0 ** -40 * index.big
-    for i, j in pairs:
-        _check_pair(segs[i], segs[j], tau, far, crossings, violations)
-    return crossings, violations
+    return _test_pairs(index, pairs)
+
+
+def _pairs_meeting(index: _SegmentIndex, fresh) -> list:
+    """The pairs the sweep of `find_crossings` keeps that have a segment
+    among the boxes `fresh`, sorted, each once.
+
+    Each fresh box is tested against the boxes whose left edges lie no
+    further right than its right edge, from the first box whose right edge,
+    or that of a box before it, reaches its left edge.  Two boxes that the
+    sweep pairs overlap in x, so this finds every pair the sweep keeps; a
+    pair of two fresh boxes is found from both."""
+    boxes, lefts = index.boxes, index.lefts
+    reach = list(accumulate(map(itemgetter(1), boxes), max))
+    pairs = []
+    for x0, x1, y0, y1, s in fresh:
+        for _, u1, v0, v1, t in boxes[bisect_left(reach, x0):
+                                      bisect_right(lefts, x1)]:
+            if (x0 <= u1 and v0 <= y1 and y0 <= v1 and t is not s
+                    and _may_touch(s, t)):
+                pairs.append((s, t) if s < t else (t, s))
+    pairs.sort()
+    return [p for p, _ in groupby(pairs)]
 
 
 def _near(points, r: float):
@@ -395,8 +458,9 @@ def _near(points, r: float):
     closer than r to q.  Only points within 2 r of q in x are measured: a
     distance below r needs an x-offset below r, and the second r keeps a
     rounded bound from dropping a point at the threshold."""
-    order = sorted(range(len(points)), key=lambda k: points[k][0])
-    xs = [points[k][0] for k in order]
+    xs = [p[0] for p in points]
+    order = sorted(range(len(points)), key=xs.__getitem__)
+    xs = [xs[k] for k in order]
 
     def near(q):
         lo = bisect_left(xs, q[0] - 2.0 * r)
@@ -421,6 +485,32 @@ def _cyclic_order(v: int, angles: dict) -> tuple[CyclicOrder, float]:
     return CyclicOrder.from_sequence(v, [e for _, e in ring]), least
 
 
+def _edge_scan(e, run, tau: float, violations):
+    """Step (a) of `validate_generic` on the rows `run` of edge e: appends
+    its degenerate segments, then the bends where it doubles back, to
+    `violations`, and returns (its bend turns summed, its tail germ, its
+    head germ), each germ a unit vector read off an end row, or None at
+    length 0."""
+    for s in run:
+        if s.length <= tau:
+            violations.append(("degenerate-segment",
+                               f"edge {e.id} segment {s.index} at {s.a}"))
+    total = 0.0
+    for s, t in zip(run, run[1:]):
+        if s.u is None or t.u is None:
+            continue
+        turn = geo.turn_angle(s.u, t.u)
+        if abs(turn) >= math.pi - ANGLE_TOL:
+            violations.append(("not-an-immersion",
+                               f"edge {e.id} doubles back at bend {t.a}"))
+        total += turn
+    # the head germ is (a - b) / length, not -u: a germ along -x then reads
+    # (-1.0, 0.0), at angle pi, and not (-1.0, -0.0), at -pi
+    a, b, n = run[-1].a, run[-1].b, run[-1].length
+    return total, run[0].u, (((a[0] - b[0]) / n, (a[1] - b[1]) / n) if n
+                             else None)
+
+
 def validate_generic(f: PlaneImmersion,
                      tol: Tolerances | None = None) -> GenericityReport:
     """Genericity report of f: its violations in the order of the steps
@@ -429,13 +519,13 @@ def validate_generic(f: PlaneImmersion,
 
     f is read once, into one segment index (`_SegmentIndex`: each segment's
     length, direction and tau-widened box, the boxes sorted once).  Step (a)
-    takes from its rows each edge's bend turns, summed, and its two unit
-    germs.  Step (e) keeps each germ as one angle (`geometry.angle_of`), in
-    a table per vertex and edge: the cyclic orders, the germ-collision test
-    and the least germ angle, which bounds the scale, are all read from it,
-    and the invariant's cochain reads it and the turns off the report.  The
-    moves read the segment index there too.  The scans over pairs of
-    features are pruned.
+    (`_edge_scan`) takes from its rows each edge's bend turns, summed, and
+    its two unit germs.  Step (e) keeps each germ as one angle
+    (`geometry.angle_of`), in a table per vertex and edge: the cyclic
+    orders, the germ-collision test and the least germ angle, which bounds
+    the scale, are all read from it, and the invariant's cochain reads it
+    and the turns off the report.  The moves read the segment index there
+    too.  The scans over pairs of features are pruned.
     Segments are pair-tested only where their widened boxes overlap and
     they are not graph neighbours, which are dropped in the sweep
     (`find_crossings`); a pair that does not cross has its four
@@ -447,51 +537,107 @@ def validate_generic(f: PlaneImmersion,
     the distances its running minimum already bounds.  Each skipped test
     could not have fired or lowered the minimum, so the report is that of
     the all-pairs scans.
+
+    `revalidate`, the entry for a drawing spliced from a validated one,
+    shares every step: the row builder (`_edge_rows`), step (a), the pair
+    test (`_test_pairs`) and the finish, steps (e), (c), (d) and the scale
+    (`_finish`).  This function is its fallback and its oracle.
     """
     tol = tol or Tolerances()
-    diag = f.bbox_diagonal()
-    tau = tol.tau_for(diag)
-    violations = []
-
+    tau = tol.tau_for(f.bbox_diagonal())
     index = _SegmentIndex(f, tau)
-    segs = index.segs
 
-    # (a) local injectivity of each polyline: per edge, its degenerate
-    # segments, then the bends where it doubles back.  The bend turns are
-    # summed, and the unit germs at both ends read off the end segments
-    # (None at length 0)
-    turns, ends = {}, {}
-    for e, (_, run) in zip(f.graph.edges, groupby(segs, key=lambda s: s.edge)):
-        run = list(run)
-        for s in run:
-            if s.length <= tau:
-                violations.append(("degenerate-segment",
-                                   f"edge {e.id} segment {s.index} at {s.a}"))
-        total = 0.0
-        for s, t in zip(run, run[1:]):
-            if s.u is None or t.u is None:
-                continue
-            turn = geo.turn_angle(s.u, t.u)
-            if abs(turn) >= math.pi - ANGLE_TOL:
-                violations.append(("not-an-immersion",
-                                   f"edge {e.id} doubles back at bend {t.a}"))
-            total += turn
-        turns[e.id] = total
-        # the head germ is (a - b) / length, not -u: a germ along -x then
-        # reads (-1.0, 0.0), at angle pi, and not (-1.0, -0.0), at -pi
-        a, b, n = run[-1].a, run[-1].b, run[-1].length
-        ends[e.tail, e.id] = run[0].u
-        ends[e.head, e.id] = ((a[0] - b[0]) / n, (a[1] - b[1]) / n) if n \
-            else None
-
-    # (e) distinct germ angles, at the vertices where every germ has a
-    # direction (a germ of length 0 is a degenerate segment, step (a)); each
-    # germ is kept as its angle, and theta is the least angle between two
-    # germs at a vertex
+    # (a) local injectivity of each polyline, per edge; its bend turns and
+    # the germs at both ends
+    violations, turns, ends = [], {}, {}
+    for e, (_, run) in zip(f.graph.edges,
+                           groupby(index.segs, key=attrgetter("edge"))):
+        turns[e.id], ends[e.tail, e.id], ends[e.head, e.id] = \
+            _edge_scan(e, list(run), tau, violations)
+    # each germ as its angle, at the vertices where every germ has a
+    # direction (a germ of length 0 is a degenerate segment)
     stubs = {v for (v, _), u in ends.items() if u is None}
     germs = {v: {e: geo.angle_of(ends[v, e])
                  for e in f.graph.incident_edges(v)}
              for v in f.graph.vertices() if v not in stubs}
+
+    # (b) crossings transversal, interior
+    crossings, pairs, cviol = find_crossings(index)
+    return _finish(f, index, turns, germs, crossings, pairs, violations,
+                   cviol)
+
+
+def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
+               tol: Tolerances | None = None) -> GenericityReport:
+    """`validate_generic(g, tol)`, derived from `report`, f's report under
+    tol, where g has f's graph and vertex positions and differs from f only
+    in the edges whose `Polyline` objects it replaced: a curl or Whitney
+    pair splices one edge.
+
+    The rows, boxes, bend turns and germ angles of every other edge carry
+    over from the report, and so do the crossings of two such edges, each
+    kept with its segment pair.  Only the replaced edges are read
+    (`_edge_rows`, step (a)), and only pairs with one of their segments are
+    tested (`_pairs_meeting`, `_test_pairs`); the crossings then merge in
+    pair order, which is the order of `find_crossings`.  Steps (e), (c),
+    (d) and the scale run on the whole result (`_finish`).
+
+    The report is `validate_generic`'s own when f's report did not pass,
+    when tau or the index's largest coordinate changes (the splice grew
+    the bounding box), or when step (a) finds a violation on a replaced
+    edge, whose germ may then have no angle.  Past step (a), f's pairs have
+    no violation, so those of the replaced edges' pairs come out in the
+    full order."""
+    tol = tol or Tolerances()
+    tau = tol.tau_for(g.bbox_diagonal())
+    if not report.passed or tau != report.tau:
+        return validate_generic(g, tol)
+    old = report.index
+    rebuilt = {e.id for e in g.graph.edges
+               if g.polylines[e.id] is not f.polylines[e.id]}
+    violations, segs, new = [], [], []
+    turns, germs = dict(report.turns), dict(report.germs)
+    k = 0
+    for e in g.graph.edges:
+        n = len(f.polylines[e.id].points) - 1
+        if e.id in rebuilt:
+            rows = _edge_rows(e, g.polylines[e.id])
+            turns[e.id], tail, head = _edge_scan(e, rows, tau, violations)
+            if violations:
+                return validate_generic(g, tol)
+            for v, u in ((e.tail, tail), (e.head, head)):
+                germs[v] = {**germs[v], e.id: geo.angle_of(u)}
+            new += rows
+        else:
+            rows = old.segs[k:k + n]
+        segs += rows
+        k += n
+    fresh = _boxes(new, tau)
+    boxes = [box for box in old.boxes if box[4].edge not in rebuilt] + fresh
+    boxes.sort()
+    index = _SegmentIndex(g, tau, segs, boxes)
+    if index.big != old.big:
+        return validate_generic(g, tol)
+
+    crossings, pairs, cviol = _test_pairs(index, _pairs_meeting(index, fresh))
+    merged = sorted([(p, c) for p, c in zip(report.pairs, report.crossings)
+                     if p[0].edge not in rebuilt and p[1].edge not in rebuilt]
+                    + list(zip(pairs, crossings)), key=itemgetter(0))
+    return _finish(g, index, turns, germs, [c for _, c in merged],
+                   [p for p, _ in merged], violations, cviol)
+
+
+def _finish(f: PlaneImmersion, index: _SegmentIndex, turns: dict,
+            germs: dict, crossings: list, pairs: list, violations: list,
+            cviol: list) -> GenericityReport:
+    """The report of f from its index, bend turns, germ angles, crossings
+    with their segment pairs, the violations of step (a) and those of step
+    (b), `cviol`: runs step (e), which goes between the two, then steps
+    (c), (d) and the scale."""
+    tau = index.tau
+
+    # (e) distinct germ angles; theta is the least angle between two germs
+    # at a vertex
     orders, theta = {}, math.pi
     for v, at in germs.items():
         try:
@@ -500,14 +646,11 @@ def validate_generic(f: PlaneImmersion,
             violations.append(("germ-collision", str(exc)))
         else:
             theta = min(theta, gap)
-
-    # (b) crossings transversal, interior
-    crossings, cviol = find_crossings(index)
     violations.extend(cviol)
 
     # (c) crossings clear of vertices and bends
     features = [tuple(f.positions[v]) for v in f.graph.vertices()]
-    bends = [s.a for s in segs if s.index]
+    bends = [s.a for s in index.segs if s.index]
     near_feature, near_bend = _near(features, tau), _near(bends, tau)
     for c in crossings:
         for k in near_feature(c.point):
@@ -553,6 +696,7 @@ def validate_generic(f: PlaneImmersion,
         index=index,
         germs=germs,
         turns=turns,
+        pairs=pairs,
     )
 
 

@@ -6,11 +6,14 @@ regular-homotopy move and must leave the invariant fixed.  perturb jitters
 interior bend points.  Each is a one-record call into the one move engine,
 `_move`, which `apply_moves` runs once per record of a script, so a move
 does the same alone and in a script.  Every move starts and ends on a
-generic drawing and fails loudly otherwise; each drawing of a script is
-validated exactly once, because each move hands the genericity report of
-its output to the next.  The room a curl or Whitney pair needs is measured
-through that report's segment index, so no move walks the polylines to find
-its clearance.
+generic drawing and fails loudly otherwise, and each move hands the
+genericity report of its output to the next.  A script's input is
+validated once in full, and so is each attempt of a perturbation.  A curl
+or Whitney pair changes one edge inside a disk clear of every other
+strand, so its output's report is derived from its input's
+(`immersion.revalidate`), and equals the full one.  The room a curl or
+Whitney pair needs is measured through the input report's segment index,
+so no move walks the polylines to find its clearance.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from . import geometry as geo
 from .geometry import Polyline, kink_waypoints
 from .immersion import (PlaneImmersion, Tolerances, ImmersionError,
-                        GenericityReport, validate_generic)
+                        GenericityReport, revalidate, validate_generic)
 
 
 class MoveError(ImmersionError):
@@ -94,10 +97,9 @@ def _local_clearance(f: PlaneImmersion, report: GenericityReport, eid: int,
                                 lambda s: s.edge == eid and s.index == i)
 
 
-def _generic(f: PlaneImmersion, tol: Tolerances | None, what: str):
-    """Genericity report of f; raises MoveError starting with `what` when f
+def _generic(report: GenericityReport, what: str) -> GenericityReport:
+    """The report; raises MoveError starting with `what` when its drawing
     is not generic."""
-    report = validate_generic(f, tol)
     if not report.passed:
         raise MoveError(f"{what}: {report.violations}")
     return report
@@ -115,7 +117,8 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
     report under tol, or None to validate f here, once the record's kind
     and a curl's sign are known to be good.  A curl or Whitney pair splices
     its chain into rec.edge at arclength rec.t, sized by the room there
-    (`_local_clearance`) over 4 or 6; a perturbation runs `_perturb`."""
+    (`_local_clearance`) over 4 or 6, and derives the output's report from
+    f's (`immersion.revalidate`); a perturbation runs `_perturb`."""
     kind, eid, t = rec.kind, rec.edge, rec.t
     if kind == "curl" and rec.sign not in (+1, -1):
         raise MoveError("curl sign must be +1 or -1")
@@ -123,7 +126,8 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
         raise MoveError(f"unknown move kind {kind!r}")
     if report is None:
         verb = "perturb" if kind == "perturb" else "move"
-        report = _generic(f, tol, f"cannot {verb} a non-generic immersion")
+        report = _generic(validate_generic(f, tol),
+                          f"cannot {verb} a non-generic immersion")
     if kind == "perturb":
         return _perturb(f, report, rec.seed, rec.delta, tol)
     what, room = ("curl", 4.0) if kind == "curl" else ("Whitney pair", 6.0)
@@ -138,7 +142,8 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
     polylines = dict(f.polylines)
     polylines[eid] = Polyline(pl.points[:i + 1] + chain + pl.points[i + 1:])
     g = PlaneImmersion(f.graph, dict(f.positions), polylines)
-    return g, _generic(g, tol, f"{what} broke genericity")
+    return g, _generic(revalidate(g, f, report, tol),
+                       f"{what} broke genericity")
 
 
 def _perturb(f, report, seed, delta, tol):
@@ -197,7 +202,7 @@ def apply_moves(f: PlaneImmersion, records,
                 tol: Tolerances | None = None) -> PlaneImmersion:
     """Apply MoveRecords (or their JSON dicts) in order, each through
     `_move`.  The input is validated by the first move, and every later move
-    starts from the report of the drawing the move before it validated."""
+    starts from the report of the drawing the move before it made."""
     report = None
     for rec in records:
         if isinstance(rec, dict):

@@ -7,6 +7,9 @@ all_pairs_crossings and min_clearance_oracle rerun the genericity
 validator's crossing scan and feature clearance over every pair, without
 its pruning; all_pairs_crossings keeps its own copy of the full pair test,
 without the validator's line-side reject.
+report_differences names the fields, hidden ones included, in which two
+genericity reports differ: it checks a splice's derived report
+(`immersion.revalidate`) against the full `validate_generic`.
 betti_oracle recomputes the tube's first Betti number from the boundary
 matrix by exact elimination.
 tube_tree walks the canonical spanning tree of the tube breadth first,
@@ -37,8 +40,8 @@ from dataclasses import dataclass, field
 
 from . import geometry as geo
 from .graphs import Graph, bfs_tree, tree_path
-from .immersion import (ANGLE_TOL, Crossing, PlaneImmersion, StrandPoint,
-                        _all_segments)
+from .immersion import (ANGLE_TOL, Crossing, GenericityReport,
+                        PlaneImmersion, StrandPoint, _all_segments)
 from .tube import (SymmetricTube, TubeComplex, TubeEdge, TubeError,
                    cycle_is_closed)
 from .invariant import (WindingError, INTEGER_TOL, InvariantContext, _row,
@@ -265,6 +268,35 @@ def min_clearance_oracle(f: PlaneImmersion, crossings) -> float:
         best = min(best, geo.dist(pl.points[0], pl.points[1]),
                    geo.dist(pl.points[-2], pl.points[-1]), pl.length / 2.0)
     return best
+
+
+def report_differences(a: GenericityReport, b: GenericityReport) -> list:
+    """Names of the fields in which two genericity reports differ, in field
+    order; empty when they agree.  Floats are compared by their exact text
+    (`repr`, `float.hex`), so -0.0 and 0.0 differ; the hidden fields (germ
+    angles, turns, crossing pairs and the segment index) are compared
+    too."""
+    def table(d):
+        return repr(sorted(d.items()))
+
+    fields = {
+        "passed": lambda r: r.passed,
+        "violations": lambda r: r.violations,
+        "crossings": lambda r: repr(r.crossings),
+        "cyclic_orders": lambda r: r.cyclic_orders,
+        "epsilon": lambda r: r.epsilon.hex(),
+        "tau": lambda r: r.tau.hex(),
+        "germs": lambda r: repr(sorted((v, table(at))
+                                       for v, at in r.germs.items())),
+        "turns": lambda r: table(r.turns),
+        "pairs": lambda r: repr(r.pairs),
+        "index.segs": lambda r: repr(r.index.segs),
+        "index.boxes": lambda r: repr(r.index.boxes),
+        "index.lefts": lambda r: repr(r.index.lefts),
+        "index.wide": lambda r: r.index.wide.hex(),
+        "index.big": lambda r: r.index.big.hex(),
+    }
+    return [name for name, read in fields.items() if read(a) != read(b)]
 
 
 def _germ(f: PlaneImmersion, v: int, eid: int):

@@ -190,9 +190,18 @@ def test_malformed_input_gives_json_errors(tmp_path, capsys):
         (["rank", write(tmp_path, "list.json", [3, [[1, 2]]])],
          "malformed graph file"),
         (["validate", k4_with("pos.json", lambda d: d.update(
-            positions=[[0, 0]]))], "malformed immersion file"),
+            positions=[[0, 0]]))], "positions must be an object, not list"),
         (["validate", k4_with("pl.json", lambda d: d["polylines"].update(
-            {"1": 5}))], "malformed immersion file"),
+            {"1": 5}))], "edge 1 polyline: 5 is not a list of points"),
+        (["validate", k4_with("pl_null.json", lambda d: d["polylines"].update(
+            {"1": None}))], "edge 1 polyline: None is not a list of points"),
+        (["validate", k4_with("pls.json", lambda d: d.update(
+            polylines=list(d["polylines"].values())))],
+         "polylines must be an object, not list"),
+        (["validate", k4_with("graph.json", lambda d: d.update(graph="x"))],
+         "graph must be an object, not str"),
+        (["invariant", write(tmp_path, "top.json", [k4])],
+         "immersion must be an object, not list"),
         (["move", k4_file, write(tmp_path, "one.json",
                                  {"kind": "curl", "edge": 1, "t": 0.5,
                                   "sign": 1})], "list of move objects"),

@@ -13,7 +13,7 @@ from planetube.immersion import (PlaneImmersion, ImmersionError,
                                  restrict, reflect, map_points,
                                  standard_curve, standard_star, planar_k4,
                                  to_svg, find_crossings, _SegmentIndex,
-                                 _min_clearance)
+                                 _min_clearance, _pairs_meeting)
 from planetube.invariant import wu
 from planetube.moves import insert_curl, whitney_pair
 from planetube.oracles import all_pairs_crossings, min_clearance_oracle
@@ -244,7 +244,7 @@ def pruning_cases():
 def test_pruned_scans_match_all_pairs():
     for f, tau in pruning_cases():
         index = _SegmentIndex(f, tau)
-        crossings, violations = find_crossings(index)
+        crossings, _, violations = find_crossings(index)
         assert (crossings, violations) == all_pairs_crossings(f, tau)
         assert _min_clearance(f, index, crossings) \
             == min_clearance_oracle(f, crossings)
@@ -267,6 +267,31 @@ def test_sweep_drops_graph_neighbours(monkeypatch):
     for s, t in seen:
         assert not (s.edge == t.edge and abs(t.index - s.index) <= 1)
         assert not s.ends & t.ends
+
+
+def test_splice_query_finds_the_sweeps_pairs(monkeypatch):
+    # the pairs a splice tests for the boxes of one edge are the pairs the
+    # full sweep keeps that have a segment of that edge
+    seen = []
+
+    def check_pair(s, t, *rest):
+        seen.append((s, t))
+        return pair_test(s, t, *rest)
+
+    pair_test = immersion._check_pair
+    monkeypatch.setattr(immersion, "_check_pair", check_pair)
+    found = 0
+    for f, tau in pruning_cases():
+        seen.clear()
+        index = _SegmentIndex(f, tau)
+        find_crossings(index)
+        for e in f.graph.edges:
+            fresh = [box for box in index.boxes if box[4].edge == e.id]
+            pairs = _pairs_meeting(index, fresh)
+            assert pairs == [(s, t) for s, t in seen
+                             if e.id in (s.edge, t.edge)]
+            found += len(pairs)
+    assert found > 1000
 
 
 def test_cyclic_order_anchors():

@@ -4,11 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planetube import moves
-from planetube.geometry import point_segment_distance
-from planetube.immersion import (validate_generic, turning_number,
-                                 trace_cycle, standard_curve, standard_star,
-                                 planar_k4)
+from planetube import immersion, moves
+from planetube.geometry import Polyline, kink_waypoints, point_segment_distance
+from planetube.immersion import (PlaneImmersion, Tolerances, validate_generic,
+                                 turning_number, trace_cycle, standard_curve,
+                                 standard_star, planar_k4, map_points,
+                                 reflect)
+from planetube.oracles import report_differences
 from planetube.graphs import EdgeCycle, fundamental_cycle
 from planetube.invariant import wu, prepare, equivalent
 from planetube.moves import (MoveError, MoveRecord, insert_curl,
@@ -140,7 +142,8 @@ def test_random_curl_positions_shift_by_sign(seed):
 
 
 def counted_validations(monkeypatch):
-    """List that records each drawing `moves` validates from now on."""
+    """List that records each drawing `moves` validates in full from now
+    on."""
     calls = []
     real = moves.validate_generic
 
@@ -150,6 +153,28 @@ def counted_validations(monkeypatch):
 
     monkeypatch.setattr(moves, "validate_generic", counting)
     return calls
+
+
+def recorded_splices(monkeypatch):
+    """List that records, from now on, each splice output of `moves` with
+    the report derived for it (`immersion.revalidate`) and whether deriving
+    it fell back to a full validation."""
+    seen, fallbacks = [], []
+    derive, full = immersion.revalidate, immersion.validate_generic
+
+    def counting(f, tol=None):
+        fallbacks.append(f)
+        return full(f, tol)
+
+    def recording(g, f, report, tol=None):
+        fallbacks.clear()
+        out = derive(g, f, report, tol)
+        seen.append((g, out, bool(fallbacks)))
+        return out
+
+    monkeypatch.setattr(immersion, "validate_generic", counting)
+    monkeypatch.setattr(moves, "revalidate", recording)
+    return seen
 
 
 def k4_family_script(rng):
@@ -171,24 +196,132 @@ def k4_family_script(rng):
 
 
 def test_apply_moves_validates_each_drawing_once(monkeypatch):
+    # a script validates its input in full once, and so each attempt of a
+    # perturbation; each splice output gets a report derived from its
+    # input's, equal to the full validation of that output
     calls = counted_validations(monkeypatch)
+    splices = recorded_splices(monkeypatch)
     rng = random.Random(5)
     for _ in range(12):
         script, chained = k4_family_script(rng)
         seed = rng.randint(0, 10**6)
-        perturbed = perturb(chained, seed)
         calls.clear()
+        perturbed = perturb(chained, seed)
+        attempts = len(calls) - 1
+        calls.clear()
+        splices.clear()
         g = apply_moves(planar_k4(), script)
-        assert len(calls) == len(script) + 1
+        assert len(calls) == 1 and len(splices) == len(script)
+        for h, report, _ in splices:
+            assert report_differences(report, validate_generic(h)) == []
         assert json.dumps(g.to_json_dict()) == \
             json.dumps(chained.to_json_dict())
+        calls.clear()
         g = apply_moves(planar_k4(), script + [{"kind": "perturb",
                                                 "seed": seed}])
+        assert len(calls) == 1 + attempts
         assert json.dumps(g.to_json_dict()) == \
             json.dumps(perturbed.to_json_dict())
     calls.clear()
     k4 = planar_k4()
     assert apply_moves(k4, []) is k4 and calls == []
+
+
+def splice_sites(f, rng):
+    """Curl and Whitney-pair records on f: inside the first and the last
+    segment of an edge, and at a random point of three edges."""
+    edges = rng.sample([e.id for e in f.graph.edges], 3)
+    cum = f.polylines[edges[0]].cum
+    sites = [(edges[0], cum[1] / 2), (edges[0], (cum[-2] + cum[-1]) / 2)]
+    sites += [(eid, f.polylines[eid].length * rng.uniform(0.05, 0.95))
+              for eid in edges]
+    return [MoveRecord("curl", edge=eid, t=t, sign=rng.choice((-1, 1)))
+            if rng.random() < 0.6 else
+            MoveRecord("whitney_pair", edge=eid, t=t) for eid, t in sites]
+
+
+def between_curls():
+    """standard_curve(3) and sites on the straight segments of its curled
+    edge 3: after, between and before its two curls, so that its old
+    crossings lie on both sides of a splice, or on one, and on the base of
+    each curl, which the curl's own loop crosses.  The sites go tail-ward,
+    so that each still lies where it was found."""
+    f = standard_curve(3)
+    pts, cum = f.polylines[3].points, f.polylines[3].cum
+    straight = [i for i in range(len(pts) - 1)
+                if pts[i][1] == pts[i + 1][1] == 0.0]
+    return f, [MoveRecord(kind, edge=3, t=cum[i] + at * (cum[i + 1] - cum[i]),
+                          sign=1)
+               for i in reversed(straight)
+               for kind, at in (("curl", 0.6), ("whitney_pair", 0.25))]
+
+
+def test_splice_reports_match_full_validation(monkeypatch):
+    splices = recorded_splices(monkeypatch)
+    rng = random.Random(3)
+    bent = [random_bent_kn(rng, n) for n in (4, 5, 6)]
+    cases = [(f, splice_sites(f, rng)) for f in bent + [planar_k4()]]
+    cases.append(between_curls())
+    # reflected and far from the origin: bent K4, K4 and the curled curve
+    cases += [(fn(f), records) for f, records in (cases[0], cases[3], cases[4])
+              for fn in (reflect,
+                         lambda f: map_points(f, lambda p: (p[0] + 1e6,
+                                                            p[1] - 1e6)),
+                         lambda f: map_points(f, lambda p: (p[0] + 1e12,
+                                                            p[1] + 1e12)))]
+    for f, records in cases:
+        report = validate_generic(f)
+        for rec in records:
+            # each move starts from the report derived for the one before;
+            # a splice too close to a vertex or a germ may be refused, or
+            # break genericity, and then its report is checked all the same
+            try:
+                f, report = moves._move(f, report, rec, None)
+            except MoveError:
+                pass
+    for g, report, _ in splices:
+        assert report_differences(report, validate_generic(g)) == []
+    assert sum(not fell_back for _, _, fell_back in splices) > 50
+    assert sum(len(r.crossings) for _, r, _ in splices) > 400
+
+
+def test_splice_fallbacks_match_full_validation(monkeypatch):
+    splices = recorded_splices(monkeypatch)
+    k4 = planar_k4()
+    low = map_points(k4, lambda p: (p[0] - 3.0, p[1] - 6.0))
+    fixed = Tolerances(tau_abs=1e-6)
+    curl = MoveRecord("curl", edge=1, t=3.0, sign=-1)
+    # the curl below edge 1 grows the bounding box: tau changes at the
+    # default tolerance, and so does the largest absolute coordinate where
+    # edge 1 sets it (y = -6), so those fall back; at a fixed tau with the
+    # largest coordinate unchanged the report is still derived
+    for f, tol, fell_back in ((k4, None, True), (low, fixed, True),
+                              (k4, fixed, False)):
+        splices.clear()
+        g = apply_moves(f, [curl], tol)
+        assert g.bbox != f.bbox
+        (h, report, fallback), = splices
+        assert fallback == fell_back
+        assert report_differences(report, validate_generic(h, tol)) == []
+    # a curl next to vertex 1 that breaks genericity, by a near-contact
+    # with its own base and by a scale too small for the germ angles
+    # there, fails with a full validation's violations, whether its report
+    # falls back (tau changes) or is derived (tau fixed)
+    at_k4 = Tolerances(tau_abs=validate_generic(k4).tau)
+    for t in (1e-4, 5e-4):
+        for tol, fell_back in ((None, True), (at_k4, False)):
+            pl, i, u = moves._locate(k4, 1, t)
+            r = moves._local_clearance(
+                k4, validate_generic(k4, tol), 1, i, t) / 4.0
+            chain = kink_waypoints(pl.point_at(t), u, r, +1)
+            g = PlaneImmersion(k4.graph, k4.positions, {
+                **k4.polylines,
+                1: Polyline(pl.points[:i + 1] + chain + pl.points[i + 1:])})
+            with pytest.raises(MoveError) as exc:
+                insert_curl(k4, 1, t, +1, tol)
+            assert str(exc.value) == "curl broke genericity: " \
+                + str(validate_generic(g, tol).violations)
+            assert splices[-1][2] == fell_back
 
 
 def test_apply_moves_rejects_non_generic_input():
