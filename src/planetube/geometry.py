@@ -137,13 +137,21 @@ class Polyline:
         return Polyline(list(reversed(self.points)))
 
 
+KINK_CLEARANCE = 0.5 / math.sqrt(9.25)
+"""The least distance between two segments of a `kink_waypoints` chain
+that do not share an end, in units of its radius: from the bend at (1, 0)
+to the return leg from (-1, -0.5) to (2, 0), about 0.164."""
+
+
 def kink_waypoints(center: Point, u: Point, radius: float, sign: int):
     """Waypoints of a small curl replacing the straight run of length 4*radius
     centered at `center` with incoming direction `u`.
 
     The returned open chain starts at center - 2r*u and ends at center + 2r*u,
     crosses itself exactly once, and adds `sign` to the turning number of a
-    curve traversed in the direction of u.  sign must be +1 or -1.
+    curve traversed in the direction of u.  sign must be +1 or -1.  Two of
+    its segments that share no end and do not cross come no closer than
+    KINK_CLEARANCE * radius, in this chain and in two of them end to end.
     """
     if sign not in (+1, -1):
         raise ValueError("curl sign must be +1 or -1")

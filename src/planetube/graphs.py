@@ -6,16 +6,33 @@ conventions, so construction is strict and deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections import deque
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
     """Raised for structurally invalid graph data."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Frozen:
+    """Base of the package's slotted records that never change once built:
+    `__init__` fills the slots through `object.__setattr__`, and any later
+    assignment or deletion of an attribute raises AttributeError."""
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __setstate__(self, state):
+        """What `copy` and `pickle` restore: (None, slot name -> value)."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Edge(NamedTuple):
     id: int
     tail: int
     head: int
@@ -31,20 +48,30 @@ class Edge:
         return frozenset((self.tail, self.head))
 
 
-@dataclass(frozen=True)
-class Graph:
-    num_vertices: int
-    edges: tuple[Edge, ...]
-    _incident: dict = field(default_factory=dict, compare=False, repr=False)
+class Graph(Frozen):
+    """A graph, equal to and hashed as its vertex count and edges: equal
+    graphs share one cached plan (`invariant.wu_plan`)."""
+    __slots__ = ("num_vertices", "edges", "_incident")
 
-    def __post_init__(self):
-        inc: dict[int, list[int]] = {v: [] for v in self.vertices()}
-        for e in self.edges:
+    def __init__(self, num_vertices: int, edges: tuple[Edge, ...]):
+        inc: dict[int, list[int]] = {v: [] for v in range(1, num_vertices + 1)}
+        for e in edges:
             inc[e.tail].append(e.id)
             inc[e.head].append(e.id)
         for v in inc:
             inc[v].sort()
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_incident", inc)
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return (self.num_vertices == other.num_vertices
+                and self.edges == other.edges)
+
+    def __hash__(self):
+        return hash((self.num_vertices, self.edges))
 
     def vertices(self) -> range:
         return range(1, self.num_vertices + 1)
@@ -84,11 +111,13 @@ class Graph:
         }
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    graph: Graph
-    edge_ids: frozenset
-    parent: dict = field(compare=False, repr=False)     # from bfs_tree
+class SpanningTree(Frozen):
+    __slots__ = ("graph", "edge_ids", "parent")
+
+    def __init__(self, graph: Graph, edge_ids: frozenset, parent: dict):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "edge_ids", edge_ids)
+        object.__setattr__(self, "parent", parent)      # from bfs_tree
 
     @property
     def non_tree_edges(self) -> list[int]:
@@ -102,14 +131,14 @@ class SpanningTree:
         return tree_path(self.parent, u, v)
 
 
-@dataclass(frozen=True)
-class EdgeCycle:
+class EdgeCycle(Frozen):
     """Closed edge sequence: (edge id, +1/-1) pairs, consecutive edges share
     the matching endpoint."""
-    graph: Graph
-    steps: tuple[tuple[int, int], ...]
+    __slots__ = ("graph", "steps")
 
-    def __post_init__(self):
+    def __init__(self, graph: Graph, steps: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "steps", steps)
         if not self.steps:
             raise GraphError("empty cycle")
         v = self.start_vertex()
@@ -141,18 +170,22 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
     """Build a canonical Graph or raise GraphError listing all violations;
     a vertex count that is not an integer is refused on its own.  A JSON
     boolean or float, even a whole one such as 1.0, is not an integer here,
-    as a vertex count or an endpoint."""
+    as a vertex count or an endpoint.  `edge_pairs` that is not a list or
+    tuple raises TypeError naming the field, as a JSON value of the wrong
+    shape does."""
     if not isinstance(num_vertices, int) or isinstance(num_vertices, bool):
         raise GraphError(f"vertex count {num_vertices!r} is not an integer")
+    if not isinstance(edge_pairs, (list, tuple)):
+        raise TypeError("graph edges must be a list, not "
+                        f"{type(edge_pairs).__name__}")
     problems = []
     if num_vertices < 1:
         problems.append("graph needs at least one vertex")
-    pairs = list(edge_pairs)
-    if not pairs:
+    if not edge_pairs:
         problems.append("graph needs at least one edge")
     seen = set()
     edges = []
-    for idx, pair in enumerate(pairs, start=1):
+    for idx, pair in enumerate(edge_pairs, start=1):
         try:
             a, b = pair
             if type(a) is not int or type(b) is not int:   # nor a bool
@@ -263,12 +296,15 @@ def fundamental_cycle(t: SpanningTree, eid: int) -> EdgeCycle:
     return EdgeCycle(t.graph, tuple(steps))
 
 
-@dataclass(frozen=True)
-class SubgraphMap:
+class SubgraphMap(Frozen):
     """A subgraph relabeled canonically, with maps back to the parent."""
-    graph: Graph
-    vertex_to_parent: dict = field(compare=False)
-    edge_to_parent: dict = field(compare=False)
+    __slots__ = ("graph", "vertex_to_parent", "edge_to_parent")
+
+    def __init__(self, graph: Graph, vertex_to_parent: dict,
+                 edge_to_parent: dict):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "vertex_to_parent", vertex_to_parent)
+        object.__setattr__(self, "edge_to_parent", edge_to_parent)
 
 
 def star(g: Graph, v: int) -> SubgraphMap:

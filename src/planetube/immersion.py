@@ -6,15 +6,13 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, chain, groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import geometry as geo
 from .geometry import Polyline, Point
-from .graphs import (Graph, EdgeCycle, SubgraphMap, complete_graph,
+from .graphs import (Frozen, Graph, EdgeCycle, SubgraphMap, complete_graph,
                      star_graph, validate_graph)
 
 
@@ -35,17 +33,17 @@ ANGLE_TOL = 1e-6
 germs, bends that double back and near-parallel crossings."""
 
 
-@dataclass
 class Tolerances:
     """Numeric policy for genericity predicates: an absolute distance
     tolerance tau_abs, finite and positive, replaces TAU_REL * bbox
     diagonal when set."""
-    tau_abs: float | None = None
+    __slots__ = ("tau_abs",)
 
-    def __post_init__(self):
-        if self.tau_abs is not None and not 0.0 < self.tau_abs < math.inf:
+    def __init__(self, tau_abs: float | None = None):
+        if tau_abs is not None and not 0.0 < tau_abs < math.inf:
             raise ImmersionError(
-                f"tolerance must be finite and positive, got {self.tau_abs}")
+                f"tolerance must be finite and positive, got {tau_abs}")
+        self.tau_abs = tau_abs
 
     def tau_for(self, diag: float) -> float:
         if self.tau_abs is not None:
@@ -53,40 +51,44 @@ class Tolerances:
         return TAU_REL * max(diag, 1e-300)
 
 
-@dataclass(frozen=True)
-class PlaneImmersion:
-    graph: Graph
-    positions: dict = field(compare=False)          # vertex id -> Point
-    polylines: dict = field(compare=False)          # edge id -> Polyline
+class PlaneImmersion(Frozen):
+    __slots__ = ("graph", "positions", "polylines", "_bbox")
 
-    def __post_init__(self):
-        for v in self.graph.vertices():
-            if v not in self.positions:
+    def __init__(self, graph: Graph, positions: dict, polylines: dict):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "positions", positions)  # vertex id -> Point
+        object.__setattr__(self, "polylines", polylines)  # edge id -> Polyline
+        object.__setattr__(self, "_bbox", None)
+        for v in graph.vertices():
+            if v not in positions:
                 raise ImmersionError(f"missing position for vertex {v}")
-            if not all(map(math.isfinite, self.positions[v])):
+            if not all(map(math.isfinite, positions[v])):
                 raise ImmersionError(f"vertex {v}: non-finite position")
-        for e in self.graph.edges:
-            pl = self.polylines.get(e.id)
+        for e in graph.edges:
+            pl = polylines.get(e.id)
             if pl is None:
                 raise ImmersionError(f"missing polyline for edge {e.id}")
             # a segment with a non-finite end has a non-finite length
             if not math.isfinite(pl.length):
                 raise ImmersionError(f"edge {e.id}: non-finite coordinate")
-            if pl.points[0] != tuple(self.positions[e.tail]):
+            if pl.points[0] != tuple(positions[e.tail]):
                 raise ImmersionError(
                     f"edge {e.id}: polyline does not start at tail position")
-            if pl.points[-1] != tuple(self.positions[e.head]):
+            if pl.points[-1] != tuple(positions[e.head]):
                 raise ImmersionError(
                     f"edge {e.id}: polyline does not end at head position")
 
-    @cached_property
+    @property
     def bbox(self) -> tuple[float, float, float, float]:
         """(least x, greatest x, least y, greatest y) of the polylines, read
         once per drawing: validation takes tau and its segment index from
         it."""
-        xs = [p[0] for pl in self.polylines.values() for p in pl.points]
-        ys = [p[1] for pl in self.polylines.values() for p in pl.points]
-        return min(xs), max(xs), min(ys), max(ys)
+        if self._bbox is None:
+            xs = [p[0] for pl in self.polylines.values() for p in pl.points]
+            ys = [p[1] for pl in self.polylines.values() for p in pl.points]
+            object.__setattr__(self, "_bbox",
+                               (min(xs), max(xs), min(ys), max(ys)))
+        return self._bbox
 
     def bbox_diagonal(self) -> float:
         x0, x1, y0, y1 = self.bbox
@@ -177,21 +179,18 @@ def immersion_from_json_dict(data: dict) -> PlaneImmersion:
     return PlaneImmersion(g, positions, polylines)
 
 
-@dataclass(frozen=True)
-class StrandPoint:
+class StrandPoint(NamedTuple):
     edge: int
     arclength: float    # along the edge from its tail
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     point: Point
     first: StrandPoint        # ordered by (edge, arclength)
     second: StrandPoint
 
 
-@dataclass(frozen=True)
-class CyclicOrder:
+class CyclicOrder(NamedTuple):
     vertex: int
     edges: tuple[int, ...]    # counterclockwise, rotated so smallest id first
 
@@ -206,7 +205,6 @@ class CyclicOrder:
         return CyclicOrder.from_sequence(self.vertex, rev)
 
 
-@dataclass
 class GenericityReport:
     """What `validate_generic` found, and the drawing as it read it.  The
     hidden fields are all the moves and the invariant's cochain read of
@@ -214,16 +212,23 @@ class GenericityReport:
     edge id, each edge's bend turns summed tail to head, and the segment
     rows (s, t), s first in `_all_segments` order, of each crossing, by
     which `revalidate` merges a splice's crossings."""
-    passed: bool
-    violations: list
-    crossings: list
-    cyclic_orders: dict        # vertex -> CyclicOrder
-    epsilon: float
-    tau: float
-    index: _SegmentIndex = field(repr=False, compare=False)
-    germs: dict = field(repr=False, compare=False)     # v -> e -> radians
-    turns: dict = field(repr=False, compare=False)     # edge id -> radians
-    pairs: list = field(repr=False, compare=False)     # (s, t) per crossing
+    __slots__ = ("passed", "violations", "crossings", "cyclic_orders",
+                 "epsilon", "tau", "index", "germs", "turns", "pairs")
+
+    def __init__(self, passed: bool, violations: list, crossings: list,
+                 cyclic_orders: dict, epsilon: float, tau: float,
+                 index: _SegmentIndex, germs: dict, turns: dict,
+                 pairs: list):
+        self.passed = passed
+        self.violations = violations
+        self.crossings = crossings
+        self.cyclic_orders = cyclic_orders      # vertex -> CyclicOrder
+        self.epsilon = epsilon
+        self.tau = tau
+        self.index = index
+        self.germs = germs          # v -> e -> radians
+        self.turns = turns          # edge id -> radians
+        self.pairs = pairs          # (s, t) per crossing
 
 
 class _Segment(NamedTuple):

@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 try:    # the interpreter's own SHA-256; hashlib would load OpenSSL
@@ -62,7 +61,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .graphs import EdgeCycle, Graph
+from .graphs import EdgeCycle, Frozen, Graph
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         NotGenericError, validate_generic, standard_star)
 from .tube import (SymmetricTube, TubeComplex, TubeEdge, BasisLabel,
@@ -98,11 +97,29 @@ def _cochain(tube: SymmetricTube, report: GenericityReport) -> list[float]:
             for e in tube.edges]
 
 
-@dataclass(frozen=True)
-class WuVector:
-    basis_names: tuple[str, ...]
-    coords: tuple[int, ...]
-    fingerprint: str
+class WuVector(Frozen):
+    """Coordinates over a graph's basis names, with the conventions
+    fingerprint they are comparable under; equal when all three are."""
+    __slots__ = ("basis_names", "coords", "fingerprint")
+
+    def __init__(self, basis_names: tuple[str, ...], coords: tuple[int, ...],
+                 fingerprint: str):
+        object.__setattr__(self, "basis_names", basis_names)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "fingerprint", fingerprint)
+
+    def __eq__(self, other):
+        if other.__class__ is not WuVector:
+            return NotImplemented
+        return (self.basis_names, self.coords, self.fingerprint) == \
+            (other.basis_names, other.coords, other.fingerprint)
+
+    def __hash__(self):
+        return hash((self.basis_names, self.coords, self.fingerprint))
+
+    def __repr__(self):
+        return (f"WuVector(basis_names={self.basis_names!r}, "
+                f"coords={self.coords!r}, fingerprint={self.fingerprint!r})")
 
     def __getitem__(self, name: str) -> int:
         return self.coords[self.basis_names.index(name)]
@@ -134,18 +151,23 @@ def _conventions_blob(tc: TubeComplex, names) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
-@dataclass(frozen=True, eq=False)
-class WuPlan:
+class WuPlan(Frozen):
     """What `wu` needs of a graph, independent of any drawing: the tube
     complex (whose tube's `index` places each tube edge), the basis labels
     and their names, which every WuVector of the graph shares, the
     conventions fingerprint and each label's row.  One plan serves every
     caller with an equal graph, so its tables are read-only."""
-    complex: TubeComplex
-    labels: tuple[BasisLabel, ...]
-    names: tuple[str, ...]
-    fingerprint: str
-    terms: MappingProxyType     # basis label name -> its basis cycle's row
+    __slots__ = ("complex", "labels", "names", "fingerprint", "terms")
+
+    def __init__(self, complex: TubeComplex, labels: tuple[BasisLabel, ...],
+                 names: tuple[str, ...], fingerprint: str,
+                 terms: MappingProxyType):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "fingerprint", fingerprint)
+        # basis label name -> its basis cycle's row
+        object.__setattr__(self, "terms", terms)
 
 
 # graphs whose plans stay cached: few, as a plan holds its graph's whole tube
@@ -193,15 +215,18 @@ def conventions_fingerprint(g: Graph) -> str:
     return wu_plan(g).fingerprint
 
 
-@dataclass
 class InvariantContext:
     """Everything reusable across evaluations of one immersion: its report,
     its graph's plan and one omega per tube edge."""
-    immersion: PlaneImmersion
-    report: GenericityReport
-    plan: WuPlan
-    eps: float
-    cochain: list        # omega of each tube edge, in tube.edges order
+    __slots__ = ("immersion", "report", "plan", "eps", "cochain")
+
+    def __init__(self, immersion: PlaneImmersion, report: GenericityReport,
+                 plan: WuPlan, eps: float, cochain: list):
+        self.immersion = immersion
+        self.report = report
+        self.plan = plan
+        self.eps = eps
+        self.cochain = cochain    # omega of each tube edge, in tube.edges order
 
 
 def prepare(f: PlaneImmersion, tol: Tolerances | None = None,

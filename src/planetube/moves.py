@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import geometry as geo
-from .geometry import Polyline, kink_waypoints
+from .geometry import KINK_CLEARANCE, Polyline, kink_waypoints
 from .immersion import (PlaneImmersion, Tolerances, ImmersionError,
                         GenericityReport, revalidate, validate_generic)
 
@@ -32,8 +32,7 @@ class MoveError(ImmersionError):
     pass
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     """One move of a script.  A curl or Whitney pair goes at arclength `t`
     of `edge`; a perturbation jitters bends by at most `delta`, which must
     lie in [0, epsilon/4), or by epsilon/8 when `delta` is None."""
@@ -118,7 +117,9 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
     and a curl's sign are known to be good.  A curl or Whitney pair splices
     its chain into rec.edge at arclength rec.t, sized by the room there
     (`_local_clearance`) over 4 or 6, and derives the output's report from
-    f's (`immersion.revalidate`); a perturbation runs `_perturb`."""
+    f's (`immersion.revalidate`); it is refused for insufficient clearance
+    when its chain's own strands would come within tau
+    (`geometry.KINK_CLEARANCE`).  A perturbation runs `_perturb`."""
     kind, eid, t = rec.kind, rec.edge, rec.t
     if kind == "curl" and rec.sign not in (+1, -1):
         raise MoveError("curl sign must be +1 or -1")
@@ -133,7 +134,7 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
     what, room = ("curl", 4.0) if kind == "curl" else ("Whitney pair", 6.0)
     pl, i, u = _locate(f, eid, t)
     r = _local_clearance(f, report, eid, i, t) / room
-    if r <= report.tau:
+    if KINK_CLEARANCE * r <= report.tau:    # the chain would touch itself
         raise MoveError(
             f"insufficient clearance for a {what} at {t} on edge {eid}")
     c = pl.point_at(t)

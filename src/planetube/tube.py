@@ -26,10 +26,10 @@ in `oracles`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
-from .graphs import (Graph, SpanningTree, EdgeCycle, GraphError,
+from .graphs import (Frozen, Graph, SpanningTree, EdgeCycle, GraphError,
                      canonical_spanning_tree, fundamental_cycle)
 
 
@@ -37,16 +37,20 @@ class TubeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TubeVertex:
+class _TubeCell(NamedTuple):
     kind: str          # "Z" or "W"
     vertex: int
     edge_a: int
     edge_b: int = 0    # unused for Z; for W, edge_a < edge_b
 
-    def __post_init__(self):
-        if self.kind == "W" and not self.edge_a < self.edge_b:
+
+class TubeVertex(_TubeCell):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, vertex: int, edge_a: int, edge_b: int = 0):
+        if kind == "W" and not edge_a < edge_b:
             raise TubeError("W cell edges must be ordered")
+        return tuple.__new__(cls, (kind, vertex, edge_a, edge_b))
 
     def label(self) -> str:
         if self.kind == "Z":
@@ -63,15 +67,30 @@ def W(v: int, a: int, b: int) -> TubeVertex:
     return TubeVertex("W", v, lo, hi)
 
 
-@dataclass(frozen=True)
-class TubeEdge:
-    kind: str          # "X" or "Y"
-    vertex: int        # 0 for X
-    edge_a: int        # X: the edge id; Y: the fixed-side edge
-    edge_b: int = 0    # Y: the moving-side edge
-    # oriented endpoints, traversal u -> v is the positive direction
-    u: TubeVertex = field(compare=False, repr=False, default=None)
-    v: TubeVertex = field(compare=False, repr=False, default=None)
+class TubeEdge(Frozen):
+    """A tube edge, equal to and hashed as its cell data (kind, vertex,
+    edge_a, edge_b) alone, so `TubeEdge("X", 0, eid)` finds the edge in
+    `SymmetricTube.index`; traversal u -> v is the positive direction."""
+    __slots__ = ("kind", "vertex", "edge_a", "edge_b", "u", "v", "_key")
+
+    def __init__(self, kind: str, vertex: int, edge_a: int, edge_b: int = 0,
+                 u: TubeVertex | None = None, v: TubeVertex | None = None):
+        object.__setattr__(self, "kind", kind)          # "X" or "Y"
+        object.__setattr__(self, "vertex", vertex)      # 0 for X
+        # X: the edge id; Y: the fixed-side edge, then the moving-side edge
+        object.__setattr__(self, "edge_a", edge_a)
+        object.__setattr__(self, "edge_b", edge_b)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_key", (kind, vertex, edge_a, edge_b))
+
+    def __eq__(self, other):
+        if other.__class__ is not TubeEdge:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def label(self) -> str:
         if self.kind == "X":
@@ -79,17 +98,16 @@ class TubeEdge:
         return f"Y[v{self.vertex};fix e{self.edge_a},move e{self.edge_b}]"
 
 
-@dataclass(frozen=True)
-class SymmetricTube:
-    graph: Graph
-    vertices: tuple[TubeVertex, ...]
-    edges: tuple[TubeEdge, ...]
-    # tube edge -> its position in `edges`; the one lookup of a tube edge
-    index: dict = field(init=False, compare=False, repr=False)
+class SymmetricTube(Frozen):
+    __slots__ = ("graph", "vertices", "edges", "index")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index",
-                           {e: i for i, e in enumerate(self.edges)})
+    def __init__(self, graph: Graph, vertices: tuple[TubeVertex, ...],
+                 edges: tuple[TubeEdge, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        # tube edge -> its position in `edges`; the one lookup of a tube edge
+        object.__setattr__(self, "index", {e: i for i, e in enumerate(edges)})
 
     def x_edge(self, eid: int) -> TubeEdge:
         return self.edges[self.index[TubeEdge("X", 0, eid)]]
@@ -98,20 +116,22 @@ class SymmetricTube:
         return self.edges[self.index[TubeEdge("Y", v, fixed, moving)]]
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     """One generator: a non-tree tube edge, normalized name included."""
     kind: str              # "X" or "Y"
     edge: TubeEdge
     name: str
 
 
-@dataclass(frozen=True)
-class TubeComplex:
+class TubeComplex(Frozen):
     """Symmetric tube together with its canonical spanning tree."""
-    tube: SymmetricTube
-    tree_edges: frozenset        # of TubeEdge
-    graph_tree: SpanningTree
+    __slots__ = ("tube", "tree_edges", "graph_tree")
+
+    def __init__(self, tube: SymmetricTube, tree_edges: frozenset,
+                 graph_tree: SpanningTree):
+        object.__setattr__(self, "tube", tube)
+        object.__setattr__(self, "tree_edges", tree_edges)  # of TubeEdge
+        object.__setattr__(self, "graph_tree", graph_tree)
 
     @property
     def non_tree_edges(self) -> list[TubeEdge]:

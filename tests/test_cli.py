@@ -187,6 +187,11 @@ def test_malformed_input_gives_json_errors(tmp_path, capsys):
                               .update(vertices=4.5))], "vertex count"),
         # JSON values of the wrong shape
         (["rank", graph_file("num.json", 3, 5)], "malformed graph file"),
+        (["basis", graph_file("num4.json", 4, 5)],
+         "graph edges must be a list, not int"),
+        (["validate", k4_with("edges.json", lambda d: d["graph"]
+                              .update(edges=5))],
+         "graph edges must be a list, not int"),
         (["rank", write(tmp_path, "list.json", [3, [[1, 2]]])],
          "malformed graph file"),
         (["validate", k4_with("pos.json", lambda d: d.update(

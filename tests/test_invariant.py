@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -26,8 +28,9 @@ from planetube.invariant import (WindingError, wu, prepare,
 from planetube.oracles import (omega, pair_path, winding,
                                fundamental_cycle_tube, raw_basis_windings,
                                decompose_over_basis)
-from planetube.tube import (basis_cycle, tube_cycle_over_graph_cycle,
-                            cycle_is_closed, swap_parity)
+from planetube.tube import (TubeEdge, W, Z, basis_cycle,
+                            tube_cycle_over_graph_cycle, cycle_is_closed,
+                            swap_parity)
 
 from conftest import (resample_midpoints, random_k4, random_bent_kn,
                       random_tube_cycle)
@@ -344,6 +347,33 @@ def test_equal_graphs_share_one_plan():
     assert wu_plan(a) is wu_plan(b)
 
 
+def test_value_semantics_the_package_relies_on():
+    # equal graphs built apart are one cache key, so they share one plan
+    a = complete_graph(4)
+    b = validate_graph(4, [[e.tail, e.head] for e in a.edges])
+    assert a is not b and a == b and hash(a) == hash(b)
+    plan = wu_plan(b)
+    assert wu_plan(a) is plan
+    # tube edges are found by their cell data alone, not their ends
+    tube = plan.complex.tube
+    x, y = tube.x_edge(4), tube.y_edge(1, 1, 2)
+    assert x == TubeEdge("X", 0, 4) and (x.u, x.v) == (Z(2, 4), Z(3, 4))
+    assert y == TubeEdge("Y", 1, 1, 2) and {y.u, y.v} == {Z(1, 1), W(1, 1, 2)}
+    # the hash-key types refuse attribute assignment
+    for obj, name in ((a.edges[0], "tail"), (Z(1, 1), "vertex"), (x, "u"),
+                      (a, "edges")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    v = wu(planar_k4())
+    assert v == wu(planar_k4()) and hash(v) == hash(wu(planar_k4()))
+    assert (v["X4"], v["Y1[2,1]"]) == (1, -1)
+    assert -v != v and -(-v) == v
+    assert (-v).coords == (-1, -1, 1, 1, -1, 1, -1)
+    assert v.fingerprint == "a5214a0fc3856e68"
+    # copy and pickle restore the read-only records
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(v)) == v
+
+
 def test_plan_cache_is_bounded():
     for m in range(2, PLAN_CACHE_SIZE + 5):
         wu_plan(path_graph(m))
@@ -359,6 +389,18 @@ def test_fingerprint_is_sha256_of_conventions():
             hashlib.sha256(blob).hexdigest()[:16]
     # it changes only when the conventions do
     assert wu(planar_k4()).fingerprint == "a5214a0fc3856e68"
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # -S: no `site`, whose own imports could load either module first
+    code = ("import sys, planetube.cli; loaded = [m for m in ('dataclasses', "
+            "'inspect') if m in sys.modules]; "
+            "sys.exit(f'planetube.cli loads {loaded}' if loaded else 0)")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(
+            Path(planetube.__file__).parents[1])))
+    assert out.returncode == 0, out.stderr
 
 
 def test_cli_import_leaves_openssl_unloaded():

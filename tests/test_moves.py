@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planetube import immersion, moves
-from planetube.geometry import Polyline, kink_waypoints, point_segment_distance
+from planetube.geometry import (KINK_CLEARANCE, Polyline, kink_waypoints,
+                                point_segment_distance)
 from planetube.immersion import (PlaneImmersion, Tolerances, validate_generic,
                                  turning_number, trace_cycle, standard_curve,
                                  standard_star, planar_k4, map_points,
@@ -46,6 +47,24 @@ def test_curl_rejects_vertex_positions():
     # 1e-12 from the tail leaves no room between the vertex and the curl
     with pytest.raises(MoveError, match="insufficient clearance for a curl"):
         insert_curl(planar_k4(), 1, 1e-12, +1)
+
+
+def test_a_chain_that_would_touch_itself_is_refused():
+    # near vertex 1 a curl's radius r = room / 4 is a few tau: above tau,
+    # but the chain's return leg would pass within KINK_CLEARANCE * r < tau
+    # of its own bend
+    k4 = planar_k4()
+    report = validate_generic(k4)
+    for t in (1e-4, 2e-4, 3e-4):
+        _, i, _ = moves._locate(k4, 1, t)
+        r = moves._local_clearance(k4, report, 1, i, t) / 4.0
+        assert report.tau < r and KINK_CLEARANCE * r <= report.tau
+        with pytest.raises(MoveError, match="insufficient clearance for a "
+                                            "curl"):
+            insert_curl(k4, 1, t, +1)
+        with pytest.raises(MoveError, match="insufficient clearance for a "
+                                            "Whitney pair"):
+            whitney_pair(k4, 1, t)
 
 
 def test_curl_sensitivity_exhaustive_k3_k4():
@@ -303,12 +322,12 @@ def test_splice_fallbacks_match_full_validation(monkeypatch):
         (h, report, fallback), = splices
         assert fallback == fell_back
         assert report_differences(report, validate_generic(h, tol)) == []
-    # a curl next to vertex 1 that breaks genericity, by a near-contact
-    # with its own base and by a scale too small for the germ angles
-    # there, fails with a full validation's violations, whether its report
-    # falls back (tau changes) or is derived (tau fixed)
+    # a curl next to vertex 1 that breaks genericity, by a scale too small
+    # for the germ angles there, fails with a full validation's
+    # violations, whether its report falls back (tau changes) or is
+    # derived (tau fixed)
     at_k4 = Tolerances(tau_abs=validate_generic(k4).tau)
-    for t in (1e-4, 5e-4):
+    for t in (4e-4, 5e-4):
         for tol, fell_back in ((None, True), (at_k4, False)):
             pl, i, u = moves._locate(k4, 1, t)
             r = moves._local_clearance(

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import planetube
 from planetube.graphs import (complete_graph, star_graph, path_graph,
                               fundamental_cycle)
-from planetube.tube import (SymmetricTube, W, build_symmetric_tube, rank,
-                            basis_cycle, tube_cycle_over_graph_cycle)
+from planetube.tube import (SymmetricTube, TubeEdge, W, build_symmetric_tube,
+                            rank, basis_cycle, tube_cycle_over_graph_cycle)
 from planetube.immersion import standard_curve, standard_star, planar_k4
 from planetube.invariant import (prepare, evaluate_on_tube_cycle, wu_plan,
                                  _row)
@@ -52,7 +51,8 @@ def test_census_catches_a_reattached_y_edge():
     # Y(1, 1, 2) joins Z(1, 1) to W(1, 1, 2); move its W end to W(1, 2, 3)
     y = tube.y_edge(1, 1, 2)
     w_end = "v" if y.v.kind == "W" else "u"
-    moved = replace(y, **{w_end: W(1, 2, 3)})
+    ends = {"u": y.u, "v": y.v, w_end: W(1, 2, 3)}
+    moved = TubeEdge(y.kind, y.vertex, y.edge_a, y.edge_b, **ends)
     edges = tuple(moved if e is y else e for e in tube.edges)
     bad = SymmetricTube(g, tube.vertices, edges)
     assert (len(bad.vertices), len(bad.edges)) == \
