@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""One SHA-256 over the genericity reports of the benchmark's drawings.
+
+    PYTHONPATH=src python scripts/report_digest.py --seeds 1 2 3
+
+builds the wu_curls and edit_dense corpora of each seed with
+`perfbench/corpus.py`, validates every drawing and its mirror image
+(`immersion.validate_generic`), runs each edit_dense move script on both
+(`moves.apply_moves`) and validates its output, and prints the SHA-256 of
+all of it: every report field, hidden ones included, with each segment in
+a box or crossing pair written as its (edge, index) key and every float
+by `repr`, and the points of each move output.  A change that keeps the
+validator's and the moves' results bit for bit keeps the digest;
+`scripts/report_digest.expected` holds it for seeds 1 2 3.
+"""
+import argparse
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from planetube import immersion, moves
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+def load_corpus():
+    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+def plain(x):
+    """x as JSON-ready lists, floats as their repr, dicts and sets sorted."""
+    if isinstance(x, float):
+        return repr(x)
+    if isinstance(x, dict):
+        return [[plain(k), plain(v)] for k, v in sorted(x.items())]
+    if isinstance(x, frozenset):
+        return sorted(map(plain, x))
+    if isinstance(x, (list, tuple)):
+        return list(map(plain, x))
+    return x
+
+
+def key(s):
+    return (s.edge, s.index)
+
+
+def report_fields(r) -> list:
+    index = r.index
+    return plain([
+        r.passed, r.violations, r.crossings, r.cyclic_orders, r.epsilon,
+        r.tau, r.germs, r.turns, [(key(s), key(t)) for s, t in r.pairs],
+        index.segs, [(*box[:4], key(box[4])) for box in index.boxes],
+        index.lefts, index.wide, index.big])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = ap.parse_args()
+    corpus = load_corpus()
+    digest = hashlib.sha256()
+
+    def add(obj):
+        digest.update(json.dumps(obj, separators=(",", ":")).encode())
+        digest.update(b"\n")
+
+    for seed in args.seeds:
+        for e in corpus.wu_curls(seed) + corpus.edit_dense(seed):
+            f = immersion.immersion_from_json_dict(e["drawing"])
+            for g in (f, immersion.reflect(f)):
+                add(report_fields(immersion.validate_generic(g)))
+                if "moves" in e:
+                    out = moves.apply_moves(g, e["moves"])
+                    add(plain([pl.points for _, pl
+                               in sorted(out.polylines.items())]))
+                    add(report_fields(immersion.validate_generic(out)))
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

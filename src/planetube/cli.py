@@ -37,6 +37,8 @@ def _load_graph(path: str):
         return validate_graph(d["vertices"], d["edges"])
     except _SHAPE_ERRORS as exc:
         raise GraphError(f"malformed graph file: {exc}") from None
+    except KeyError as exc:             # a table the file lacks
+        raise GraphError(f"graph file: missing key {exc}") from None
 
 
 def _load_immersion(path: str):
@@ -44,6 +46,8 @@ def _load_immersion(path: str):
         return immersion_from_json_dict(_load_json(path))
     except _SHAPE_ERRORS as exc:
         raise ImmersionError(f"malformed immersion file: {exc}") from None
+    except KeyError as exc:
+        raise ImmersionError(f"immersion file: missing key {exc}") from None
 
 
 def _tolerances(args) -> Tolerances | None:

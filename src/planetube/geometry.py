@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate, islice
 
 Point = tuple[float, float]
 
@@ -110,15 +111,24 @@ class Polyline:
     __slots__ = ("points", "cum", "length")
 
     def __init__(self, points):
-        pts = [tuple(map(float, p)) for p in points]
+        points = list(points)       # read again below to name a bad point
+        try:
+            pts = [(float(x), float(y)) for x, y in points]
+        except (TypeError, ValueError):
+            for p in points:
+                try:
+                    x, y = p
+                except (TypeError, ValueError):
+                    raise ValueError(f"polyline point {p!r} is not an "
+                                     "(x, y) pair") from None
+            raise
         if len(pts) < 2:
             raise ValueError("polyline needs at least two points")
         self.points: list[Point] = pts
-        cum = [0.0]
-        for a, b in zip(pts, pts[1:]):
-            cum.append(cum[-1] + dist(a, b))
-        self.cum = cum
-        self.length = cum[-1]
+        # math.dist is `dist` bit for bit, and so is each running sum
+        self.cum = list(accumulate(map(math.dist, pts, islice(pts, 1, None)),
+                                   initial=0.0))
+        self.length = self.cum[-1]
 
     def point_at(self, s: float) -> Point:
         """Point at arclength s from the start (clamped to [0, length])."""

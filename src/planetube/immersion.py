@@ -6,8 +6,8 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, groupby
-from operator import attrgetter, itemgetter
+from itertools import accumulate, chain, groupby, islice
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import geometry as geo
@@ -209,16 +209,18 @@ class GenericityReport:
     """What `validate_generic` found, and the drawing as it read it.  The
     hidden fields are all the moves and the invariant's cochain read of
     the drawing: its segment index, the angle of each germ by vertex and
-    edge id, each edge's bend turns summed tail to head, and the segment
-    rows (s, t), s first in `_all_segments` order, of each crossing, by
-    which `revalidate` merges a splice's crossings."""
+    edge id, the least angle between two germs at a vertex, each edge's
+    bend turns summed tail to head, and the segment rows (s, t), s first in
+    `_all_segments` order, of each crossing, by which `revalidate` merges a
+    splice's crossings."""
     __slots__ = ("passed", "violations", "crossings", "cyclic_orders",
-                 "epsilon", "tau", "index", "germs", "turns", "pairs")
+                 "epsilon", "tau", "index", "germs", "theta", "turns",
+                 "pairs")
 
     def __init__(self, passed: bool, violations: list, crossings: list,
                  cyclic_orders: dict, epsilon: float, tau: float,
-                 index: _SegmentIndex, germs: dict, turns: dict,
-                 pairs: list):
+                 index: _SegmentIndex, germs: dict, theta: float,
+                 turns: dict, pairs: list):
         self.passed = passed
         self.violations = violations
         self.crossings = crossings
@@ -227,6 +229,7 @@ class GenericityReport:
         self.tau = tau
         self.index = index
         self.germs = germs          # v -> e -> radians
+        self.theta = theta          # radians, at most pi
         self.turns = turns          # edge id -> radians
         self.pairs = pairs          # (s, t) per crossing
 
@@ -246,61 +249,90 @@ class _Segment(NamedTuple):
 _NO_ENDS = frozenset()
 
 
-def _edge_rows(e, pl: Polyline) -> list[_Segment]:
-    """The segments of edge e drawn as pl, tail to head, with their lengths
-    and unit directions, each computed once here for every step of
-    `validate_generic` that reads them.  Rows sort as the edge id, then the
-    position along the edge: the order of `_all_segments`."""
-    out = []
+def _edge_pass(e, pl: Polyline, tau: float, violations: list):
+    """Edge e drawn as pl, read once, tail to head: (its segment rows, each
+    row's bounding box widened by tau on every side as (least x, greatest
+    x, least y, greatest y, row), its bend turns summed, its tail germ, its
+    head germ), each germ a unit vector, or None at length 0.  Rows sort as
+    the edge id, then the position along the edge: the order of
+    `_all_segments`.  Step (a) of `validate_generic` rides along: the
+    edge's degenerate segments, then the bends where it doubles back, are
+    appended to `violations`."""
     pts, cum = pl.points, pl.cum
     last = len(pts) - 2
     first_ends = frozenset((e.tail, e.head) if last == 0 else (e.tail,))
     last_ends = frozenset((e.head,))
-    for i in range(last + 1):
-        a, b = pts[i], pts[i + 1]
-        dx, dy = b[0] - a[0], b[1] - a[1]
+    rows, boxes, back = [], [], []
+    total, u = 0.0, None
+    for i, (a, b) in enumerate(zip(pts, islice(pts, 1, None))):
+        (ax, ay), (bx, by) = a, b
+        dx, dy = bx - ax, by - ay
         n = math.hypot(dx, dy)
-        out.append(_Segment(
-            e.id, i, a, b,
-            first_ends if i == 0 else last_ends if i == last else _NO_ENDS,
-            cum[i], cum[i + 1], n, (dx / n, dy / n) if n else None))
-    return out
+        before, u = u, ((dx / n, dy / n) if n else None)
+        s = _Segment(e.id, i, a, b,
+                     first_ends if i == 0 else last_ends if i == last
+                     else _NO_ENDS, cum[i], cum[i + 1], n, u)
+        rows.append(s)
+        # the box, by comparisons: min() and max() calls cost a third of
+        # the pass
+        if ax <= bx:
+            x0, x1 = ax - tau, bx + tau
+        else:
+            x0, x1 = bx - tau, ax + tau
+        if ay <= by:
+            boxes.append((x0, x1, ay - tau, by + tau, s))
+        else:
+            boxes.append((x0, x1, by - tau, ay + tau, s))
+        if n <= tau:
+            violations.append(("degenerate-segment",
+                               f"edge {e.id} segment {i} at {a}"))
+        if before is not None and u is not None:
+            turn = geo.turn_angle(before, u)
+            if abs(turn) >= math.pi - ANGLE_TOL:
+                back.append(("not-an-immersion",
+                             f"edge {e.id} doubles back at bend {a}"))
+            total += turn
+    violations += back
+    # the head germ is (a - b) / length, not -u: a germ along -x then reads
+    # (-1.0, 0.0), at angle pi, and not (-1.0, -0.0), at -pi
+    return rows, boxes, total, rows[0].u, (((ax - bx) / n, (ay - by) / n)
+                                           if n else None)
+
+
+def _read_edges(f: PlaneImmersion, tau: float, edges):
+    """`_edge_pass` on each of the edges of f, in order: (their rows, their
+    boxes, step (a)'s violations, bend turns by edge id, germs by (vertex,
+    edge id))."""
+    segs, boxes, violations, turns, ends = [], [], [], {}, {}
+    for e in edges:
+        rows, bx, turns[e.id], ends[e.tail, e.id], ends[e.head, e.id] = \
+            _edge_pass(e, f.polylines[e.id], tau, violations)
+        segs += rows
+        boxes += bx
+    return segs, boxes, violations, turns, ends
 
 
 def _all_segments(f: PlaneImmersion) -> list[_Segment]:
-    """Every polyline segment (`_edge_rows`), edge by edge."""
-    out = []
-    for e in f.graph.edges:
-        out += _edge_rows(e, f.polylines[e.id])
-    return out
-
-
-def _boxes(rows, tau: float) -> list:
-    """(least x, greatest x, least y, greatest y, row) of each row, the
-    bounding box widened by tau on every side."""
-    out = []
-    for s in rows:
-        (ax, ay), (bx, by) = s.a, s.b
-        out.append((min(ax, bx) - tau, max(ax, bx) + tau,
-                    min(ay, by) - tau, max(ay, by) + tau, s))
-    return out
+    """Every polyline segment (`_edge_pass`), edge by edge."""
+    return _read_edges(f, 0.0, f.graph.edges)[0]
 
 
 class _SegmentIndex:
     """The segments of a drawing (`_all_segments`), each in a box widened by
-    tau on every side (`_boxes`), the boxes sorted by left edge once for
-    every scan of segments near a point or a segment: `find_crossings`,
-    `_min_clearance` and `moves._local_clearance`.  A box holds its segment
-    row, not the row's position, so the boxes of an edge that a splice
-    leaves alone carry over to the splice's index as they are (`segs` and
-    `boxes`, f's rows and their sorted boxes, are given then).  `big` is the
-    drawing's largest absolute coordinate, which scales the rounding
-    allowance of `find_crossings`' line-side reject."""
+    tau on every side, the boxes sorted by left edge once for every scan of
+    segments near a point or a segment: `find_crossings`, `_min_clearance`
+    and `moves._local_clearance`.  A box holds its segment row, not the
+    row's position, so the boxes of an edge that a splice leaves alone carry
+    over to the splice's index as they are.  `segs` and `boxes`, f's rows
+    and a list of their boxes, which is sorted in place, are given when the
+    caller has read f (`_edge_pass`).  `big` is the drawing's largest
+    absolute coordinate, which scales the rounding allowance of
+    `find_crossings`' line-side reject."""
 
     def __init__(self, f: PlaneImmersion, tau: float, segs=None, boxes=None):
         if segs is None:
-            segs = _all_segments(f)
-            boxes = sorted(_boxes(segs, tau))
+            segs, boxes = _read_edges(f, tau, f.graph.edges)[:2]
+        boxes.sort()
         self.segs, self.boxes, self.tau = segs, boxes, tau
         self.lefts = list(map(itemgetter(0), boxes))
         self.wide = max(map(operator.sub, map(itemgetter(1), boxes),
@@ -490,75 +522,45 @@ def _cyclic_order(v: int, angles: dict) -> tuple[CyclicOrder, float]:
     return CyclicOrder.from_sequence(v, [e for _, e in ring]), least
 
 
-def _edge_scan(e, run, tau: float, violations):
-    """Step (a) of `validate_generic` on the rows `run` of edge e: appends
-    its degenerate segments, then the bends where it doubles back, to
-    `violations`, and returns (its bend turns summed, its tail germ, its
-    head germ), each germ a unit vector read off an end row, or None at
-    length 0."""
-    for s in run:
-        if s.length <= tau:
-            violations.append(("degenerate-segment",
-                               f"edge {e.id} segment {s.index} at {s.a}"))
-    total = 0.0
-    for s, t in zip(run, run[1:]):
-        if s.u is None or t.u is None:
-            continue
-        turn = geo.turn_angle(s.u, t.u)
-        if abs(turn) >= math.pi - ANGLE_TOL:
-            violations.append(("not-an-immersion",
-                               f"edge {e.id} doubles back at bend {t.a}"))
-        total += turn
-    # the head germ is (a - b) / length, not -u: a germ along -x then reads
-    # (-1.0, 0.0), at angle pi, and not (-1.0, -0.0), at -pi
-    a, b, n = run[-1].a, run[-1].b, run[-1].length
-    return total, run[0].u, (((a[0] - b[0]) / n, (a[1] - b[1]) / n) if n
-                             else None)
-
-
 def validate_generic(f: PlaneImmersion,
                      tol: Tolerances | None = None) -> GenericityReport:
     """Genericity report of f: its violations in the order of the steps
     below, its crossings, cyclic orders, tau and, when it passes, the
     suggested scale epsilon.
 
-    f is read once, into one segment index (`_SegmentIndex`: each segment's
-    length, direction and tau-widened box, the boxes sorted once).  Step (a)
-    (`_edge_scan`) takes from its rows each edge's bend turns, summed, and
-    its two unit germs.  Step (e) keeps each germ as one angle
+    Each segment is read once, in one pass per edge (`_edge_pass`) that
+    builds the segment's row (its length and direction) and tau-widened
+    box, runs step (a), sums the edge's bend turns and takes its two unit
+    germs; the rows and boxes, sorted once, make the segment index
+    (`_SegmentIndex`).  Step (e) keeps each germ as one angle
     (`geometry.angle_of`), in a table per vertex and edge: the cyclic
     orders, the germ-collision test and the least germ angle, which bounds
     the scale, are all read from it, and the invariant's cochain reads it
-    and the turns off the report.  The moves read the segment index there
-    too.  The scans over pairs of features are pruned.
-    Segments are pair-tested only where their widened boxes overlap and
-    they are not graph neighbours, which are dropped in the sweep
-    (`find_crossings`); a pair that does not cross has its four
+    and the turns off the report.  The moves read the segment index and
+    the least germ angle there too.  The scans over pairs of features are
+    pruned.  Segments are pair-tested only where their widened boxes
+    overlap and they are not graph neighbours, which are dropped in the
+    sweep (`find_crossings`); a pair that does not cross has its four
     endpoint-to-segment distances measured only when neither segment lies
     at least 2 tau + 2^-40 M (M the largest absolute coordinate) to one
     side of the other's line, an exact reject (`_check_pair`).  A crossing
-    is measured only against the vertices,
-    bends and crossings within 2 tau of it in x, and `_min_clearance` skips
-    the distances its running minimum already bounds.  Each skipped test
+    is measured only against the vertices, bends and crossings within 2 tau
+    of it in x, and `_min_clearance` skips the distances its running
+    minimum already bounds.  Each skipped test
     could not have fired or lowered the minimum, so the report is that of
     the all-pairs scans.
 
     `revalidate`, the entry for a drawing spliced from a validated one,
-    shares every step: the row builder (`_edge_rows`), step (a), the pair
-    test (`_test_pairs`) and the finish, steps (e), (c), (d) and the scale
+    shares every step: the edge pass (`_edge_pass`), the pair test
+    (`_test_pairs`) and the finish, steps (e), (c), (d) and the scale
     (`_finish`).  This function is its fallback and its oracle.
     """
     tol = tol or Tolerances()
     tau = tol.tau_for(f.bbox_diagonal())
-    index = _SegmentIndex(f, tau)
-
-    # (a) local injectivity of each polyline, per edge; its bend turns and
-    # the germs at both ends
-    violations, turns, ends = [], {}, {}
-    for e, (_, run) in zip(f.graph.edges,
-                           groupby(index.segs, key=attrgetter("edge"))):
-        turns[e.id], ends[e.tail, e.id], ends[e.head, e.id] = \
-            _edge_scan(e, list(run), tau, violations)
+    # (a) local injectivity of each polyline, in the pass that reads its
+    # rows, boxes, bend turns and the germs at both ends
+    segs, boxes, violations, turns, ends = _read_edges(f, tau, f.graph.edges)
+    index = _SegmentIndex(f, tau, segs, boxes)
     # each germ as its angle, at the vertices where every germ has a
     # direction (a germ of length 0 is a degenerate segment)
     stubs = {v for (v, _), u in ends.items() if u is None}
@@ -582,10 +584,10 @@ def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
     The rows, boxes, bend turns and germ angles of every other edge carry
     over from the report, and so do the crossings of two such edges, each
     kept with its segment pair.  Only the replaced edges are read
-    (`_edge_rows`, step (a)), and only pairs with one of their segments are
-    tested (`_pairs_meeting`, `_test_pairs`); the crossings then merge in
-    pair order, which is the order of `find_crossings`.  Steps (e), (c),
-    (d) and the scale run on the whole result (`_finish`).
+    (`_edge_pass`, with step (a)), and only pairs with one of their
+    segments are tested (`_pairs_meeting`, `_test_pairs`); the crossings
+    then merge in pair order, which is the order of `find_crossings`.
+    Steps (e), (c), (d) and the scale run on the whole result (`_finish`).
 
     The report is `validate_generic`'s own when f's report did not pass,
     when tau or the index's largest coordinate changes (the splice grew
@@ -598,29 +600,20 @@ def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
     if not report.passed or tau != report.tau:
         return validate_generic(g, tol)
     old = report.index
-    rebuilt = {e.id for e in g.graph.edges
-               if g.polylines[e.id] is not f.polylines[e.id]}
-    violations, segs, new = [], [], []
-    turns, germs = dict(report.turns), dict(report.germs)
-    k = 0
-    for e in g.graph.edges:
-        n = len(f.polylines[e.id].points) - 1
-        if e.id in rebuilt:
-            rows = _edge_rows(e, g.polylines[e.id])
-            turns[e.id], tail, head = _edge_scan(e, rows, tau, violations)
-            if violations:
-                return validate_generic(g, tol)
-            for v, u in ((e.tail, tail), (e.head, head)):
-                germs[v] = {**germs[v], e.id: geo.angle_of(u)}
-            new += rows
-        else:
-            rows = old.segs[k:k + n]
-        segs += rows
-        k += n
-    fresh = _boxes(new, tau)
-    boxes = [box for box in old.boxes if box[4].edge not in rebuilt] + fresh
-    boxes.sort()
-    index = _SegmentIndex(g, tau, segs, boxes)
+    edges = [e for e in g.graph.edges
+             if g.polylines[e.id] is not f.polylines[e.id]]
+    new, fresh, violations, new_turns, ends = _read_edges(g, tau, edges)
+    if violations:
+        return validate_generic(g, tol)
+    turns, germs = {**report.turns, **new_turns}, dict(report.germs)
+    for (v, eid), u in ends.items():
+        germs[v] = {**germs[v], eid: geo.angle_of(u)}
+    rebuilt = {e.id for e in edges}
+    # rows sort by edge id, then position along the edge
+    segs = sorted([s for s in old.segs if s.edge not in rebuilt] + new)
+    index = _SegmentIndex(g, tau, segs, [box for box in old.boxes
+                                         if box[4].edge not in rebuilt]
+                          + fresh)
     if index.big != old.big:
         return validate_generic(g, tol)
 
@@ -700,6 +693,7 @@ def _finish(f: PlaneImmersion, index: _SegmentIndex, turns: dict,
         tau=tau,
         index=index,
         germs=germs,
+        theta=theta,
         turns=turns,
         pairs=pairs,
     )

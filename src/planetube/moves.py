@@ -8,12 +8,15 @@ interior bend points.  Each is a one-record call into the one move engine,
 does the same alone and in a script.  Every move starts and ends on a
 generic drawing and fails loudly otherwise, and each move hands the
 genericity report of its output to the next.  A script's input is
-validated once in full, and so is each attempt of a perturbation.  A curl
-or Whitney pair changes one edge inside a disk clear of every other
-strand, so its output's report is derived from its input's
-(`immersion.revalidate`), and equals the full one.  The room a curl or
-Whitney pair needs is measured through the input report's segment index,
-so no move walks the polylines to find its clearance.
+validated once in full, and so is each attempt of a perturbation: a full
+validation reads each segment once, in one pass per edge.  A curl or
+Whitney pair changes one edge inside a disk clear of every other strand,
+so its output's report is derived from its input's
+(`immersion.revalidate`), which runs that pass on the spliced edge alone,
+and equals the full one.  The room a curl or Whitney pair needs is
+measured through the input report's segment index, so no move walks the
+polylines to find its clearance, and a chain too small for that room is
+refused before it is spliced.
 """
 from __future__ import annotations
 
@@ -69,6 +72,8 @@ class MoveRecord(NamedTuple):
             )
         except TypeError as exc:        # a null, list or object for a number
             raise MoveError(f"malformed move record {d}: {exc}") from None
+        except KeyError as exc:
+            raise MoveError(f"move record {d}: missing key {exc}") from None
 
 
 def _locate(f: PlaneImmersion, eid: int, t: float):
@@ -117,9 +122,15 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
     and a curl's sign are known to be good.  A curl or Whitney pair splices
     its chain into rec.edge at arclength rec.t, sized by the room there
     (`_local_clearance`) over 4 or 6, and derives the output's report from
-    f's (`immersion.revalidate`); it is refused for insufficient clearance
+    f's (`immersion.revalidate`).  It is refused for insufficient clearance
     when its chain's own strands would come within tau
-    (`geometry.KINK_CLEARANCE`).  A perturbation runs `_perturb`."""
+    (`geometry.KINK_CLEARANCE`), or when its own loops leave the output's
+    germ angles too shallow for its scale: the two strands of each loop's
+    crossing lie 6.4 r apart along the edge, which caps the output's
+    epsilon at 1.6 r, and its germs are f's, so the germ-angle test of
+    `immersion.validate_generic` would fail once 2 (1.6 r) sin(theta / 2)
+    is at most 8 tau, theta f's least germ angle (`GenericityReport`).  A
+    perturbation runs `_perturb`."""
     kind, eid, t = rec.kind, rec.edge, rec.t
     if kind == "curl" and rec.sign not in (+1, -1):
         raise MoveError("curl sign must be +1 or -1")
@@ -134,7 +145,8 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
     what, room = ("curl", 4.0) if kind == "curl" else ("Whitney pair", 6.0)
     pl, i, u = _locate(f, eid, t)
     r = _local_clearance(f, report, eid, i, t) / room
-    if KINK_CLEARANCE * r <= report.tau:    # the chain would touch itself
+    if (KINK_CLEARANCE * r <= report.tau
+            or 3.2 * r * math.sin(report.theta / 2.0) <= 8.0 * report.tau):
         raise MoveError(
             f"insufficient clearance for a {what} at {t} on edge {eid}")
     c = pl.point_at(t)

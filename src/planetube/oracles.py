@@ -288,6 +288,7 @@ def report_differences(a: GenericityReport, b: GenericityReport) -> list:
         "tau": lambda r: r.tau.hex(),
         "germs": lambda r: repr(sorted((v, table(at))
                                        for v, at in r.germs.items())),
+        "theta": lambda r: r.theta.hex(),
         "turns": lambda r: table(r.turns),
         "pairs": lambda r: repr(r.pairs),
         "index.segs": lambda r: repr(r.index.segs),

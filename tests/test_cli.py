@@ -207,6 +207,18 @@ def test_malformed_input_gives_json_errors(tmp_path, capsys):
          "graph must be an object, not str"),
         (["invariant", write(tmp_path, "top.json", [k4])],
          "immersion must be an object, not list"),
+        # a missing table is named with the kind of file that lacks it
+        (["basis", write(tmp_path, "empty_graph.json", {})],
+         "graph file: missing key 'vertices'"),
+        (["validate", write(tmp_path, "empty.json", {})],
+         "immersion file: missing key 'graph'"),
+        (["validate", k4_with("no_pl.json", lambda d: d.pop("polylines"))],
+         "immersion file: missing key 'polylines'"),
+        (["validate", k4_with("no_edges.json", lambda d: d["graph"]
+                              .pop("edges"))],
+         "immersion file: missing key 'edges'"),
+        (["move", k4_file, write(tmp_path, "no_kind.json", [{"edge": 1}])],
+         "missing key 'kind'"),
         (["move", k4_file, write(tmp_path, "one.json",
                                  {"kind": "curl", "edge": 1, "t": 0.5,
                                   "sign": 1})], "list of move objects"),

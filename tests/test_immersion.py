@@ -1,9 +1,10 @@
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
-from planetube import immersion
+from planetube import geometry as geo, immersion
 from planetube.geometry import Polyline, kink_waypoints
 from planetube.graphs import EdgeCycle, complete_graph, star, validate_graph
 from planetube.immersion import (PlaneImmersion, ImmersionError,
@@ -13,9 +14,10 @@ from planetube.immersion import (PlaneImmersion, ImmersionError,
                                  restrict, reflect, map_points,
                                  standard_curve, standard_star, planar_k4,
                                  to_svg, find_crossings, _SegmentIndex,
-                                 _min_clearance, _pairs_meeting)
+                                 _min_clearance, _pairs_meeting, _edge_pass,
+                                 ANGLE_TOL)
 from planetube.invariant import wu
-from planetube.moves import insert_curl, whitney_pair
+from planetube.moves import MoveError, insert_curl, whitney_pair
 from planetube.oracles import all_pairs_crossings, min_clearance_oracle
 
 from conftest import (resample_midpoints, straight_line_immersion, random_k4,
@@ -50,6 +52,35 @@ def test_overflowing_edge_length_is_non_finite():
     huge = PlaneImmersion(g, {1: (-1e300, 0.0), 2: (1e300, 0.0)},
                           {1: Polyline([(-1e300, 0.0), (1e300, 0.0)])})
     assert huge.polylines[1].length == 2e300
+
+
+def test_polyline_points_are_pairs():
+    for p in ((0, 0, 5), (1,), 5):
+        for points in ([(0, 0), p, (1, 1)], iter([(0, 0), p, (1, 1)])):
+            with pytest.raises(ValueError) as exc:
+                Polyline(points)
+            assert str(exc.value) == \
+                f"polyline point {p!r} is not an (x, y) pair"
+    assert Polyline([[0, 0], ("1.5", 2)]).points == [(0.0, 0.0), (1.5, 2.0)]
+
+
+def test_polyline_cum_is_the_stepwise_sum_of_dist():
+    # bit for bit, overflowing and near-overflowing coordinates included
+    rng = random.Random(17)
+    cases = [[(-1e300, 0.0), (1e300, 0.0)], [(-1e308, 0.0), (1e308, 0.0)],
+             [(0.0, 0.0), (1e308, 1e308), (-1e308, 1e308), (1.0, 0.0)],
+             [(0.0, 0.0), (0.0, 0.0), (-0.0, 3.0)]]
+    cases += [[(rng.uniform(-1, 1) * scale + shift,
+                rng.uniform(-1, 1) * scale - shift) for _ in range(40)]
+              for scale in (1e-9, 1.0, 1e6) for shift in (0.0, 1e12)]
+    cases += [pl.points for pl in random_bent_kn(rng, 5).polylines.values()]
+    for pts in cases:
+        cum = [0.0]
+        for a, b in zip(pts, pts[1:]):
+            cum.append(cum[-1] + geo.dist(a, b))
+        pl = Polyline(pts)
+        assert list(map(float.hex, pl.cum)) == list(map(float.hex, cum))
+        assert pl.length.hex() == cum[-1].hex()
 
 
 def test_fixtures_are_generic():
@@ -292,6 +323,75 @@ def test_splice_query_finds_the_sweeps_pairs(monkeypatch):
                              if e.id in (s.edge, t.edge)]
             found += len(pairs)
     assert found > 1000
+
+
+def test_edge_pass_matches_the_plain_formulas():
+    # the one pass per edge against the formulas it fuses, on random bent
+    # K_n with curls and their reflections and on the pruning cases (far
+    # translations and zero-length segments among them): each row's box is
+    # the min and max of its ends widened by tau, its length is
+    # `geometry.dist`, the turn sum adds `geometry.turn_angle` over the
+    # bends tail to head, and the violations come in step (a)'s order
+    rng = random.Random(15)
+    cases, curls = pruning_cases(), 0
+    for n in (3, 4, 5):
+        f = random_bent_kn(rng, n)
+        for eid in range(1, n + 1):
+            try:
+                f = insert_curl(f, eid, f.polylines[eid].length / 2,
+                                (-1) ** eid)
+            except MoveError:       # no room at the middle of the edge
+                continue
+            curls += 1
+        cases += [(g, 1e-6 * g.bbox_diagonal()) for g in (f, reflect(f))]
+    assert curls >= 3
+    # an edge that doubles back, then runs through a zero-length segment,
+    # whose two bends have no turn
+    cases.append((drawing({1: (0, 0), 2: (2, 0)}, [(1, 2)],
+                          {1: [(1, 0), (0.5, 0), (0.5, 0), (1.5, 0)]}), 1e-6))
+    seen = {"degenerate-segment": 0, "not-an-immersion": 0, "bends": 0}
+    for f, tau in cases:
+        for e in f.graph.edges:
+            pl = f.polylines[e.id]
+            pts, last = pl.points, len(pl.points) - 2
+            violations = []
+            rows, boxes, total, tail, head = _edge_pass(e, pl, tau,
+                                                        violations)
+            assert [box[4] for box in boxes] == rows
+            dirs, degenerate = [], []
+            for i, (a, b) in enumerate(zip(pts, pts[1:])):
+                s, n = rows[i], geo.dist(a, b)
+                ends = {e.tail} if i == 0 else set()
+                ends |= {e.head} if i == last else set()
+                assert s[:7] == (e.id, i, a, b, ends, pl.cum[i],
+                                 pl.cum[i + 1])
+                assert s.length.hex() == n.hex()
+                assert repr(s.u) == repr(geo.unit(geo.sub(b, a)) if n
+                                         else None)
+                assert repr(boxes[i][:4]) == repr((
+                    min(a[0], b[0]) - tau, max(a[0], b[0]) + tau,
+                    min(a[1], b[1]) - tau, max(a[1], b[1]) + tau))
+                dirs.append(s.u)
+                if n <= tau:
+                    degenerate.append(("degenerate-segment",
+                                       f"edge {e.id} segment {i} at {a}"))
+            turns, back = [], []
+            for k, (u, w) in enumerate(zip(dirs, dirs[1:]), start=1):
+                if u is not None and w is not None:
+                    turns.append(geo.turn_angle(u, w))
+                    if abs(turns[-1]) >= math.pi - ANGLE_TOL:
+                        back.append(("not-an-immersion", f"edge {e.id} "
+                                     f"doubles back at bend {pts[k]}"))
+            *_, stepwise = accumulate(turns, initial=0.0)
+            assert total.hex() == stepwise.hex()
+            assert violations == degenerate + back
+            a, b = pts[-1], pts[-2]
+            assert repr((tail, head)) == repr((
+                dirs[0], geo.unit(geo.sub(b, a)) if geo.dist(a, b) else None))
+            for kind, _ in violations:
+                seen[kind] += 1
+            seen["bends"] += len(turns)
+    assert min(seen.values()) > 0 and seen["bends"] > 5000, seen
 
 
 def test_cyclic_order_anchors():

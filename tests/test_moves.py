@@ -67,6 +67,47 @@ def test_a_chain_that_would_touch_itself_is_refused():
             whitney_pair(k4, 1, t)
 
 
+def test_a_loop_that_caps_the_scale_is_refused():
+    # the strands of a curl loop's crossing lie 6.4 r apart along the edge,
+    # which caps its output's epsilon at 1.6 r; near a vertex that leaves
+    # the germ angles too shallow, and the move is refused up front.  Over
+    # a sweep towards both ends of an edge every move either gives the
+    # splice, which passes, or is refused for insufficient clearance, and
+    # then the splice does not pass
+    refused, capped = 0, 0
+    for f in (planar_k4(), reflect(planar_k4())):
+        report = validate_generic(f)
+        length = f.polylines[1].length
+        for t in [k * 5e-5 for k in range(1, 30)] \
+                + [length - k * 5e-5 for k in range(1, 30)]:
+            pl, i, u = moves._locate(f, 1, t)
+            room = moves._local_clearance(f, report, 1, i, t)
+            for rec, chain in (
+                    (MoveRecord("curl", edge=1, t=t, sign=+1),
+                     kink_waypoints(pl.point_at(t), u, room / 4.0, +1)),
+                    (MoveRecord("curl", edge=1, t=t, sign=-1),
+                     kink_waypoints(pl.point_at(t), u, room / 4.0, -1)),
+                    (MoveRecord("whitney_pair", edge=1, t=t),
+                     moves._whitney_chain(pl.point_at(t), u, room / 6.0))):
+                g = PlaneImmersion(f.graph, f.positions, {
+                    **f.polylines, 1: Polyline(pl.points[:i + 1] + chain
+                                               + pl.points[i + 1:])})
+                try:
+                    out, _ = moves._move(f, report, rec, None)
+                except MoveError as exc:
+                    assert "insufficient clearance" in str(exc)
+                    check = validate_generic(g)
+                    assert not check.passed
+                    refused += 1
+                    capped += check.violations[-1][0] == "no-scale"
+                else:
+                    assert out.polylines == {**f.polylines,
+                                             1: out.polylines[1]}
+                    assert out.polylines[1].points == g.polylines[1].points
+                    assert validate_generic(out).passed
+    assert refused > 20 and capped > 10, (refused, capped)
+
+
 def test_curl_sensitivity_exhaustive_k3_k4():
     for f in (standard_curve(1), planar_k4()):
         base = wu(f)
@@ -322,24 +363,26 @@ def test_splice_fallbacks_match_full_validation(monkeypatch):
         (h, report, fallback), = splices
         assert fallback == fell_back
         assert report_differences(report, validate_generic(h, tol)) == []
-    # a curl next to vertex 1 that breaks genericity, by a scale too small
-    # for the germ angles there, fails with a full validation's
-    # violations, whether its report falls back (tau changes) or is
-    # derived (tau fixed)
+    # a curl next to vertex 1 whose own loop leaves a scale too small for
+    # the germ angles there is refused up front; its splice, made here,
+    # gets a full validation's failing report, whether that report falls
+    # back (tau changes) or is derived (tau fixed)
     at_k4 = Tolerances(tau_abs=validate_generic(k4).tau)
     for t in (4e-4, 5e-4):
         for tol, fell_back in ((None, True), (at_k4, False)):
+            report = validate_generic(k4, tol)
             pl, i, u = moves._locate(k4, 1, t)
-            r = moves._local_clearance(
-                k4, validate_generic(k4, tol), 1, i, t) / 4.0
+            r = moves._local_clearance(k4, report, 1, i, t) / 4.0
             chain = kink_waypoints(pl.point_at(t), u, r, +1)
             g = PlaneImmersion(k4.graph, k4.positions, {
                 **k4.polylines,
                 1: Polyline(pl.points[:i + 1] + chain + pl.points[i + 1:])})
-            with pytest.raises(MoveError) as exc:
+            with pytest.raises(MoveError, match="insufficient clearance for "
+                                                "a curl"):
                 insert_curl(k4, 1, t, +1, tol)
-            assert str(exc.value) == "curl broke genericity: " \
-                + str(validate_generic(g, tol).violations)
+            derived = moves.revalidate(g, k4, report, tol)
+            assert not derived.passed
+            assert report_differences(derived, validate_generic(g, tol)) == []
             assert splices[-1][2] == fell_back
 
 
