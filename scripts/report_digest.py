@@ -12,6 +12,11 @@ a box or crossing pair written as its (edge, index) key and every float
 by `repr`, and the points of each move output.  A change that keeps the
 validator's and the moves' results bit for bit keeps the digest;
 `scripts/report_digest.expected` holds it for seeds 1 2 3.
+
+No end segment of those corpora lies along an axis, so the fixtures
+`planar_k4` and `standard_star((1, 2, 3, 4))`, and their mirror images,
+are validated first: a germ along -x there reads angle pi, and one read
+as pi or as -pi hashes apart.
 """
 import argparse
 import hashlib
@@ -69,6 +74,9 @@ def main() -> int:
         digest.update(json.dumps(obj, separators=(",", ":")).encode())
         digest.update(b"\n")
 
+    for f in (immersion.planar_k4(), immersion.standard_star((1, 2, 3, 4))):
+        for g in (f, immersion.reflect(f)):
+            add(report_fields(immersion.validate_generic(g)))
     for seed in args.seeds:
         for e in corpus.wu_curls(seed) + corpus.edit_dense(seed):
             f = immersion.immersion_from_json_dict(e["drawing"])
