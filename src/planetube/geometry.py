@@ -1,7 +1,9 @@
 """Low-level planar geometry: segments, intersections, polylines, angles.
 
 Everything works on plain (x, y) float tuples.  Tolerances are passed in
-explicitly by callers; nothing here invents a scale.
+explicitly by callers; nothing here invents a scale.  The kernels
+turn_angle, point_segment_distance and segment_intersection do the small
+helpers' arithmetic inline, in the same order: the same floats, one frame.
 """
 from __future__ import annotations
 
@@ -70,18 +72,26 @@ def wrap_to_half_pi(theta: float) -> float:
 
 
 def turn_angle(u_in: Point, u_out: Point) -> float:
-    """Signed exterior angle from direction u_in to u_out, in (-pi, pi]."""
-    return math.atan2(cross(u_in, u_out), dot(u_in, u_out))
+    """Signed exterior angle from direction u_in to u_out, in (-pi, pi]:
+    atan2(cross(u_in, u_out), dot(u_in, u_out))."""
+    (ax, ay), (bx, by) = u_in, u_out
+    return math.atan2(ax * by - ay * bx, ax * bx + ay * by)
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    ab = sub(b, a)
-    L2 = dot(ab, ab)
+    """dist(p, a + t (b - a)), t the projection of p clamped as
+    max(0.0, min(1.0, t)) clamps it; dist(p, a) when a == b."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
     if L2 == 0.0:
-        return dist(p, a)
-    t = dot(sub(p, a), ab) / L2
-    t = max(0.0, min(1.0, t))
-    return dist(p, add(a, scale(ab, t)))
+        return math.hypot(px - ax, py - ay)
+    t = ((px - ax) * dx + (py - ay) * dy) / L2
+    if not t < 1.0:         # NaN too, as min(1.0, t) reads it
+        t = 1.0
+    elif not t > 0.0:       # -0.0 too, as max(0.0, t) reads it
+        t = 0.0
+    return math.hypot(px - (ax + dx * t), py - (ay + dy * t))
 
 
 def segment_intersection(a: Point, b: Point, c: Point, d: Point):
@@ -92,16 +102,17 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point):
     Touching endpoints and collinear overlaps return None; callers that need
     to flag near-degenerate contact must check clearances separately.
     """
-    r = sub(b, a)
-    s = sub(d, c)
-    denom = cross(r, s)
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+    rx, ry = bx - ax, by - ay
+    sx, sy = dx - cx, dy - cy
+    denom = rx * sy - ry * sx
     if denom == 0.0:
         return None
-    qp = sub(c, a)
-    t = cross(qp, s) / denom
-    u = cross(qp, r) / denom
+    qx, qy = cx - ax, cy - ay
+    t = (qx * sy - qy * sx) / denom
+    u = (qx * ry - qy * rx) / denom
     if 0.0 < t < 1.0 and 0.0 < u < 1.0:
-        return (add(a, scale(r, t)), t, u)
+        return ((ax + rx * t, ay + ry * t), t, u)
     return None
 
 

@@ -208,9 +208,17 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
         edges.append(Edge(idx, min(a, b), max(a, b)))
     if not problems:
         g = Graph(num_vertices, tuple(edges))
-        reached = bfs_tree(1, g.steps)
+        # walk the incidence lists; edge (id, a, b) leads from v to a + b - v
+        reached, todo = {1}, [1]
+        for v in todo:
+            for eid in g._incident[v]:
+                _, a, b = edges[eid - 1]
+                w = a + b - v
+                if w not in reached:
+                    reached.add(w)
+                    todo.append(w)
         if len(reached) != num_vertices:
-            missing = sorted(set(g.vertices()) - set(reached))
+            missing = sorted(set(g.vertices()) - reached)
             problems.append(f"disconnected: vertices {missing} unreachable from v1")
         else:
             return g

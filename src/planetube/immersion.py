@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, groupby, islice
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -269,9 +269,10 @@ def _edge_pass(e, pl: Polyline, tau: float, violations: list):
         dx, dy = bx - ax, by - ay
         n = math.hypot(dx, dy)
         before, u = u, ((dx / n, dy / n) if n else None)
-        s = _Segment(e.id, i, a, b,
-                     first_ends if i == 0 else last_ends if i == last
-                     else _NO_ENDS, cum[i], cum[i + 1], n, u)
+        # the row without the generated __new__'s frame
+        s = tuple.__new__(_Segment, (
+            e.id, i, a, b, first_ends if i == 0 else last_ends if i == last
+            else _NO_ENDS, cum[i], cum[i + 1], n, u))
         rows.append(s)
         # the box, by comparisons: min() and max() calls cost a third of
         # the pass
@@ -349,8 +350,10 @@ class _SegmentIndex:
         by bisection, whose left edges lie between that least plus the
         widest box's width to the left of pos and that least to its right
         is box-tested.  A skipped distance is at least the x-offset or box
-        gap, so it could not lower the minimum; tau covers rounding in
-        `geometry.point_segment_distance` and in the bisection bounds."""
+        gap, so it could not lower the minimum.  tau covers the rounding in
+        `geometry.point_segment_distance` and in the bisection bounds, both
+        in absolute coordinates, only while tau exceeds a few units of
+        2^-53 M, M the largest absolute coordinate (`big`)."""
         px, py = pos
         lo = bisect_left(self.lefts, px - best - self.wide - self.tau)
         hi = bisect_right(self.lefts, px + best + self.tau)
@@ -646,27 +649,28 @@ def _finish(f: PlaneImmersion, index: _SegmentIndex, turns: dict,
             theta = min(theta, gap)
     violations.extend(cviol)
 
-    # (c) crossings clear of vertices and bends
-    features = [tuple(f.positions[v]) for v in f.graph.vertices()]
-    bends = [s.a for s in index.segs if s.index]
-    near_feature, near_bend = _near(features, tau), _near(bends, tau)
-    for c in crossings:
-        for k in near_feature(c.point):
-            violations.append(
-                ("crossing-at-vertex",
-                 f"crossing {c.point} near vertex {features[k]}"))
-        for k in near_bend(c.point):
-            violations.append(
-                ("crossing-at-bend",
-                 f"crossing {c.point} near bend {bends[k]}"))
-
-    # (d) no triple points
-    near_crossing = _near([c.point for c in crossings], tau)
-    for i, c in enumerate(crossings):
-        for j in near_crossing(c.point):
-            if j > i:
+    if crossings:
+        # (c) crossings clear of vertices and bends
+        features = [tuple(f.positions[v]) for v in f.graph.vertices()]
+        bends = [s.a for s in index.segs if s.index]
+        near_feature, near_bend = _near(features, tau), _near(bends, tau)
+        for c in crossings:
+            for k in near_feature(c.point):
                 violations.append(
-                    ("triple-point", f"crossings coincide near {c.point}"))
+                    ("crossing-at-vertex",
+                     f"crossing {c.point} near vertex {features[k]}"))
+            for k in near_bend(c.point):
+                violations.append(
+                    ("crossing-at-bend",
+                     f"crossing {c.point} near bend {bends[k]}"))
+
+        # (d) no triple points
+        near_crossing = _near([c.point for c in crossings], tau)
+        for i, c in enumerate(crossings):
+            for j in near_crossing(c.point):
+                if j > i:
+                    violations.append(
+                        ("triple-point", f"crossings coincide near {c.point}"))
 
     eps = 0.0
     if not violations:
@@ -719,10 +723,10 @@ def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,
                    geo.dist(pl.points[0], pl.points[1]),
                    geo.dist(pl.points[-2], pl.points[-1]),
                    pl.length / 2.0)
-    vertices = [(v, tuple(f.positions[v])) for v in f.graph.vertices()]
+    vertices = [tuple(f.positions[v]) for v in f.graph.vertices()]
     for c in crossings:
-        for _, pos in vertices:
-            best = min(best, geo.dist(c.point, pos))
+        # math.dist is `geometry.dist` bit for bit
+        best = min(best, *map(math.dist, repeat(c.point), vertices))
         if c.first.edge == c.second.edge:
             best = min(best, abs(c.first.arclength - c.second.arclength) / 2.0)
     points = sorted(c.point for c in crossings)
@@ -731,7 +735,7 @@ def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,
             if points[j][0] - points[i][0] >= best:
                 break
             best = min(best, geo.dist(points[i], points[j]))
-    for v, pos in vertices:
+    for v, pos in zip(f.graph.vertices(), vertices):
         best = index.nearest(pos, best, lambda s: v in s.ends)
     return best
 

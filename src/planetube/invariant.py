@@ -28,8 +28,9 @@ them, are references in `oracles`.
 What depends on the graph alone is built once per graph into one plan
 object and cached (`wu_plan`, a `WuPlan`): the tube complex, whose tube's
 `index` places each tube edge, the basis labels and their names, the
-conventions fingerprint, and each basis cycle collapsed to a sparse row of
-signed tube-edge multiplicities (`_row`), with its swap parity checked.
+conventions fingerprint, each basis cycle collapsed to a sparse row of
+signed tube-edge multiplicities (`_row`), with its swap parity checked,
+and each tube edge's omega recipe, the report fields its omega reads.
 Nothing here reads a drawing's coordinates: a Wu vector is a function of
 the genericity report and the plan.  The report carries each edge's bend
 turns, summed, and each germ's angle, all read off its segment table, so
@@ -64,7 +65,7 @@ except ImportError:
 from .graphs import EdgeCycle, Frozen, Graph
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         NotGenericError, validate_generic, standard_star)
-from .tube import (SymmetricTube, TubeComplex, TubeEdge, BasisLabel,
+from .tube import (TubeComplex, BasisLabel,
                    build_symmetric_tube, tube_spanning_tree, wu_basis,
                    basis_cycle, tube_cycle_over_graph_cycle,
                    cycle_is_closed, swap_parity)
@@ -75,26 +76,25 @@ class WindingError(ArithmeticError):
 
 
 INTEGER_TOL = 1e-6          # of pi, for the closed-cycle certificate
+_TWO_PI = 2.0 * math.pi
 
 
-def _germ_turn(a: float, b: float, edge: TubeEdge) -> float:
-    """omega of a Y edge from the angles a, b of the germs of its fixed and
-    moving edges: with delta the counterclockwise gap from a to b, the unit
-    germs and their chord make an isosceles triangle, so the chord g_b - g_a
-    points at a + delta/2 + pi/2 and the turn from -g_a is delta/2 - pi/2."""
-    turn = 0.5 * ((b - a) % (2.0 * math.pi) - math.pi)
-    return -turn if edge.u.kind == "W" else turn
-
-
-def _cochain(tube: SymmetricTube, report: GenericityReport) -> list[float]:
+def _cochain(plan: WuPlan, report: GenericityReport) -> list[float]:
     """omega of every tube edge, in `tube.edges` order, from the genericity
-    report alone: an X edge's bend turns as the validation summed them, and
-    a Y edge's angle from the germ angles it read (vertex -> edge id ->
-    radians)."""
+    report alone, by the plan's recipe of each (`WuPlan.recipes`).  An X
+    edge's recipe (None, edge id) reads the edge's bend turns as the
+    validation summed them.  A Y edge's (vertex, fixed edge, moving edge,
+    h) reads the angles a, b of its germs (vertex -> edge id -> radians):
+    with delta the counterclockwise gap from a to b, the unit germs and
+    their chord make an isosceles triangle, so the chord g_b - g_a points
+    at a + delta/2 + pi/2 and the turn from -g_a is delta/2 - pi/2, which
+    is h (delta - pi) with h = 0.5, or -0.5 when the edge leaves its W
+    cell."""
     turns, germs = report.turns, report.germs
-    return [turns[e.edge_a] if e.kind == "X" else
-            _germ_turn(germs[e.vertex][e.edge_a], germs[e.vertex][e.edge_b], e)
-            for e in tube.edges]
+    return [turns[r[1]] if r[0] is None else
+            r[3] * ((germs[r[0]][r[2]] - germs[r[0]][r[1]]) % _TWO_PI
+                    - math.pi)
+            for r in plan.recipes]
 
 
 class WuVector(Frozen):
@@ -155,19 +155,23 @@ class WuPlan(Frozen):
     """What `wu` needs of a graph, independent of any drawing: the tube
     complex (whose tube's `index` places each tube edge), the basis labels
     and their names, which every WuVector of the graph shares, the
-    conventions fingerprint and each label's row.  One plan serves every
-    caller with an equal graph, so its tables are read-only."""
-    __slots__ = ("complex", "labels", "names", "fingerprint", "terms")
+    conventions fingerprint, each label's row and each tube edge's omega
+    recipe.  One plan serves every caller with an equal graph, so its
+    tables are read-only."""
+    __slots__ = ("complex", "labels", "names", "fingerprint", "terms",
+                 "recipes")
 
     def __init__(self, complex: TubeComplex, labels: tuple[BasisLabel, ...],
                  names: tuple[str, ...], fingerprint: str,
-                 terms: MappingProxyType):
+                 terms: MappingProxyType, recipes: tuple):
         object.__setattr__(self, "complex", complex)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "fingerprint", fingerprint)
         # basis label name -> its basis cycle's row
         object.__setattr__(self, "terms", terms)
+        # each tube edge's omega recipe (`_cochain`), in `tube.edges` order
+        object.__setattr__(self, "recipes", recipes)
 
 
 # graphs whose plans stay cached: few, as a plan holds its graph's whole tube
@@ -206,7 +210,11 @@ def wu_plan(g: Graph) -> WuPlan:
         if swap_parity(steps) != (label.kind == "Y"):
             raise WindingError(_PARITY_ERRORS[label.kind] % label.name)
     fingerprint = _sha256(_conventions_blob(tc, names)).hexdigest()[:16]
-    return WuPlan(tc, labels, names, fingerprint, MappingProxyType(terms))
+    recipes = tuple((None, e.edge_a) if e.kind == "X" else
+                    (e.vertex, e.edge_a, e.edge_b,
+                     -0.5 if e.u.kind == "W" else 0.5) for e in tc.tube.edges)
+    return WuPlan(tc, labels, names, fingerprint, MappingProxyType(terms),
+                  recipes)
 
 
 def conventions_fingerprint(g: Graph) -> str:
@@ -250,15 +258,14 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
     if not 0.0 < use_eps <= report.epsilon:
         raise WindingError(
             f"eps {use_eps} outside (0, {report.epsilon}]")
-    return InvariantContext(f, report, plan, use_eps,
-                            _cochain(plan.complex.tube, report))
+    return InvariantContext(f, report, plan, use_eps, _cochain(plan, report))
 
 
 def _half_turns(ctx: InvariantContext, row) -> int:
     """A row summed against the cochain, in units of pi, certified
     integral."""
     w = ctx.cochain
-    total = sum(m * w[i] for i, m in row)
+    total = sum([m * w[i] for i, m in row])
     k = total / math.pi
     if not math.isfinite(k) or abs(k - round(k)) > INTEGER_TOL:
         raise WindingError(

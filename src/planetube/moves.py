@@ -169,14 +169,16 @@ def _perturb(f, report, seed, delta, tol):
         raise MoveError(f"delta must lie in [0, epsilon/4 = {report.epsilon / 4.0}]")
     if delta == 0.0:
         return f, report
-    rng = random.Random(seed)
+    # uniform(lo, hi) is lo + (hi - lo) * random(), so these draws are
+    # uniform(0, 2 pi) and uniform(0, 1) bit for bit, without their frames
+    r, turn = random.Random(seed).random, 2.0 * math.pi
     for _ in range(9):
         polylines = {}
         for e in f.graph.edges:
             pts = list(f.polylines[e.id].points)
             for k in range(1, len(pts) - 1):
-                a = rng.uniform(0.0, 2.0 * math.pi)
-                d = delta * math.sqrt(rng.uniform(0.0, 1.0))
+                a = turn * r()
+                d = delta * math.sqrt(r())
                 pts[k] = (pts[k][0] + d * math.cos(a),
                           pts[k][1] + d * math.sin(a))
             polylines[e.id] = Polyline(pts)

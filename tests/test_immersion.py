@@ -83,6 +83,85 @@ def test_polyline_cum_is_the_stepwise_sum_of_dist():
         assert pl.length.hex() == cum[-1].hex()
 
 
+def _bits(x):
+    """x with every float written as float.hex: equal bits, signs of zero
+    and NaN included, read equal."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    return x
+
+
+def test_kernels_match_the_helper_formulas():
+    # the inlined kernels against the same formulas composed from the
+    # small helpers, bit for bit, on random points at several scales and
+    # offsets, zero-length, axis-parallel and collinear segments, -0.0
+    # coordinates, projections at and past the clamp bounds (t = -0.0 and a
+    # NaN t at 1e300 included), and 1e300 magnitudes
+    def turn(u, w):
+        return math.atan2(geo.cross(u, w), geo.dot(u, w))
+
+    def distance(p, a, b):
+        ab = geo.sub(b, a)
+        L2 = geo.dot(ab, ab)
+        if L2 == 0.0:
+            return geo.dist(p, a)
+        t = max(0.0, min(1.0, geo.dot(geo.sub(p, a), ab) / L2))
+        return geo.dist(p, geo.add(a, geo.scale(ab, t)))
+
+    def meet(a, b, c, d):
+        r, s = geo.sub(b, a), geo.sub(d, c)
+        denom = geo.cross(r, s)
+        if denom == 0.0:
+            return None
+        qp = geo.sub(c, a)
+        t, u = geo.cross(qp, s) / denom, geo.cross(qp, r) / denom
+        if 0.0 < t < 1.0 and 0.0 < u < 1.0:
+            return (geo.add(a, geo.scale(r, t)), t, u)
+        return None
+
+    rng = random.Random(23)
+    axes = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (-1.0, -0.0),
+            (-0.0, 1.0), (0.0, -0.0), (-0.0, -0.0)]
+    units = axes + [geo.unit((rng.gauss(0, 1), rng.gauss(0, 1)))
+                    for _ in range(40)]
+    for u in units:
+        for w in units:
+            assert _bits(geo.turn_angle(u, w)) == _bits(turn(u, w))
+    quads = [((0.0, 0.0), (1.0, 0.0), (0.5, -1.0), (0.5, 1.0)),
+             ((0.0, 0.0), (0.0, 0.0), (-0.0, 1.0), (0.0, -1.0)),
+             ((0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (3.0, 0.0)),
+             ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)),
+             ((-0.0, -0.0), (0.0, 1.0), (-1.0, 0.5), (1.0, 0.5)),
+             ((0.0, 0.0), (1.0, -0.0), (-0.0, 1.0), (2.0, 0.0)),
+             ((-1e300, -1e300), (1e300, 1e300), (1e300, 0.0), (0.0, 1e300)),
+             ((-1e300, 0.0), (1e300, 0.0), (0.0, -1e300), (0.0, 1e300))]
+    for scale in (1e-9, 1.0, 1e6, 1e300):
+        for shift in (0.0, 1e12):
+            quads += [tuple((rng.uniform(-1, 1) * scale + shift,
+                             rng.uniform(-1, 1) * scale - shift)
+                            for _ in range(4)) for _ in range(60)]
+    for a, b, c, d in quads:
+        assert _bits(geo.segment_intersection(a, b, c, d)) == \
+            _bits(meet(a, b, c, d))
+        for p, q, r in ((a, b, c), (a, c, d), (c, a, b), (d, a, a), (a, b, a),
+                        (b, a, b)):
+            assert _bits(geo.point_segment_distance(p, q, r)) == \
+                _bits(distance(p, q, r))
+    # t at -0.0, 0, 1 and past both ends, and a NaN t
+    a, b = (0.0, 0.0), (1.0, -0.0)
+    for p in ((-0.0, 1.0), (0.0, 1.0), (1.0, 1.0), (-2.0, 1.0), (3.0, -1.0)):
+        assert _bits(geo.point_segment_distance(p, a, b)) == \
+            _bits(distance(p, a, b))
+    big = ((1e300, 0.0), (-1e300, -1e300), (1e300, 1e300))
+    assert math.isnan(geo.dot(geo.sub(big[0], big[1]),
+                              geo.sub(big[2], big[1]))
+                      / geo.dot(geo.sub(big[2], big[1]),
+                                geo.sub(big[2], big[1])))
+    assert _bits(geo.point_segment_distance(*big)) == _bits(distance(*big))
+
+
 def test_fixtures_are_generic():
     for f in (standard_curve(0), standard_curve(3), standard_star((1, 2, 3)),
               standard_star((2, 1, 4, 3)), planar_k4()):

@@ -340,6 +340,35 @@ def test_each_tube_edge_angle_matches_stepwise_omega():
                 assert abs(ctx.cochain[i] - omega(g, e)) <= 1e-12, e.label()
 
 
+def test_omega_recipes_match_the_per_edge_formula():
+    # the plan's recipes give each tube edge's omega bit for bit as the
+    # formula read off the edge itself: an X edge's summed bend turns, and
+    # for a Y edge with germ angles a (fixed edge) and b (moving edge),
+    # 0.5 ((b - a) mod 2 pi - pi), negated when the edge leaves its W cell
+    rng = random.Random(31)
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            f = random_bent_kn(rng, n)
+            while not validate_generic(f).passed:
+                f = random_bent_kn(rng, n)
+            for g in (f, reflect(f)):
+                ctx = prepare(g)
+                turns, germs = ctx.report.turns, ctx.report.germs
+                edges = ctx.plan.complex.tube.edges
+                assert len(edges) == len(ctx.cochain)
+                for e, w in zip(edges, ctx.cochain):
+                    if e.kind == "X":
+                        expected = turns[e.edge_a]
+                    else:
+                        a = germs[e.vertex][e.edge_a]
+                        b = germs[e.vertex][e.edge_b]
+                        expected = 0.5 * ((b - a) % (2.0 * math.pi)
+                                          - math.pi)
+                        if e.u.kind == "W":
+                            expected = -expected
+                    assert w.hex() == expected.hex(), e.label()
+
+
 def test_equal_graphs_share_one_plan():
     a = complete_graph(5)
     b = validate_graph(5, [[e.tail, e.head] for e in a.edges])
