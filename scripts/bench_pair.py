@@ -11,9 +11,9 @@ which it creates when it is missing:
 
 - per metric, both sides' medians, the parent's quartiles, the change's
   wins (pairs where it was better, in the direction `BENCHMARK.json`
-  gives) and `claim_met`: the change won at least 9 pairs in 10 and its
-  median is better than the parent's by more than the parent's
-  interquartile range;
+  gives) and `claim_met`: at least 10 pairs ran, the change won at least
+  9 in 10 of them and its median is better than the parent's by more
+  than the parent's interquartile range;
 - whether every output was correct, and the failed operations per side;
 - `nproc`, the Python version, both git SHAs (and whether the work tree
   differed from its SHA), and whether a checkout held a bytecode cache
@@ -88,7 +88,8 @@ def summary(parent: list, change: list, better: str | None) -> dict:
         sign = 1.0 if better == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         out.update(better=better, wins=wins,
-                   claim_met=(wins >= math.ceil(0.9 * len(parent))
+                   claim_met=(len(parent) >= 10
+                              and wins >= math.ceil(0.9 * len(parent))
                               and sign * (cm - pm) > q3 - q1))
     return out
 

@@ -723,10 +723,10 @@ def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,
                    geo.dist(pl.points[0], pl.points[1]),
                    geo.dist(pl.points[-2], pl.points[-1]),
                    pl.length / 2.0)
-    vertices = [tuple(f.positions[v]) for v in f.graph.vertices()]
+    positions = [tuple(f.positions[v]) for v in f.graph.vertices()]
     for c in crossings:
         # math.dist is `geometry.dist` bit for bit
-        best = min(best, *map(math.dist, repeat(c.point), vertices))
+        best = min(best, *map(math.dist, repeat(c.point), positions))
         if c.first.edge == c.second.edge:
             best = min(best, abs(c.first.arclength - c.second.arclength) / 2.0)
     points = sorted(c.point for c in crossings)
@@ -735,7 +735,7 @@ def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,
             if points[j][0] - points[i][0] >= best:
                 break
             best = min(best, geo.dist(points[i], points[j]))
-    for v, pos in zip(f.graph.vertices(), vertices):
+    for v, pos in zip(f.graph.vertices(), positions):
         best = index.nearest(pos, best, lambda s: v in s.ends)
     return best
 
