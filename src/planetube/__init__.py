@@ -9,10 +9,9 @@ from .tube import (SymmetricTube, TubeComplex, TubeError,
                    basis_cycle, tube_cycle_over_graph_cycle)
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         ImmersionError, NotGenericError, CyclicOrder,
-                        immersion_from_json_dict, validate_generic,
-                        trace_cycle, turning_number, restrict, reflect,
-                        map_points, standard_curve, standard_star, planar_k4,
-                        to_svg)
+                        immersion_from_json_dict, validate_generic, restrict,
+                        reflect, map_points, standard_curve, standard_star,
+                        planar_k4, to_svg)
 from .invariant import (WuVector, WindingError, wu, prepare,
                         evaluate_on_tube_cycle, equivalent, star_wu,
                         rotation_number_on_cycle)

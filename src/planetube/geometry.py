@@ -58,19 +58,6 @@ def angle_of(a: Point) -> float:
     return math.atan2(a[1], a[0])
 
 
-def wrap_to_half_pi(theta: float) -> float:
-    """Representative of theta modulo pi lying in (-pi/2, pi/2].
-
-    This is the step increment for tracking an undirected line direction.
-    """
-    t = math.fmod(theta, math.pi)
-    if t <= -math.pi / 2.0:
-        t += math.pi
-    elif t > math.pi / 2.0:
-        t -= math.pi
-    return t
-
-
 def turn_angle(u_in: Point, u_out: Point) -> float:
     """Signed exterior angle from direction u_in to u_out, in (-pi, pi]:
     atan2(cross(u_in, u_out), dot(u_in, u_out))."""

@@ -1,5 +1,5 @@
 """Polyline plane immersions of graphs: genericity, crossings, cyclic
-orders, turning numbers, fixtures.
+orders, fixtures.
 """
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 from . import geometry as geo
 from .geometry import Polyline, Point
-from .graphs import (Frozen, Graph, EdgeCycle, SubgraphMap, complete_graph,
-                     star_graph, validate_graph)
+from .graphs import (Frozen, Graph, SubgraphMap, complete_graph, star_graph,
+                     validate_graph)
 
 
 class ImmersionError(ValueError):
@@ -27,6 +27,10 @@ class NotGenericError(ImmersionError):
 TAU_REL = 1e-6
 """Distance tolerance of the genericity predicates, relative to the drawing:
 tau = TAU_REL * bounding-box diagonal, unless `Tolerances.tau_abs` is set."""
+
+TAU_FLOOR = 2.0 ** -48
+"""Least tau, relative to the drawing's largest absolute coordinate, that
+`validate_generic` accepts: 2^4 units of 2^-52."""
 
 ANGLE_TOL = 1e-6
 """Angular tolerance of the genericity predicates, in radians, for colliding
@@ -52,13 +56,26 @@ class Tolerances:
 
 
 class PlaneImmersion(Frozen):
-    __slots__ = ("graph", "positions", "polylines", "_bbox")
+    """A graph drawn in the plane: a position per vertex and a polyline per
+    edge, never changed once built.
+
+    A drawing keeps the report `validate_generic` last computed for it under
+    each tolerance, keyed by `Tolerances.tau_abs` (None for the default
+    relative tau), and `invariant.prepare` reads that report instead of
+    validating again.  `validate_generic` itself always recomputes, as the
+    oracle and the fallback, and overwrites the record.  A kept report is
+    shared with every later reader, so readers treat it as read-only, and
+    it holds the drawing's segment index for as long as the drawing lives.
+    Copies and pickles start with no record."""
+    __slots__ = ("graph", "positions", "polylines", "_bbox", "_reports")
 
     def __init__(self, graph: Graph, positions: dict, polylines: dict):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "positions", positions)  # vertex id -> Point
         object.__setattr__(self, "polylines", polylines)  # edge id -> Polyline
         object.__setattr__(self, "_bbox", None)
+        # Tolerances.tau_abs -> the GenericityReport last validated under it
+        object.__setattr__(self, "_reports", {})
         for v in graph.vertices():
             if v not in positions:
                 raise ImmersionError(f"missing position for vertex {v}")
@@ -77,6 +94,15 @@ class PlaneImmersion(Frozen):
             if pl.points[-1] != tuple(positions[e.head]):
                 raise ImmersionError(
                     f"edge {e.id}: polyline does not end at head position")
+
+    def __getstate__(self):
+        """What `copy` and `pickle` save: every slot but the reports."""
+        return None, {name: getattr(self, name)
+                      for name in ("graph", "positions", "polylines", "_bbox")}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "_reports", {})
+        super().__setstate__(state)
 
     @property
     def bbox(self) -> tuple[float, float, float, float]:
@@ -531,6 +557,16 @@ def validate_generic(f: PlaneImmersion,
     below, its crossings, cyclic orders, tau and, when it passes, the
     suggested scale epsilon.
 
+    A tau at or below 2^-48 M, M the drawing's largest absolute coordinate
+    (`_SegmentIndex.big`), is refused first, as
+    "tolerance-below-resolution".  That floor is c 2^-52 M with c = 2^4:
+    the distances and sides that the predicates compare with tau are taken
+    in absolute coordinates, spaced up to 2^-52 M apart, and round by a few
+    units of 2^-53 M (`_SegmentIndex.nearest`, `_check_pair`).  A tau
+    closer to that rounding than a factor of about four is finer than the
+    coordinates: a translate of a drawing would then be a different
+    drawing, not a rounding of it.
+
     Each segment is read once, in one pass per edge (`_edge_pass`) that
     builds the segment's row (its length and direction) and tau-widened
     box, runs step (a), sums the edge's bend turns and takes its two unit
@@ -557,6 +593,11 @@ def validate_generic(f: PlaneImmersion,
     shares every step: the edge pass (`_edge_pass`), the pair test
     (`_test_pairs`) and the finish, steps (e), (c), (d) and the scale
     (`_finish`).  This function is its fallback and its oracle.
+
+    Every call validates f in full and keeps the new report on f under
+    tol's `tau_abs`, over the one kept before (`PlaneImmersion`), where
+    `invariant.prepare` reads it; the report is shared, so its readers
+    treat it as read-only.
     """
     tol = tol or Tolerances()
     tau = tol.tau_for(f.bbox_diagonal())
@@ -564,6 +605,11 @@ def validate_generic(f: PlaneImmersion,
     # rows, boxes, bend turns and the germs at both ends
     segs, boxes, violations, turns, ends = _read_edges(f, tau, f.graph.edges)
     index = _SegmentIndex(f, tau, segs, boxes)
+    if tau <= TAU_FLOOR * index.big:
+        violations.insert(0, (
+            "tolerance-below-resolution",
+            f"tau {tau} is at most 2^-48 M = {TAU_FLOOR * index.big}, M = "
+            f"{index.big} the largest absolute coordinate"))
     # each germ as its angle, at the vertices where every germ has a
     # direction (a germ of length 0 is a degenerate segment)
     stubs = {v for (v, _), u in ends.items() if u is None}
@@ -573,8 +619,10 @@ def validate_generic(f: PlaneImmersion,
 
     # (b) crossings transversal, interior
     crossings, pairs, cviol = find_crossings(index)
-    return _finish(f, index, turns, germs, crossings, pairs, violations,
-                   cviol)
+    report = _finish(f, index, turns, germs, crossings, pairs, violations,
+                     cviol)
+    f._reports[tol.tau_abs] = report
+    return report
 
 
 def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
@@ -738,46 +786,6 @@ def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,
     for v, pos in zip(f.graph.vertices(), positions):
         best = index.nearest(pos, best, lambda s: v in s.ends)
     return best
-
-
-def trace_cycle(f: PlaneImmersion, c: EdgeCycle) -> list[Point]:
-    """Closed point sequence of f restricted to a simple cycle, traversed in
-    the cycle's direction.  Last point equals the first."""
-    pts: list[Point] = []
-    for eid, d in c.steps:
-        seq = f.polylines[eid].points
-        if d < 0:
-            seq = list(reversed(seq))
-        if pts:
-            pts.extend(seq[1:])
-        else:
-            pts.extend(seq)
-    return pts
-
-
-def turning_number(points: list[Point]) -> int:
-    """Total signed turning of a closed polyline, in full turns.
-
-    The input is cyclic: the last point must equal the first.  Corner turns
-    of +-pi are rejected.
-    """
-    if len(points) < 4 or points[0] != points[-1]:
-        raise ImmersionError("turning number needs a closed polyline")
-    dirs = []
-    for a, b in zip(points, points[1:]):
-        if geo.dist(a, b) == 0:
-            raise ImmersionError("zero-length step in closed polyline")
-        dirs.append(geo.unit(geo.sub(b, a)))
-    total = 0.0
-    for u_in, u_out in zip(dirs, dirs[1:] + dirs[:1]):
-        turn = geo.turn_angle(u_in, u_out)
-        if abs(turn) >= math.pi - ANGLE_TOL:
-            raise ImmersionError("straight-back corner in closed polyline")
-        total += turn
-    k = total / (2.0 * math.pi)
-    if abs(k - round(k)) > 1e-9:
-        raise ImmersionError(f"turning total {total} is not a full-turn multiple")
-    return int(round(k))
 
 
 def restrict(f: PlaneImmersion, sub: SubgraphMap) -> PlaneImmersion:

@@ -242,13 +242,20 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
     """Validate f, fetch its graph's plan and compute its cochain from the
     genericity report: the bend turns and germs the validation read.
 
+    The report is the one f keeps from its last validation under tol
+    (`PlaneImmersion`), when there is one, so a drawing validated, then
+    evaluated, is validated once; otherwise `validate_generic` computes
+    and keeps it.  The context shares that report, read-only.
+
     `eps` defaults to the suggested scale and must lie in (0, suggested];
     NaN lies in no range and is refused.  The check bounds a positive eps
     from above only: one at or below the drawing tolerance tau passes too,
     because no exact angle depends on it; only the tracer in `oracles`
     works at scale eps.
     """
-    report = validate_generic(f, tol)
+    report = f._reports.get(None if tol is None else tol.tau_abs)
+    if report is None:
+        report = validate_generic(f, tol)
     if not report.passed:
         raise NotGenericError(
             "immersion is not generic: "

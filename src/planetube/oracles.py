@@ -28,6 +28,9 @@ realized here as closed paths of point pairs at scale eps:
 `winding` traces a PairPath with certified Lipschitz refinement, and
 dense_winding_oracle re-traces it with fixed uniform sampling and naive
 angle accumulation.  Both are references only; their cost grows as 1/eps.
+wrap_to_half_pi is their step increment.  trace_cycle walks a drawing
+along a graph cycle and turning_number counts that closed polyline's full
+turns: the classical rotation number, the reference for X coordinates.
 
 Nothing on the package's own paths imports this module, and the package
 root does not re-export it: tests and scripts import `planetube.oracles`,
@@ -39,9 +42,11 @@ import math
 from dataclasses import dataclass, field
 
 from . import geometry as geo
-from .graphs import Graph, bfs_tree, tree_path
+from .geometry import Point
+from .graphs import EdgeCycle, Graph, bfs_tree, tree_path
 from .immersion import (ANGLE_TOL, Crossing, GenericityReport,
-                        PlaneImmersion, StrandPoint, _all_segments)
+                        ImmersionError, PlaneImmersion, StrandPoint,
+                        _all_segments)
 from .tube import (SymmetricTube, TubeComplex, TubeEdge, TubeError,
                    cycle_is_closed)
 from .invariant import (WindingError, INTEGER_TOL, InvariantContext, _row,
@@ -462,7 +467,7 @@ def _refine(path: PairPath, idx: int, rate: float, t0: float, p0, t1: float,
     if floor > 0.0 and rate * (w / 2.0) / floor <= ROTATION_CAP:
         # true rotation over each half interval is below pi/2, so the
         # wrapped increments are the true ones
-        return geo.wrap_to_half_pi(am - a0) + geo.wrap_to_half_pi(a1 - am)
+        return wrap_to_half_pi(am - a0) + wrap_to_half_pi(a1 - am)
     if depth <= 0:
         raise WindingError(
             f"refinement depth exhausted in cell {path.steps[idx][0].label()}")
@@ -480,10 +485,63 @@ def dense_winding_oracle(path: PairPath, per_cell: int = 10_000,
     for _, _, pair in path.samples(per_cell):
         a, _ = _chord(pair, path.tau)
         if prev is not None:
-            total += geo.wrap_to_half_pi(a - prev)
+            total += wrap_to_half_pi(a - prev)
         prev = a
     k = total / math.pi
     if abs(k - round(k)) > tol:
         raise WindingError(
             f"dense trace total {total} is not an integer multiple of pi")
+    return int(round(k))
+
+
+def wrap_to_half_pi(theta: float) -> float:
+    """Representative of theta modulo pi lying in (-pi/2, pi/2].
+
+    This is the step increment for tracking an undirected line direction.
+    """
+    t = math.fmod(theta, math.pi)
+    if t <= -math.pi / 2.0:
+        t += math.pi
+    elif t > math.pi / 2.0:
+        t -= math.pi
+    return t
+
+
+def trace_cycle(f: PlaneImmersion, c: EdgeCycle) -> list[Point]:
+    """Closed point sequence of f restricted to a simple cycle, traversed in
+    the cycle's direction.  Last point equals the first."""
+    pts: list[Point] = []
+    for eid, d in c.steps:
+        seq = f.polylines[eid].points
+        if d < 0:
+            seq = list(reversed(seq))
+        if pts:
+            pts.extend(seq[1:])
+        else:
+            pts.extend(seq)
+    return pts
+
+
+def turning_number(points: list[Point]) -> int:
+    """Total signed turning of a closed polyline, in full turns.
+
+    The input is cyclic: the last point must equal the first.  Corner turns
+    of +-pi are rejected.
+    """
+    if len(points) < 4 or points[0] != points[-1]:
+        raise ImmersionError("turning number needs a closed polyline")
+    dirs = []
+    for a, b in zip(points, points[1:]):
+        if geo.dist(a, b) == 0:
+            raise ImmersionError("zero-length step in closed polyline")
+        dirs.append(geo.unit(geo.sub(b, a)))
+    total = 0.0
+    for u_in, u_out in zip(dirs, dirs[1:] + dirs[:1]):
+        turn = geo.turn_angle(u_in, u_out)
+        if abs(turn) >= math.pi - ANGLE_TOL:
+            raise ImmersionError("straight-back corner in closed polyline")
+        total += turn
+    k = total / (2.0 * math.pi)
+    if abs(k - round(k)) > 1e-9:
+        raise ImmersionError(f"turning total {total} is not a full-turn multiple")
     return int(round(k))

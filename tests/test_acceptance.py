@@ -17,16 +17,16 @@ from planetube.graphs import (EdgeCycle, star, star_graph, complete_graph,
 from planetube.tube import (Z, W, build_symmetric_tube, tube_spanning_tree,
                             rank, wu_basis, basis_cycle, cycle_is_closed,
                             tube_cycle_over_graph_cycle)
-from planetube.immersion import (validate_generic, trace_cycle,
-                                 turning_number, reflect,
-                                 map_points, restrict, standard_curve,
-                                 standard_star, planar_k4)
+from planetube.immersion import (validate_generic, reflect, map_points,
+                                 restrict, standard_curve, standard_star,
+                                 planar_k4)
 from planetube.invariant import (wu, prepare, star_wu, equivalent,
                                  evaluate_on_tube_cycle,
                                  rotation_number_on_cycle)
 from planetube.moves import insert_curl, whitney_pair, perturb
 from planetube.oracles import (betti_oracle, cell_census,
-                               raw_basis_windings, decompose_over_basis)
+                               raw_basis_windings, decompose_over_basis,
+                               trace_cycle, turning_number)
 
 from conftest import (resample_midpoints, random_k4, connected_graphs_upto,
                       random_connected_graph, random_tube_cycle)

@@ -10,7 +10,6 @@ from planetube.graphs import EdgeCycle, complete_graph, star, validate_graph
 from planetube.immersion import (PlaneImmersion, ImmersionError,
                                  NotGenericError, Tolerances, CyclicOrder,
                                  immersion_from_json_dict, validate_generic,
-                                 trace_cycle, turning_number,
                                  restrict, reflect, map_points,
                                  standard_curve, standard_star, planar_k4,
                                  to_svg, find_crossings, _SegmentIndex,
@@ -18,7 +17,8 @@ from planetube.immersion import (PlaneImmersion, ImmersionError,
                                  ANGLE_TOL)
 from planetube.invariant import wu
 from planetube.moves import MoveError, insert_curl, whitney_pair
-from planetube.oracles import all_pairs_crossings, min_clearance_oracle
+from planetube.oracles import (all_pairs_crossings, min_clearance_oracle,
+                               trace_cycle, turning_number)
 
 from conftest import (resample_midpoints, straight_line_immersion, random_k4,
                       drawing, random_bent_kn)

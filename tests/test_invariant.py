@@ -17,9 +17,8 @@ from planetube import geometry
 from planetube.geometry import angle_of, dist
 from planetube.graphs import (EdgeCycle, star, complete_graph, path_graph,
                               star_graph, validate_graph)
-from planetube.immersion import (trace_cycle, turning_number, reflect,
-                                 map_points, standard_curve, standard_star,
-                                 planar_k4, validate_generic)
+from planetube.immersion import (reflect, map_points, standard_curve,
+                                 standard_star, planar_k4, validate_generic)
 from planetube.invariant import (WindingError, wu, prepare,
                                  evaluate_on_tube_cycle, equivalent,
                                  star_wu, rotation_number_on_cycle,
@@ -27,7 +26,8 @@ from planetube.invariant import (WindingError, wu, prepare,
                                  conventions_fingerprint, _conventions_blob)
 from planetube.oracles import (omega, pair_path, winding,
                                fundamental_cycle_tube, raw_basis_windings,
-                               decompose_over_basis)
+                               decompose_over_basis, trace_cycle,
+                               turning_number)
 from planetube.tube import (TubeEdge, W, Z, basis_cycle,
                             tube_cycle_over_graph_cycle, cycle_is_closed,
                             swap_parity)

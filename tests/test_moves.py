@@ -8,10 +8,9 @@ from planetube import immersion, moves
 from planetube.geometry import (KINK_CLEARANCE, Polyline, kink_waypoints,
                                 point_segment_distance)
 from planetube.immersion import (PlaneImmersion, Tolerances, validate_generic,
-                                 turning_number, trace_cycle, standard_curve,
-                                 standard_star, planar_k4, map_points,
-                                 reflect)
-from planetube.oracles import report_differences
+                                 standard_curve, standard_star, planar_k4,
+                                 map_points, reflect)
+from planetube.oracles import report_differences, trace_cycle, turning_number
 from planetube.graphs import EdgeCycle, fundamental_cycle
 from planetube.invariant import wu, prepare, equivalent
 from planetube.moves import (MoveError, MoveRecord, insert_curl,
@@ -322,13 +321,19 @@ def test_splice_reports_match_full_validation(monkeypatch):
     bent = [random_bent_kn(rng, n) for n in (4, 5, 6)]
     cases = [(f, splice_sites(f, rng)) for f in bent + [planar_k4()]]
     cases.append(between_curls())
-    # reflected and far from the origin: bent K4, K4 and the curled curve
+    # reflected and far from the origin: bent K4, K4 and the curled curve;
+    # (1e9, 1e9) is as far as their default tau stays above 2^-48 times
+    # the largest coordinate, and at (1e12, 1e12) they are refused
     cases += [(fn(f), records) for f, records in (cases[0], cases[3], cases[4])
               for fn in (reflect,
                          lambda f: map_points(f, lambda p: (p[0] + 1e6,
                                                             p[1] - 1e6)),
-                         lambda f: map_points(f, lambda p: (p[0] + 1e12,
-                                                            p[1] + 1e12)))]
+                         lambda f: map_points(f, lambda p: (p[0] + 1e9,
+                                                            p[1] + 1e9)))]
+    for f, _ in cases[-9:]:
+        far = map_points(f, lambda p: (p[0] + 1e12, p[1] + 1e12))
+        assert validate_generic(far).violations[0][0] == \
+            "tolerance-below-resolution"
     for f, records in cases:
         report = validate_generic(f)
         for rec in records:
