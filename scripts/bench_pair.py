@@ -24,6 +24,14 @@ Both sides run under this interpreter, with this environment; set
 PYTHONDONTWRITEBYTECODE=1 to keep the runs from writing bytecode caches.
 Nothing under `perfbench/` is changed, apart from the corpora and spans
 that `run.py` itself writes to `perfbench/out/`.
+
+    python3 scripts/bench_pair.py --check BENCH_*.json
+
+runs nothing: it recomputes each record's medians, parent quartiles, wins
+and `claim_met` from its stored samples, with the same `summary()` and the
+directions this checkout's `BENCHMARK.json` gives, and exits 1, naming the
+file, record and metric, when a stored figure disagrees or a sample list
+does not hold one value per pair.
 """
 from __future__ import annotations
 
@@ -94,22 +102,70 @@ def summary(parent: list, change: list, better: str | None) -> dict:
     return out
 
 
+def directions(tree: Path) -> dict:
+    """Metric name -> "higher" or "lower", as tree's BENCHMARK.json lists
+    its end-to-end metrics."""
+    listed = json.loads((tree / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in listed["end_to_end"]}
+
+
+def check(paths: list) -> int:
+    """Recompute every record of the BENCH files at paths from its samples:
+    0 when each stored summary agrees, else 1, naming each disagreement."""
+    better = directions(Path(__file__).resolve().parent.parent)
+    wrong = 0
+    for path in paths:
+        for k, record in enumerate(json.loads(path.read_text())["runs"]):
+            where = (f"{path} record {k} ({record['workload']} seed "
+                     f"{record['seed']})")
+            samples = record["samples"]
+            if set(record["metrics"]) != set(samples["parent"]) & \
+                    set(samples["change"]):
+                print(f"{where}: metrics {sorted(record['metrics'])} are "
+                      "not the sampled ones")
+                wrong += 1
+            for m, stored in record["metrics"].items():
+                parent, change = samples["parent"].get(m), \
+                    samples["change"].get(m)
+                if parent is None or change is None or \
+                        not len(parent) == len(change) == record["pairs"]:
+                    print(f"{where} {m}: not one sample per pair")
+                    wrong += 1
+                    continue
+                fresh = summary(parent, change, better.get(m))
+                for key in sorted((set(fresh) | set(stored)) - {"unit"}):
+                    if stored.get(key) != fresh.get(key):
+                        print(f"{where} {m}: {key} is {stored.get(key)!r}, "
+                              f"its samples give {fresh.get(key)!r}")
+                        wrong += 1
+    print(json.dumps({"files": len(paths), "disagreements": wrong}))
+    return 1 if wrong else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("parent", type=Path, nargs="?")
+    ap.add_argument("change", type=Path, nargs="?")
+    ap.add_argument("--workload")
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--check", type=Path, nargs="+", metavar="FILE",
+                    help="recompute each record of these files from its "
+                         "samples instead of running")
     args = ap.parse_args(argv)
+    if args.check:
+        return check(args.check)
+    if None in (args.parent, args.change, args.workload, args.seed,
+                args.out):
+        ap.error("PARENT, CHANGE, --workload, --seed and --out are needed "
+                 "to run pairs")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, tree in trees.items():
         if not (tree / "perfbench" / "run.py").is_file():
             sys.exit(f"bench_pair: no perfbench/run.py in the {side} tree")
-    listed = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in listed["end_to_end"]}
+    better = directions(trees["change"])
 
     runs = {side: [] for side in SIDES}
     for k in range(args.pairs):

@@ -8,8 +8,11 @@ builds the edit_dense corpus of each seed with `perfbench/corpus.py`, runs
 every move script through `moves.apply_moves`, and compares the report
 each curl or Whitney pair derives for its output (`immersion.revalidate`)
 with `immersion.validate_generic` of that output, field by field, hidden
-fields included (`oracles.report_differences`).  Prints one JSON line per
-seed; exits 1 at the first difference, naming the script and the fields.
+fields included (`oracles.report_differences`).  The comparison is always
+with a new full validation: a splice output keeps no report of its own
+(`immersion.revalidate` records none), and `validate_generic` recomputes
+on every call.  Prints one JSON line per seed; exits 1 at the first
+difference, naming the script and the fields.
 """
 import argparse
 import importlib.util
@@ -34,10 +37,10 @@ def load_corpus():
     return corpus
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     corpus = load_corpus()
     derive = moves.revalidate
     splices = []

@@ -95,10 +95,15 @@ class PlaneImmersion(Frozen):
                 raise ImmersionError(
                     f"edge {e.id}: polyline does not end at head position")
 
+    def _kept_report(self, tol: Tolerances | None):
+        """The report `validate_generic` last computed for this drawing
+        under tol, or None when it has not validated it under tol."""
+        return self._reports.get(None if tol is None else tol.tau_abs)
+
     def __getstate__(self):
         """What `copy` and `pickle` save: every slot but the reports."""
-        return None, {name: getattr(self, name)
-                      for name in ("graph", "positions", "polylines", "_bbox")}
+        return None, {name: getattr(self, name) for name in self.__slots__
+                      if name != "_reports"}
 
     def __setstate__(self, state):
         object.__setattr__(self, "_reports", {})
@@ -379,7 +384,8 @@ class _SegmentIndex:
         gap, so it could not lower the minimum.  tau covers the rounding in
         `geometry.point_segment_distance` and in the bisection bounds, both
         in absolute coordinates, only while tau exceeds a few units of
-        2^-53 M, M the largest absolute coordinate (`big`)."""
+        2^-53 M, M the largest absolute coordinate (`big`), which
+        `validate_generic` requires (`TAU_FLOOR`)."""
         px, py = pos
         lo = bisect_left(self.lefts, px - best - self.wide - self.tau)
         hi = bisect_right(self.lefts, px + best + self.tau)
@@ -596,8 +602,9 @@ def validate_generic(f: PlaneImmersion,
 
     Every call validates f in full and keeps the new report on f under
     tol's `tau_abs`, over the one kept before (`PlaneImmersion`), where
-    `invariant.prepare` reads it; the report is shared, so its readers
-    treat it as read-only.
+    `invariant.prepare` reads it.  The report is shared, so its readers
+    treat it as read-only, and through it f holds its segment index for as
+    long as f lives.
     """
     tol = tol or Tolerances()
     tau = tol.tau_for(f.bbox_diagonal())
@@ -645,7 +652,8 @@ def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
     the bounding box), or when step (a) finds a violation on a replaced
     edge, whose germ may then have no angle.  Past step (a), f's pairs have
     no violation, so those of the replaced edges' pairs come out in the
-    full order."""
+    full order.  The derived report is not kept on g: only a full validation
+    is (`PlaneImmersion`)."""
     tol = tol or Tolerances()
     tau = tol.tau_for(g.bbox_diagonal())
     if not report.passed or tau != report.tau:

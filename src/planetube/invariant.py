@@ -253,7 +253,7 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
     because no exact angle depends on it; only the tracer in `oracles`
     works at scale eps.
     """
-    report = f._reports.get(None if tol is None else tol.tau_abs)
+    report = f._kept_report(tol)
     if report is None:
         report = validate_generic(f, tol)
     if not report.passed:

@@ -122,6 +122,19 @@ def test_validate_exit_codes(tmp_path, capsys):
         ["degenerate-segment", "edge 1 segment 0 at (0.0, 0.0)"]]
     assert report["cyclic_orders"] == {"2": [1]}
 
+    # tau 1e-9 is finer than the coordinates of K4 at (1e12, 1e12), and not
+    # of K4 at the origin
+    far = planar_k4().to_json_dict()
+    far["positions"] = {v: [x + 1e12, y + 1e12]
+                        for v, (x, y) in far["positions"].items()}
+    far["polylines"] = {e: [[x + 1e12, y + 1e12] for x, y in pts]
+                        for e, pts in far["polylines"].items()}
+    for drawn, code in ((f, 0), (write(tmp_path, "far.json", far), 1)):
+        assert main(["validate", "--tol", "1e-9", drawn]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert [kind for kind, _ in report["violations"]] == \
+            ([] if code == 0 else ["tolerance-below-resolution"])
+
 
 def test_malformed_file_is_validation_failure(tmp_path, capsys):
     p = tmp_path / "junk.json"

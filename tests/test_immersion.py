@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from itertools import accumulate
 
@@ -18,7 +20,8 @@ from planetube.immersion import (PlaneImmersion, ImmersionError,
 from planetube.invariant import wu
 from planetube.moves import MoveError, insert_curl, whitney_pair
 from planetube.oracles import (all_pairs_crossings, min_clearance_oracle,
-                               trace_cycle, turning_number)
+                               report_differences, trace_cycle,
+                               turning_number)
 
 from conftest import (resample_midpoints, straight_line_immersion, random_k4,
                       drawing, random_bent_kn)
@@ -564,6 +567,47 @@ def test_absolute_tolerance_override():
     for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ImmersionError, match="finite and positive"):
             Tolerances(tau_abs=bad)
+
+
+def test_validation_recomputes_and_keeps_its_report():
+    # every call validates in full and keeps its new report on the drawing,
+    # over the last one, one per tolerance; copies and pickles keep none
+    f = standard_curve(3)
+    first, again = validate_generic(f), validate_generic(f)
+    assert first is not again and f._reports == {None: again}
+    assert report_differences(first, again) == []
+    fixed = validate_generic(f, Tolerances(tau_abs=1e-7))
+    assert fixed.tau == 1e-7 and f._reports == {None: again, 1e-7: fixed}
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g._reports == {} and g.bbox == f.bbox
+        assert g.to_json_dict() == f.to_json_dict()
+        assert report_differences(validate_generic(g), again) == []
+        assert list(g._reports) == [None]
+    # a failing report is kept as well
+    stub = drawing({1: (0, 0), 2: (2, 0)}, [(1, 2)], {1: [(0, 0), (1, 1)]})
+    report = validate_generic(stub)
+    assert not report.passed and stub._reports == {None: report}
+
+
+def test_tolerance_below_coordinate_resolution_is_refused():
+    # a tau at or below 2^-48 M, M the largest absolute coordinate, is
+    # finer than the coordinates, and refused before the other steps
+    k4 = planar_k4()
+    far = map_points(k4, lambda p: (p[0] + 1e12, p[1] + 1e12))
+    tiny = Tolerances(tau_abs=1e-9)
+    assert validate_generic(k4, tiny).passed
+    report = validate_generic(far, tiny)
+    assert not report.passed and report.epsilon == 0.0
+    assert [kind for kind, _ in report.violations] == \
+        ["tolerance-below-resolution"]
+    # at the default tau far K4 is refused too, and the floor is sharp
+    assert validate_generic(far).violations[0][0] == \
+        "tolerance-below-resolution"
+    floor = 2.0 ** -48 * (1e12 + 6.0)
+    for tau, refused in ((floor, True), (math.nextafter(floor, 1.0), False)):
+        kinds = [kind for kind, _ in
+                 validate_generic(far, Tolerances(tau_abs=tau)).violations]
+        assert ("tolerance-below-resolution" in kinds) == refused
 
 
 def test_svg_smoke(k4):

@@ -13,17 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import planetube
-from planetube import geometry
+from planetube import geometry, invariant
 from planetube.geometry import angle_of, dist
 from planetube.graphs import (EdgeCycle, star, complete_graph, path_graph,
                               star_graph, validate_graph)
-from planetube.immersion import (reflect, map_points, standard_curve,
-                                 standard_star, planar_k4, validate_generic)
+from planetube.immersion import (Tolerances, reflect, map_points,
+                                 standard_curve, standard_star, planar_k4,
+                                 validate_generic)
 from planetube.invariant import (WindingError, wu, prepare,
                                  evaluate_on_tube_cycle, equivalent,
                                  star_wu, rotation_number_on_cycle,
                                  coordinate, wu_plan, PLAN_CACHE_SIZE,
                                  conventions_fingerprint, _conventions_blob)
+from planetube.moves import MoveError, insert_curl
 from planetube.oracles import (omega, pair_path, winding,
                                fundamental_cycle_tube, raw_basis_windings,
                                decompose_over_basis, trace_cycle,
@@ -99,6 +101,43 @@ def test_y_coordinate_is_germ_triple_orientation():
     assert count == 152
 
 
+def test_y_coordinate_is_cyclic_order_on_bent_drawings():
+    # Y{v}[k,j] is +1 exactly when inc[j-1] precedes inc[k-1] in the
+    # report's counterclockwise order at v, read from inc[d-1], on random
+    # bent K3-K6 with 0-3 curls and on their mirror images
+    rng = random.Random(11)
+    checked = curled = 0
+    for n in range(3, 7):
+        for curls in range(4):
+            f = random_bent_kn(rng, n)
+            while not validate_generic(f).passed:
+                f = random_bent_kn(rng, n)
+            for _ in range(curls):
+                eid = rng.randint(1, f.graph.num_edges)
+                try:
+                    f = insert_curl(f, eid, f.polylines[eid].length
+                                    * rng.uniform(0.1, 0.9),
+                                    rng.choice((-1, 1)))
+                except MoveError:       # no room there
+                    continue
+                curled += 1
+            for g in (f, reflect(f)):
+                orders, w = validate_generic(g).cyclic_orders, wu(g)
+                for v in g.graph.vertices():
+                    inc = g.graph.incident_edges(v)
+                    d, ring = len(inc), orders[v].edges
+                    start = ring.index(inc[-1])
+                    place = {e: (i - start) % d for i, e in enumerate(ring)}
+                    for j in range(1, d):
+                        for k in range(j + 1, d):
+                            first = place[inc[j - 1]] < place[inc[k - 1]]
+                            assert w[f"Y{v}[{k},{j}]"] == \
+                                (1 if first else -1)
+                            checked += 1
+    # Y labels per drawing: 0, 4, 15 and 36 on K3-K6
+    assert checked == 2 * 4 * (4 + 15 + 36) and curled >= 16
+
+
 def test_star_wu_depends_only_on_cyclic_order():
     base = wu(standard_star((1, 3, 2)))
     skew = wu(standard_star((1, 3, 2),
@@ -163,6 +202,37 @@ def test_wu_computes_each_angle_once(monkeypatch):
     germs = 2 * f.graph.num_edges
     assert (calls["turn_angle"], calls["angle_of"]) == (bends, germs) \
         == (111, 12)
+
+
+def test_wu_reads_the_report_its_drawing_keeps(monkeypatch):
+    # a drawing validated, then evaluated, is validated once: wu right after
+    # validate_generic under the same tolerance validates zero times, and
+    # once after a validation under another; copies keep no report
+    calls = []
+    real = invariant.validate_generic
+
+    def counting(f, tol=None):
+        calls.append(f)
+        return real(f, tol)
+
+    monkeypatch.setattr(invariant, "validate_generic", counting)
+    f = random_bent_kn(random.Random(4), 5)
+    expected, fixed = wu(copy.deepcopy(f)), Tolerances(tau_abs=1e-6)
+    report = validate_generic(f)
+    calls.clear()
+    assert wu(f) == expected and equivalent(f, f)
+    ctx = prepare(f, eps=report.epsilon / 10)
+    assert ctx.report is report and calls == []
+    validate_generic(f, fixed)
+    assert wu(f, fixed) == expected and calls == []
+    g = copy.deepcopy(f)
+    validate_generic(g, fixed)
+    assert wu(g) == expected and calls == [g]
+    assert wu(g) == expected and calls == [g]
+    calls.clear()
+    for h in (copy.copy(f), pickle.loads(pickle.dumps(f))):
+        assert wu(h, fixed) == expected and calls == [h]
+        calls.clear()
 
 
 def test_wu_k4_shape(k4):

@@ -1,5 +1,9 @@
+import copy
+import importlib.util
 import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -348,6 +352,30 @@ def test_splice_reports_match_full_validation(monkeypatch):
         assert report_differences(report, validate_generic(g)) == []
     assert sum(not fell_back for _, _, fell_back in splices) > 50
     assert sum(len(r.crossings) for _, r, _ in splices) > 400
+
+
+def test_splice_checker_compares_with_a_new_validation(monkeypatch, capsys):
+    # scripts/check_splice_reports.py checks each derived report against a
+    # full validation of its own: a derived report one ulp off in epsilon
+    # fails it, by name
+    path = Path(__file__).resolve().parents[1] / "scripts" / \
+        "check_splice_reports.py"
+    spec = importlib.util.spec_from_file_location("check_splice_reports",
+                                                  path)
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    derive = moves.revalidate
+
+    def one_ulp_up(g, f, report, tol=None):
+        out = copy.copy(derive(g, f, report, tol))
+        out.epsilon = math.nextafter(out.epsilon, math.inf)
+        return out
+
+    monkeypatch.setattr(moves, "revalidate", one_ulp_up)
+    assert checker.main(["--seeds", "1"]) == 1
+    line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert line["seed"] == 1 and line["differ"] == ["epsilon"]
+    assert moves.revalidate is one_ulp_up
 
 
 def test_splice_fallbacks_match_full_validation(monkeypatch):
