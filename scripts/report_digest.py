@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""One SHA-256 over the genericity reports of the benchmark's drawings.
+"""One SHA-256 over the genericity reports of the benchmark's drawings and
+the plans of small graphs.
 
     PYTHONPATH=src python scripts/report_digest.py --seeds 1 2 3
 
@@ -17,15 +18,24 @@ No end segment of those corpora lies along an axis, so the fixtures
 `planar_k4` and `standard_star((1, 2, 3, 4))`, and their mirror images,
 are validated first: a germ along -x there reads angle pi, and one read
 as pi or as -pi hashes apart.
+
+The digest then covers the plan layer (`invariant.wu_plan`) of every
+connected graph on 2 to 5 vertices (771 graphs) and of K3 to K10: each
+plan's basis names, rows (`terms`), omega recipes and conventions
+fingerprint, and the graph's `tube` output, as JSON (`tube.to_json_dict`)
+and as DOT (`tube.to_dot`).  These are hashed as data, not as the
+records' reprs, so a change to how the records are written keeps it.
 """
 import argparse
 import hashlib
 import importlib.util
+import itertools
 import json
 import sys
 from pathlib import Path
 
-from planetube import immersion, moves
+from planetube import immersion, invariant, moves, tube
+from planetube.graphs import GraphError, complete_graph, validate_graph
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
 
@@ -63,6 +73,29 @@ def report_fields(r) -> list:
         index.lefts, index.wide, index.big])
 
 
+def small_graphs():
+    """Every connected labeled graph on 2..5 vertices, then K3..K10."""
+    for m in range(2, 6):
+        pairs = list(itertools.combinations(range(1, m + 1), 2))
+        for bits in range(1, 1 << len(pairs)):
+            try:
+                yield validate_graph(m, [pairs[i] for i in range(len(pairs))
+                                         if bits >> i & 1])
+            except GraphError:
+                continue
+    for m in range(3, 11):
+        yield complete_graph(m)
+
+
+def plan_fields(g) -> list:
+    plan = invariant.wu_plan(g)
+    return plain([
+        plan.names, [[name, plan.terms[name]] for name in plan.names],
+        plan.recipes, plan.fingerprint,
+        tube.to_json_dict(plan.complex, plan.labels),
+        tube.to_dot(plan.complex)])
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
@@ -87,6 +120,8 @@ def main() -> int:
                     add(plain([pl.points for _, pl
                                in sorted(out.polylines.items())]))
                     add(report_fields(immersion.validate_generic(out)))
+    for g in small_graphs():
+        add(plan_fields(g))
     print(digest.hexdigest())
     return 0
 
