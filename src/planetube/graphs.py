@@ -15,9 +15,11 @@ class GraphError(ValueError):
 
 
 class Frozen:
-    """Base of the package's slotted records that never change once built:
-    `__init__` fills the slots through `object.__setattr__`, and any later
-    assignment or deletion of an attribute raises AttributeError."""
+    """Base of the records a NamedTuple cannot express: `Graph` and
+    `tube.TubeEdge` (equal on part of their fields), `EdgeCycle` and
+    `immersion.PlaneImmersion` (which validate, and keep caches out of
+    copies).  `__init__` fills the slots through `object.__setattr__`;
+    any later assignment or deletion raises AttributeError."""
     __slots__ = ()
 
     def __setattr__(self, name, value):
@@ -111,13 +113,10 @@ class Graph(Frozen):
         }
 
 
-class SpanningTree(Frozen):
-    __slots__ = ("graph", "edge_ids", "parent")
-
-    def __init__(self, graph: Graph, edge_ids: frozenset, parent: dict):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "edge_ids", edge_ids)
-        object.__setattr__(self, "parent", parent)      # from bfs_tree
+class SpanningTree(NamedTuple):
+    graph: Graph
+    edge_ids: frozenset
+    parent: dict                # from bfs_tree
 
     @property
     def non_tree_edges(self) -> list[int]:
@@ -172,7 +171,8 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
     boolean or float, even a whole one such as 1.0, is not an integer here,
     as a vertex count or an endpoint.  `edge_pairs` that is not a list or
     tuple raises TypeError naming the field, as a JSON value of the wrong
-    shape does."""
+    shape does.  More vertices than the edges can connect are refused by
+    the two counts, before any table of the vertices is built."""
     if not isinstance(num_vertices, int) or isinstance(num_vertices, bool):
         raise GraphError(f"vertex count {num_vertices!r} is not an integer")
     if not isinstance(edge_pairs, (list, tuple)):
@@ -206,6 +206,9 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
             continue
         seen.add(key)
         edges.append(Edge(idx, min(a, b), max(a, b)))
+    if not problems and num_vertices > len(edges) + 1:
+        problems.append(f"disconnected: {num_vertices} vertices need at "
+                        f"least {num_vertices - 1} edges, not {len(edges)}")
     if not problems:
         g = Graph(num_vertices, tuple(edges))
         # walk the incidence lists; edge (id, a, b) leads from v to a + b - v
@@ -304,15 +307,11 @@ def fundamental_cycle(t: SpanningTree, eid: int) -> EdgeCycle:
     return EdgeCycle(t.graph, tuple(steps))
 
 
-class SubgraphMap(Frozen):
+class SubgraphMap(NamedTuple):
     """A subgraph relabeled canonically, with maps back to the parent."""
-    __slots__ = ("graph", "vertex_to_parent", "edge_to_parent")
-
-    def __init__(self, graph: Graph, vertex_to_parent: dict,
-                 edge_to_parent: dict):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "vertex_to_parent", vertex_to_parent)
-        object.__setattr__(self, "edge_to_parent", edge_to_parent)
+    graph: Graph
+    vertex_to_parent: dict
+    edge_to_parent: dict
 
 
 def star(g: Graph, v: int) -> SubgraphMap:

@@ -64,8 +64,9 @@ class PlaneImmersion(Frozen):
     relative tau), and `invariant.prepare` reads that report instead of
     validating again.  `validate_generic` itself always recomputes, as the
     oracle and the fallback, and overwrites the record.  A kept report is
-    shared with every later reader, so readers treat it as read-only, and
-    it holds the drawing's segment index for as long as the drawing lives.
+    shared with every later reader: its fields are read-only by type (a
+    NamedTuple), and readers leave the lists and dicts in them as they are.
+    It holds the drawing's segment index for as long as the drawing lives.
     Copies and pickles start with no record."""
     __slots__ = ("graph", "positions", "polylines", "_bbox", "_reports")
 
@@ -236,7 +237,7 @@ class CyclicOrder(NamedTuple):
         return CyclicOrder.from_sequence(self.vertex, rev)
 
 
-class GenericityReport:
+class GenericityReport(NamedTuple):
     """What `validate_generic` found, and the drawing as it read it.  The
     hidden fields are all the moves and the invariant's cochain read of
     the drawing: its segment index, the angle of each germ by vertex and
@@ -244,25 +245,17 @@ class GenericityReport:
     bend turns summed tail to head, and the segment rows (s, t), s first in
     `_all_segments` order, of each crossing, by which `revalidate` merges a
     splice's crossings."""
-    __slots__ = ("passed", "violations", "crossings", "cyclic_orders",
-                 "epsilon", "tau", "index", "germs", "theta", "turns",
-                 "pairs")
-
-    def __init__(self, passed: bool, violations: list, crossings: list,
-                 cyclic_orders: dict, epsilon: float, tau: float,
-                 index: _SegmentIndex, germs: dict, theta: float,
-                 turns: dict, pairs: list):
-        self.passed = passed
-        self.violations = violations
-        self.crossings = crossings
-        self.cyclic_orders = cyclic_orders      # vertex -> CyclicOrder
-        self.epsilon = epsilon
-        self.tau = tau
-        self.index = index
-        self.germs = germs          # v -> e -> radians
-        self.theta = theta          # radians, at most pi
-        self.turns = turns          # edge id -> radians
-        self.pairs = pairs          # (s, t) per crossing
+    passed: bool
+    violations: list
+    crossings: list
+    cyclic_orders: dict         # vertex -> CyclicOrder
+    epsilon: float
+    tau: float
+    index: _SegmentIndex
+    germs: dict                 # v -> e -> radians
+    theta: float                # radians, at most pi
+    turns: dict                 # edge id -> radians
+    pairs: list                 # (s, t) per crossing
 
 
 class _Segment(NamedTuple):
@@ -602,9 +595,10 @@ def validate_generic(f: PlaneImmersion,
 
     Every call validates f in full and keeps the new report on f under
     tol's `tau_abs`, over the one kept before (`PlaneImmersion`), where
-    `invariant.prepare` reads it.  The report is shared, so its readers
-    treat it as read-only, and through it f holds its segment index for as
-    long as f lives.
+    `invariant.prepare` reads it.  The report is shared: no field of it can
+    be reassigned, its readers leave the lists and dicts in it as they
+    are, and through it f holds its segment index for as long as f
+    lives.
     """
     tol = tol or Tolerances()
     tau = tol.tau_for(f.bbox_diagonal())
@@ -744,19 +738,8 @@ def _finish(f: PlaneImmersion, index: _SegmentIndex, turns: dict,
                      "tolerance"))
                 eps = 0.0
 
-    return GenericityReport(
-        passed=not violations,
-        violations=violations,
-        crossings=crossings,
-        cyclic_orders=orders,
-        epsilon=eps,
-        tau=tau,
-        index=index,
-        germs=germs,
-        theta=theta,
-        turns=turns,
-        pairs=pairs,
-    )
+    return GenericityReport(not violations, violations, crossings, orders,
+                            eps, tau, index, germs, theta, turns, pairs)
 
 
 def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,

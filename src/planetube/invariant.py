@@ -53,6 +53,7 @@ import functools
 import json
 import math
 from types import MappingProxyType
+from typing import NamedTuple
 
 try:    # the interpreter's own SHA-256; hashlib would load OpenSSL
     from _sha2 import sha256 as _sha256           # Python 3.12 and later
@@ -62,7 +63,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .graphs import EdgeCycle, Frozen, Graph
+from .graphs import EdgeCycle, Graph
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
                         NotGenericError, validate_generic, standard_star)
 from .tube import (TubeComplex, BasisLabel,
@@ -97,29 +98,13 @@ def _cochain(plan: WuPlan, report: GenericityReport) -> list[float]:
             for r in plan.recipes]
 
 
-class WuVector(Frozen):
+class WuVector(NamedTuple):
     """Coordinates over a graph's basis names, with the conventions
-    fingerprint they are comparable under; equal when all three are."""
-    __slots__ = ("basis_names", "coords", "fingerprint")
-
-    def __init__(self, basis_names: tuple[str, ...], coords: tuple[int, ...],
-                 fingerprint: str):
-        object.__setattr__(self, "basis_names", basis_names)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "fingerprint", fingerprint)
-
-    def __eq__(self, other):
-        if other.__class__ is not WuVector:
-            return NotImplemented
-        return (self.basis_names, self.coords, self.fingerprint) == \
-            (other.basis_names, other.coords, other.fingerprint)
-
-    def __hash__(self):
-        return hash((self.basis_names, self.coords, self.fingerprint))
-
-    def __repr__(self):
-        return (f"WuVector(basis_names={self.basis_names!r}, "
-                f"coords={self.coords!r}, fingerprint={self.fingerprint!r})")
+    fingerprint they are comparable under; equal when all three are.
+    Indexing takes a basis name, not a position."""
+    basis_names: tuple[str, ...]
+    coords: tuple[int, ...]
+    fingerprint: str
 
     def __getitem__(self, name: str) -> int:
         return self.coords[self.basis_names.index(name)]
@@ -151,27 +136,20 @@ def _conventions_blob(tc: TubeComplex, names) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
-class WuPlan(Frozen):
+class WuPlan(NamedTuple):
     """What `wu` needs of a graph, independent of any drawing: the tube
     complex (whose tube's `index` places each tube edge), the basis labels
     and their names, which every WuVector of the graph shares, the
     conventions fingerprint, each label's row and each tube edge's omega
     recipe.  One plan serves every caller with an equal graph, so its
     tables are read-only."""
-    __slots__ = ("complex", "labels", "names", "fingerprint", "terms",
-                 "recipes")
-
-    def __init__(self, complex: TubeComplex, labels: tuple[BasisLabel, ...],
-                 names: tuple[str, ...], fingerprint: str,
-                 terms: MappingProxyType, recipes: tuple):
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "fingerprint", fingerprint)
-        # basis label name -> its basis cycle's row
-        object.__setattr__(self, "terms", terms)
-        # each tube edge's omega recipe (`_cochain`), in `tube.edges` order
-        object.__setattr__(self, "recipes", recipes)
+    complex: TubeComplex
+    labels: tuple[BasisLabel, ...]
+    names: tuple[str, ...]
+    fingerprint: str
+    terms: MappingProxyType     # basis label name -> its basis cycle's row
+    # each tube edge's omega recipe (`_cochain`), in `tube.edges` order
+    recipes: tuple
 
 
 # graphs whose plans stay cached: few, as a plan holds its graph's whole tube
@@ -223,18 +201,14 @@ def conventions_fingerprint(g: Graph) -> str:
     return wu_plan(g).fingerprint
 
 
-class InvariantContext:
+class InvariantContext(NamedTuple):
     """Everything reusable across evaluations of one immersion: its report,
     its graph's plan and one omega per tube edge."""
-    __slots__ = ("immersion", "report", "plan", "eps", "cochain")
-
-    def __init__(self, immersion: PlaneImmersion, report: GenericityReport,
-                 plan: WuPlan, eps: float, cochain: list):
-        self.immersion = immersion
-        self.report = report
-        self.plan = plan
-        self.eps = eps
-        self.cochain = cochain    # omega of each tube edge, in tube.edges order
+    immersion: PlaneImmersion
+    report: GenericityReport
+    plan: WuPlan
+    eps: float
+    cochain: list       # omega of each tube edge, in tube.edges order
 
 
 def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
@@ -245,7 +219,8 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
     The report is the one f keeps from its last validation under tol
     (`PlaneImmersion`), when there is one, so a drawing validated, then
     evaluated, is validated once; otherwise `validate_generic` computes
-    and keeps it.  The context shares that report, read-only.
+    and keeps it.  The context shares that report, whose fields are
+    read-only by type and whose lists and dicts it leaves as they are.
 
     `eps` defaults to the suggested scale and must lie in (0, suggested];
     NaN lies in no range and is refused.  The check bounds a positive eps
@@ -325,9 +300,10 @@ def equivalent(f: PlaneImmersion, g: PlaneImmersion,
 
 def star_wu(order, tol: Tolerances | None = None) -> tuple[int, ...]:
     """Wu coordinates of a canonical star immersion realizing a cyclic order
-    of d >= 1 edges (empty for d < 3)."""
+    of d >= 1 edges, from any iterable (empty for d < 3)."""
+    order = list(order)
     f = standard_star(order)
-    if len(list(order)) < 3:
+    if len(order) < 3:
         return ()
     return wu(f, tol).coords
 

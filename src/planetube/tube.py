@@ -98,16 +98,12 @@ class TubeEdge(Frozen):
         return f"Y[v{self.vertex};fix e{self.edge_a},move e{self.edge_b}]"
 
 
-class SymmetricTube(Frozen):
-    __slots__ = ("graph", "vertices", "edges", "index")
-
-    def __init__(self, graph: Graph, vertices: tuple[TubeVertex, ...],
-                 edges: tuple[TubeEdge, ...]):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        # tube edge -> its position in `edges`; the one lookup of a tube edge
-        object.__setattr__(self, "index", {e: i for i, e in enumerate(edges)})
+class SymmetricTube(NamedTuple):
+    graph: Graph
+    vertices: tuple[TubeVertex, ...]
+    edges: tuple[TubeEdge, ...]
+    # tube edge -> its position in `edges`; the one lookup of a tube edge
+    index: dict
 
     def x_edge(self, eid: int) -> TubeEdge:
         return self.edges[self.index[TubeEdge("X", 0, eid)]]
@@ -123,15 +119,11 @@ class BasisLabel(NamedTuple):
     name: str
 
 
-class TubeComplex(Frozen):
+class TubeComplex(NamedTuple):
     """Symmetric tube together with its canonical spanning tree."""
-    __slots__ = ("tube", "tree_edges", "graph_tree")
-
-    def __init__(self, tube: SymmetricTube, tree_edges: frozenset,
-                 graph_tree: SpanningTree):
-        object.__setattr__(self, "tube", tube)
-        object.__setattr__(self, "tree_edges", tree_edges)  # of TubeEdge
-        object.__setattr__(self, "graph_tree", graph_tree)
+    tube: SymmetricTube
+    tree_edges: frozenset       # of TubeEdge
+    graph_tree: SpanningTree
 
     @property
     def non_tree_edges(self) -> list[TubeEdge]:
@@ -160,7 +152,8 @@ def build_symmetric_tube(g: Graph) -> SymmetricTube:
                     edges.append(TubeEdge("Y", v, a, b, u=zc, v=wc))
                 else:
                     edges.append(TubeEdge("Y", v, a, b, u=wc, v=zc))
-    return SymmetricTube(g, tuple(cells), tuple(edges))
+    return SymmetricTube(g, tuple(cells), tuple(edges),
+                         {e: i for i, e in enumerate(edges)})
 
 
 def tube_spanning_tree(tube: SymmetricTube) -> TubeComplex:

@@ -162,6 +162,20 @@ def test_malformed_file_is_validation_failure(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+def test_huge_vertex_count_on_one_edge_exits_1_briefly(tmp_path, capsys):
+    graph = {"vertices": 10**5, "edges": [[1, 2]]}
+    drawing = {"graph": graph, "positions": {"1": [0, 0], "2": [1, 0]},
+               "polylines": {"1": [[0, 0], [1, 0]]}}
+    for argv in (["basis", write(tmp_path, "g.json", graph)],
+                 ["invariant", write(tmp_path, "f.json", drawing)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200, len(err)
+        assert json.loads(err) == {
+            "error": "validation", "message": "disconnected: 100000 vertices "
+            "need at least 99999 edges, not 1"}
+
+
 def assert_validation_errors(capsys, runs):
     """Each (argv, message part) run exits 1 with a JSON validation error
     whose message holds that part."""

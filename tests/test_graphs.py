@@ -22,6 +22,19 @@ def test_validate_rejects_loops_duplicates_range():
         validate_graph(4, [[1, 2], [3, 4]])
 
 
+def test_vertex_count_beyond_the_edges_is_refused_by_the_counts():
+    # 10^5 declared vertices on one edge: refused before a table of the
+    # vertices is built, in a message that names the counts, not the
+    # unreachable vertices
+    with pytest.raises(GraphError) as info:
+        validate_graph(10**5, [[1, 2]])
+    message = str(info.value)
+    assert message == ("disconnected: 100000 vertices need at least 99999 "
+                       "edges, not 1") and len(message) < 200
+    # a tree has exactly one edge fewer than its vertices
+    assert validate_graph(3, [[1, 2], [2, 3]]).num_vertices == 3
+
+
 def test_validate_names_malformed_fields():
     with pytest.raises(GraphError, match="vertex count 4.5"):
         validate_graph(4.5, [[1, 2]])

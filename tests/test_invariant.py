@@ -29,7 +29,7 @@ from planetube.moves import MoveError, insert_curl
 from planetube.oracles import (omega, pair_path, winding,
                                fundamental_cycle_tube, raw_basis_windings,
                                decompose_over_basis, trace_cycle,
-                               turning_number)
+                               turning_number, report_differences)
 from planetube.tube import (TubeEdge, W, Z, basis_cycle,
                             tube_cycle_over_graph_cycle, cycle_is_closed,
                             swap_parity)
@@ -143,6 +143,9 @@ def test_star_wu_depends_only_on_cyclic_order():
     skew = wu(standard_star((1, 3, 2),
                             germ_angles={1: 0.3, 3: 1.1, 2: 4.9}))
     assert base.coords == skew.coords == star_wu((1, 3, 2))
+    # an iterator is read once
+    assert star_wu(iter((1, 3, 2))) == base.coords
+    assert star_wu(iter((1, 2))) == ()
 
 
 def test_pair_path_cells_share_boundary_pairs(k4):
@@ -458,12 +461,19 @@ def test_value_semantics_the_package_relies_on():
     x, y = tube.x_edge(4), tube.y_edge(1, 1, 2)
     assert x == TubeEdge("X", 0, 4) and (x.u, x.v) == (Z(2, 4), Z(3, 4))
     assert y == TubeEdge("Y", 1, 1, 2) and {y.u, y.v} == {Z(1, 1), W(1, 1, 2)}
-    # the hash-key types refuse attribute assignment
+    # the hash-key types and the records refuse attribute assignment; a
+    # drawing's kept report is shared by every reader, and a plan by every
+    # caller with an equal graph
+    f = planar_k4()
+    report = validate_generic(f)
+    v = wu(f)
     for obj, name in ((a.edges[0], "tail"), (Z(1, 1), "vertex"), (x, "u"),
-                      (a, "edges")):
+                      (a, "edges"), (report, "epsilon"), (prepare(f), "eps"),
+                      (plan, "terms"), (plan.complex, "tree_edges"),
+                      (tube, "index"), (plan.complex.graph_tree, "parent"),
+                      (star(a, 1), "graph"), (v, "coords")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
-    v = wu(planar_k4())
     assert v == wu(planar_k4()) and hash(v) == hash(wu(planar_k4()))
     assert (v["X4"], v["Y1[2,1]"]) == (1, -1)
     assert -v != v and -(-v) == v
@@ -471,6 +481,8 @@ def test_value_semantics_the_package_relies_on():
     assert v.fingerprint == "a5214a0fc3856e68"
     # copy and pickle restore the read-only records
     assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(v)) == v
+    for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert report_differences(twin, report) == []
 
 
 def test_plan_cache_is_bounded():

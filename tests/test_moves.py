@@ -1,4 +1,3 @@
-import copy
 import importlib.util
 import json
 import math
@@ -367,9 +366,8 @@ def test_splice_checker_compares_with_a_new_validation(monkeypatch, capsys):
     derive = moves.revalidate
 
     def one_ulp_up(g, f, report, tol=None):
-        out = copy.copy(derive(g, f, report, tol))
-        out.epsilon = math.nextafter(out.epsilon, math.inf)
-        return out
+        out = derive(g, f, report, tol)
+        return out._replace(epsilon=math.nextafter(out.epsilon, math.inf))
 
     monkeypatch.setattr(moves, "revalidate", one_ulp_up)
     assert checker.main(["--seeds", "1"]) == 1
