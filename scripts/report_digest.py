@@ -29,13 +29,13 @@ records' reprs, so a change to how the records are written keeps it.
 import argparse
 import hashlib
 import importlib.util
-import itertools
 import json
 import sys
 from pathlib import Path
 
+from census_report import connected_graphs
 from planetube import immersion, invariant, moves, tube
-from planetube.graphs import GraphError, complete_graph, validate_graph
+from planetube.graphs import complete_graph
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
 
@@ -73,20 +73,6 @@ def report_fields(r) -> list:
         index.lefts, index.wide, index.big])
 
 
-def small_graphs():
-    """Every connected labeled graph on 2..5 vertices, then K3..K10."""
-    for m in range(2, 6):
-        pairs = list(itertools.combinations(range(1, m + 1), 2))
-        for bits in range(1, 1 << len(pairs)):
-            try:
-                yield validate_graph(m, [pairs[i] for i in range(len(pairs))
-                                         if bits >> i & 1])
-            except GraphError:
-                continue
-    for m in range(3, 11):
-        yield complete_graph(m)
-
-
 def plan_fields(g) -> list:
     plan = invariant.wu_plan(g)
     return plain([
@@ -120,7 +106,7 @@ def main() -> int:
                     add(plain([pl.points for _, pl
                                in sorted(out.polylines.items())]))
                     add(report_fields(immersion.validate_generic(out)))
-    for g in small_graphs():
+    for g in [*connected_graphs(5), *map(complete_graph, range(3, 11))]:
         add(plan_fields(g))
     print(digest.hexdigest())
     return 0

@@ -172,7 +172,7 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
     as a vertex count or an endpoint.  `edge_pairs` that is not a list or
     tuple raises TypeError naming the field, as a JSON value of the wrong
     shape does.  More vertices than the edges can connect are refused by
-    the two counts, before any table of the vertices is built."""
+    the counts alone, before a table of the vertices is built."""
     if not isinstance(num_vertices, int) or isinstance(num_vertices, bool):
         raise GraphError(f"vertex count {num_vertices!r} is not an integer")
     if not isinstance(edge_pairs, (list, tuple)):

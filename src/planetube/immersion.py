@@ -738,8 +738,10 @@ def _finish(f: PlaneImmersion, index: _SegmentIndex, turns: dict,
                      "tolerance"))
                 eps = 0.0
 
-    return GenericityReport(not violations, violations, crossings, orders,
-                            eps, tau, index, germs, theta, turns, pairs)
+    return GenericityReport(
+        passed=not violations, violations=violations, crossings=crossings,
+        cyclic_orders=orders, epsilon=eps, tau=tau, index=index, germs=germs,
+        theta=theta, turns=turns, pairs=pairs)
 
 
 def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,
