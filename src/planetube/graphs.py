@@ -15,11 +15,11 @@ class GraphError(ValueError):
 
 
 class Frozen:
-    """Base of the records a NamedTuple cannot express: `Graph` and
-    `tube.TubeEdge` (equal on part of their fields), `EdgeCycle` and
-    `immersion.PlaneImmersion` (which validate, and keep caches out of
-    copies).  `__init__` fills the slots through `object.__setattr__`;
-    any later assignment or deletion raises AttributeError."""
+    """Base of the records that validate their input, which a NamedTuple
+    cannot do: `EdgeCycle` and `immersion.PlaneImmersion` (which also keeps
+    its caches out of copies).  `__init__` fills the slots through
+    `object.__setattr__`; any later assignment or deletion raises
+    AttributeError."""
     __slots__ = ()
 
     def __setattr__(self, name, value):
@@ -50,30 +50,15 @@ class Edge(NamedTuple):
         return frozenset((self.tail, self.head))
 
 
-class Graph(Frozen):
-    """A graph, equal to and hashed as its vertex count and edges: equal
-    graphs share one cached plan (`invariant.wu_plan`)."""
-    __slots__ = ("num_vertices", "edges", "_incident")
-
-    def __init__(self, num_vertices: int, edges: tuple[Edge, ...]):
-        inc: dict[int, list[int]] = {v: [] for v in range(1, num_vertices + 1)}
-        for e in edges:
-            inc[e.tail].append(e.id)
-            inc[e.head].append(e.id)
-        for v in inc:
-            inc[v].sort()
-        object.__setattr__(self, "num_vertices", num_vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_incident", inc)
-
-    def __eq__(self, other):
-        if other.__class__ is not Graph:
-            return NotImplemented
-        return (self.num_vertices == other.num_vertices
-                and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.num_vertices, self.edges))
+class Graph(NamedTuple):
+    """A graph on the vertices 1..num_vertices.  `incident[v - 1]` is the
+    sorted tuple of the edge ids at v; `validate_graph`, the only
+    constructor, builds it from the edges, so equality over all three
+    fields is equality of vertex count and edges.  Equal graphs share one
+    cached plan (`invariant.wu_plan`)."""
+    num_vertices: int
+    edges: tuple[Edge, ...]
+    incident: tuple[tuple[int, ...], ...]
 
     def vertices(self) -> range:
         return range(1, self.num_vertices + 1)
@@ -95,10 +80,9 @@ class Graph(Frozen):
 
     def incident_edges(self, v: int) -> list[int]:
         """Edge ids at v, in increasing id order."""
-        try:
-            return list(self._incident[v])
-        except KeyError:
+        if not 1 <= v <= self.num_vertices:
             raise GraphError(f"unknown vertex {v}")
+        return list(self.incident[v - 1])
 
     def degree(self, v: int) -> int:
         return len(self.incident_edges(v))
@@ -210,11 +194,16 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
         problems.append(f"disconnected: {num_vertices} vertices need at "
                         f"least {num_vertices - 1} edges, not {len(edges)}")
     if not problems:
-        g = Graph(num_vertices, tuple(edges))
+        # edges come in increasing id order, so each vertex's list is sorted
+        inc = [[] for _ in range(num_vertices)]
+        for e in edges:
+            inc[e.tail - 1].append(e.id)
+            inc[e.head - 1].append(e.id)
+        g = Graph(num_vertices, tuple(edges), tuple(map(tuple, inc)))
         # walk the incidence lists; edge (id, a, b) leads from v to a + b - v
         reached, todo = {1}, [1]
         for v in todo:
-            for eid in g._incident[v]:
+            for eid in inc[v - 1]:
                 _, a, b = edges[eid - 1]
                 w = a + b - v
                 if w not in reached:

@@ -8,6 +8,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, groupby, islice, repeat
 from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import geometry as geo
@@ -57,7 +58,11 @@ class Tolerances:
 
 class PlaneImmersion(Frozen):
     """A graph drawn in the plane: a position per vertex and a polyline per
-    edge, never changed once built.
+    edge, never changed once built.  `positions` and `polylines` are
+    read-only copies (`MappingProxyType`) of the tables passed in, so
+    neither an item assignment nor a later change to the caller's dicts
+    reaches the drawing; a `Polyline`'s own `points` list stays mutable,
+    and readers leave it as it is.
 
     A drawing keeps the report `validate_generic` last computed for it under
     each tolerance, keyed by `Tolerances.tau_abs` (None for the default
@@ -72,8 +77,11 @@ class PlaneImmersion(Frozen):
 
     def __init__(self, graph: Graph, positions: dict, polylines: dict):
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "positions", positions)  # vertex id -> Point
-        object.__setattr__(self, "polylines", polylines)  # edge id -> Polyline
+        # vertex id -> Point and edge id -> Polyline, read-only copies
+        positions = MappingProxyType(dict(positions))
+        polylines = MappingProxyType(dict(polylines))
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "polylines", polylines)
         object.__setattr__(self, "_bbox", None)
         # Tolerances.tau_abs -> the GenericityReport last validated under it
         object.__setattr__(self, "_reports", {})
@@ -102,13 +110,16 @@ class PlaneImmersion(Frozen):
         return self._reports.get(None if tol is None else tol.tau_abs)
 
     def __getstate__(self):
-        """What `copy` and `pickle` save: every slot but the reports."""
-        return None, {name: getattr(self, name) for name in self.__slots__
-                      if name != "_reports"}
+        """What `copy` and `pickle` save: every slot but the reports, the
+        two tables as plain dicts, as a mappingproxy does not pickle."""
+        return None, {"graph": self.graph, "positions": dict(self.positions),
+                      "polylines": dict(self.polylines), "_bbox": self._bbox}
 
     def __setstate__(self, state):
-        object.__setattr__(self, "_reports", {})
-        super().__setstate__(state)
+        slots = state[1]
+        super().__setstate__((None, dict(
+            slots, positions=MappingProxyType(slots["positions"]),
+            polylines=MappingProxyType(slots["polylines"]), _reports={})))
 
     @property
     def bbox(self) -> tuple[float, float, float, float]:

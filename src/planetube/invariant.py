@@ -168,7 +168,8 @@ def _row(index, steps) -> tuple:
         raise WindingError("tube cycle is not closed")
     row: dict[int, int] = {}
     for e, d in steps:
-        row[index[e]] = row.get(index[e], 0) + d
+        i = index[e[:4]]
+        row[i] = row.get(i, 0) + d
     return tuple((i, m) for i, m in row.items() if m)
 
 

@@ -154,7 +154,7 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
              else _whitney_chain(c, u, r))
     polylines = dict(f.polylines)
     polylines[eid] = Polyline(pl.points[:i + 1] + chain + pl.points[i + 1:])
-    g = PlaneImmersion(f.graph, dict(f.positions), polylines)
+    g = PlaneImmersion(f.graph, f.positions, polylines)
     return g, _generic(revalidate(g, f, report, tol),
                        f"{what} broke genericity")
 
@@ -182,7 +182,7 @@ def _perturb(f, report, seed, delta, tol):
                 pts[k] = (pts[k][0] + d * math.cos(a),
                           pts[k][1] + d * math.sin(a))
             polylines[e.id] = Polyline(pts)
-        g = PlaneImmersion(f.graph, dict(f.positions), polylines)
+        g = PlaneImmersion(f.graph, f.positions, polylines)
         check = validate_generic(g, tol)
         if check.passed and len(check.crossings) == len(report.crossings):
             return g, check

@@ -39,7 +39,7 @@ so `import planetube` and the CLI never compile it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import geometry as geo
 from .geometry import Point
@@ -53,8 +53,7 @@ from .invariant import (WindingError, INTEGER_TOL, InvariantContext, _row,
                         evaluate_on_tube_cycle)
 
 
-@dataclass(frozen=True)
-class CellCensus:
+class CellCensus(NamedTuple):
     diagonal_cells: int          # one per vertex plus one per edge
     disjoint_pairs: int          # ordered pairs of disjoint closed simplices
     tube_vertices: int           # Z and W cells enumerated below
@@ -64,7 +63,7 @@ class CellCensus:
     betti_formula: int           # 1 - 2n + (sum d^2)/2
     # tube edge key -> its two end cell keys; a key is (kind, vertex,
     # edge_a, edge_b) as on `tube.TubeVertex` and `tube.TubeEdge`
-    edge_ends: dict = field(compare=False, repr=False)
+    edge_ends: dict
 
 
 def cell_census(g: Graph) -> CellCensus:
@@ -113,10 +112,8 @@ def census_matches_tube(census: CellCensus, tube: SymmetricTube) -> bool:
     """The built tube has the census's cell counts and joins each tube edge
     to the census's end cells, and the census counts meet their closed
     forms."""
-    def key(c):
-        return (c.kind, c.vertex, c.edge_a, c.edge_b)
-
-    built = {key(e): frozenset((key(e.u), key(e.v))) for e in tube.edges}
+    # cells and tube edges are tuples that start with their cell data
+    built = {e[:4]: frozenset((e.u, e.v)) for e in tube.edges}
     return (len(tube.vertices) == census.tube_vertices
             == census.tube_vertices_formula
             and len(tube.edges) == census.tube_edges
@@ -204,7 +201,7 @@ def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
     """Signed multiplicity of each non-tree tube edge in a closed cycle."""
     index = ctx.plan.complex.tube.index
     row = dict(_row(index, steps))
-    return {b.name: row.get(index[b.edge], 0) for b in ctx.plan.labels}
+    return {b.name: row.get(index[b.edge[:4]], 0) for b in ctx.plan.labels}
 
 
 def _pair_test(s, t, tau: float, crossings, violations) -> None:
@@ -332,8 +329,7 @@ def omega(f: PlaneImmersion, edge: TubeEdge) -> float:
 MAX_REFINE_DEPTH = 40
 
 
-@dataclass
-class PairPath:
+class PairPath(NamedTuple):
     """Closed path of unordered point pairs realizing a tube cycle."""
     immersion: PlaneImmersion
     tube: SymmetricTube

@@ -10,8 +10,10 @@ Cell naming:
 X(e) is oriented tail -> head with e.  Y(v, a, b) is oriented by edge b:
 from Z toward W when v is b's tail, from W toward Z when v is b's head.
 
-Each tube edge has one position, its place in `SymmetricTube.edges`, and
-`SymmetricTube.index` maps the edge to it: it is the one lookup of a tube
+Cells and tube edges are plain NamedTuples, equal when all their fields
+are.  Each tube edge has one position, its place in `SymmetricTube.edges`,
+and `SymmetricTube.index` maps the edge's cell data `e[:4]`, a plain tuple
+such as ("Y", v, fixed, moving), to it: it is the one lookup of a tube
 edge, both from its cell data (`x_edge`, `y_edge`) and into the rows that
 `invariant` sums.  The basis is the tuple of `BasisLabel`s that `wu_basis`
 returns, one per non-tree tube edge.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .graphs import (Frozen, Graph, SpanningTree, EdgeCycle, GraphError,
+from .graphs import (Graph, SpanningTree, EdgeCycle, GraphError,
                      canonical_spanning_tree, fundamental_cycle)
 
 
@@ -37,20 +39,12 @@ class TubeError(ValueError):
     pass
 
 
-class _TubeCell(NamedTuple):
+class TubeVertex(NamedTuple):
+    """A tube cell: Z(v, e), or W(v, a, b) with a < b, which `W` orders."""
     kind: str          # "Z" or "W"
     vertex: int
     edge_a: int
     edge_b: int = 0    # unused for Z; for W, edge_a < edge_b
-
-
-class TubeVertex(_TubeCell):
-    __slots__ = ()
-
-    def __new__(cls, kind: str, vertex: int, edge_a: int, edge_b: int = 0):
-        if kind == "W" and not edge_a < edge_b:
-            raise TubeError("W cell edges must be ordered")
-        return tuple.__new__(cls, (kind, vertex, edge_a, edge_b))
 
     def label(self) -> str:
         if self.kind == "Z":
@@ -67,30 +61,15 @@ def W(v: int, a: int, b: int) -> TubeVertex:
     return TubeVertex("W", v, lo, hi)
 
 
-class TubeEdge(Frozen):
-    """A tube edge, equal to and hashed as its cell data (kind, vertex,
-    edge_a, edge_b) alone, so `TubeEdge("X", 0, eid)` finds the edge in
-    `SymmetricTube.index`; traversal u -> v is the positive direction."""
-    __slots__ = ("kind", "vertex", "edge_a", "edge_b", "u", "v", "_key")
-
-    def __init__(self, kind: str, vertex: int, edge_a: int, edge_b: int = 0,
-                 u: TubeVertex | None = None, v: TubeVertex | None = None):
-        object.__setattr__(self, "kind", kind)          # "X" or "Y"
-        object.__setattr__(self, "vertex", vertex)      # 0 for X
-        # X: the edge id; Y: the fixed-side edge, then the moving-side edge
-        object.__setattr__(self, "edge_a", edge_a)
-        object.__setattr__(self, "edge_b", edge_b)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "_key", (kind, vertex, edge_a, edge_b))
-
-    def __eq__(self, other):
-        if other.__class__ is not TubeEdge:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+class TubeEdge(NamedTuple):
+    """A tube edge: its cell data (kind, vertex, edge_a, edge_b), then its
+    end cells; traversal u -> v is the positive direction."""
+    kind: str          # "X" or "Y"
+    vertex: int        # 0 for X
+    edge_a: int        # X: the edge id; Y: the fixed-side edge
+    edge_b: int        # X: 0; Y: the moving-side edge
+    u: TubeVertex
+    v: TubeVertex
 
     def label(self) -> str:
         if self.kind == "X":
@@ -102,14 +81,15 @@ class SymmetricTube(NamedTuple):
     graph: Graph
     vertices: tuple[TubeVertex, ...]
     edges: tuple[TubeEdge, ...]
-    # tube edge -> its position in `edges`; the one lookup of a tube edge
+    # a tube edge's cell data e[:4] -> its position in `edges`; the one
+    # lookup of a tube edge
     index: dict
 
     def x_edge(self, eid: int) -> TubeEdge:
-        return self.edges[self.index[TubeEdge("X", 0, eid)]]
+        return self.edges[self.index["X", 0, eid, 0]]
 
     def y_edge(self, v: int, fixed: int, moving: int) -> TubeEdge:
-        return self.edges[self.index[TubeEdge("Y", v, fixed, moving)]]
+        return self.edges[self.index["Y", v, fixed, moving]]
 
 
 class BasisLabel(NamedTuple):
@@ -140,7 +120,7 @@ def build_symmetric_tube(g: Graph) -> SymmetricTube:
             cells.append(W(v, a, b))
     edges: list[TubeEdge] = []
     for e in g.edges:
-        edges.append(TubeEdge("X", 0, e.id, 0, u=Z(e.tail, e.id), v=Z(e.head, e.id)))
+        edges.append(TubeEdge("X", 0, e.id, 0, Z(e.tail, e.id), Z(e.head, e.id)))
     for v in g.vertices():
         inc = g.incident_edges(v)
         for a in inc:
@@ -149,11 +129,11 @@ def build_symmetric_tube(g: Graph) -> SymmetricTube:
                     continue
                 zc, wc = Z(v, a), W(v, a, b)
                 if g.edge(b).tail == v:     # moving point leaves v with b
-                    edges.append(TubeEdge("Y", v, a, b, u=zc, v=wc))
+                    edges.append(TubeEdge("Y", v, a, b, zc, wc))
                 else:
-                    edges.append(TubeEdge("Y", v, a, b, u=wc, v=zc))
+                    edges.append(TubeEdge("Y", v, a, b, wc, zc))
     return SymmetricTube(g, tuple(cells), tuple(edges),
-                         {e: i for i, e in enumerate(edges)})
+                         {e[:4]: i for i, e in enumerate(edges)})
 
 
 def tube_spanning_tree(tube: SymmetricTube) -> TubeComplex:

@@ -52,6 +52,16 @@ def test_edge_ids_outside_range_are_refused():
             g.edge(eid)
 
 
+def test_vertex_ids_outside_range_are_refused():
+    # the incidence table is a tuple, where incident[-1] would be a vertex
+    g = complete_graph(4)
+    for v in (0, -1, 5):
+        for read in (g.incident_edges, g.degree, g.steps,
+                     lambda v: star(g, v)):
+            with pytest.raises(GraphError, match=f"unknown vertex {v}"):
+                read(v)
+
+
 def test_edges_are_canonically_oriented():
     g = validate_graph(3, [[3, 1], [2, 3], [2, 1]])
     assert [(e.tail, e.head) for e in g.edges] == [(1, 3), (2, 3), (1, 2)]

@@ -589,6 +589,27 @@ def test_validation_recomputes_and_keeps_its_report():
     assert not report.passed and stub._reports == {None: report}
 
 
+def test_a_drawings_tables_are_read_only_copies():
+    # a write into a drawing's tables would leave its kept report, and so
+    # its wu, describing a drawing it no longer is
+    bent = Polyline([(0, 0), (3, -2), (3, 5), (6, 0)])
+    f = planar_k4()
+    v = wu(f)
+    with pytest.raises(TypeError):
+        f.polylines[1] = bent
+    with pytest.raises(TypeError):
+        f.positions[1] = (0.0, 1.0)
+    # a change to the dicts the caller passed in leaves the drawing as built
+    positions, polylines = dict(f.positions), dict(f.polylines)
+    g = PlaneImmersion(f.graph, positions, polylines)
+    positions[4], polylines[1] = (9.0, 9.0), bent
+    assert g.to_json_dict() == f.to_json_dict() and wu(g) == v
+    for h in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert wu(h) == v and h.to_json_dict() == f.to_json_dict()
+        with pytest.raises(TypeError):
+            h.polylines[1] = bent
+
+
 def test_tolerance_below_coordinate_resolution_is_refused():
     # a tau at or below 2^-48 M, M the largest absolute coordinate, is
     # finer than the coordinates, and refused before the other steps

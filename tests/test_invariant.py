@@ -1,9 +1,11 @@
 import copy
 import hashlib
+import importlib
 import itertools
 import math
 import os
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
@@ -15,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 import planetube
 from planetube import geometry, invariant
 from planetube.geometry import angle_of, dist
-from planetube.graphs import (EdgeCycle, star, complete_graph, path_graph,
-                              star_graph, validate_graph)
-from planetube.immersion import (Tolerances, reflect, map_points,
-                                 standard_curve, standard_star, planar_k4,
-                                 validate_generic)
+from planetube.graphs import (EdgeCycle, Frozen, star, complete_graph,
+                              path_graph, star_graph, validate_graph)
+from planetube.immersion import (PlaneImmersion, Tolerances, reflect,
+                                 map_points, standard_curve, standard_star,
+                                 planar_k4, validate_generic)
 from planetube.invariant import (WindingError, wu, prepare,
                                  evaluate_on_tube_cycle, equivalent,
                                  star_wu, rotation_number_on_cycle,
@@ -30,9 +32,8 @@ from planetube.oracles import (omega, pair_path, winding,
                                fundamental_cycle_tube, raw_basis_windings,
                                decompose_over_basis, trace_cycle,
                                turning_number, report_differences)
-from planetube.tube import (TubeEdge, W, Z, basis_cycle,
-                            tube_cycle_over_graph_cycle, cycle_is_closed,
-                            swap_parity)
+from planetube.tube import (W, Z, basis_cycle, tube_cycle_over_graph_cycle,
+                            cycle_is_closed, swap_parity)
 
 from conftest import (resample_midpoints, random_k4, random_bent_kn,
                       random_tube_cycle)
@@ -456,11 +457,20 @@ def test_value_semantics_the_package_relies_on():
     assert a is not b and a == b and hash(a) == hash(b)
     plan = wu_plan(b)
     assert wu_plan(a) is plan
-    # tube edges are found by their cell data alone, not their ends
+    # tube edges are found by their cell data e[:4], not their ends
     tube = plan.complex.tube
     x, y = tube.x_edge(4), tube.y_edge(1, 1, 2)
-    assert x == TubeEdge("X", 0, 4) and (x.u, x.v) == (Z(2, 4), Z(3, 4))
-    assert y == TubeEdge("Y", 1, 1, 2) and {y.u, y.v} == {Z(1, 1), W(1, 1, 2)}
+    assert x == tube.edges[tube.index["X", 0, 4, 0]]
+    assert (x.u, x.v) == (Z(2, 4), Z(3, 4))
+    assert y[:4] == ("Y", 1, 1, 2) and {y.u, y.v} == {Z(1, 1), W(1, 1, 2)}
+    # equality is field equality: only the records that validate their
+    # input are hand-written, and no class writes its own __eq__ or __hash__
+    assert set(Frozen.__subclasses__()) == {PlaneImmersion, EdgeCycle}
+    for info in pkgutil.iter_modules(planetube.__path__):
+        module = importlib.import_module(f"planetube.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                assert not {"__eq__", "__hash__"} & set(vars(cls)), cls
     # the hash-key types and the records refuse attribute assignment; a
     # drawing's kept report is shared by every reader, and a plan by every
     # caller with an equal graph
