@@ -199,7 +199,9 @@ def validate_graph(num_vertices: int, edge_pairs) -> Graph:
         for e in edges:
             inc[e.tail - 1].append(e.id)
             inc[e.head - 1].append(e.id)
-        g = Graph(num_vertices, tuple(edges), tuple(map(tuple, inc)))
+        # tuple() of a list: of an iterator, it is allocated at a guessed
+        # size and shrunk, stranding memory in CPython's tuple free lists
+        g = Graph(num_vertices, tuple(edges), tuple([tuple(i) for i in inc]))
         # walk the incidence lists; edge (id, a, b) leads from v to a + b - v
         reached, todo = {1}, [1]
         for v in todo:

@@ -77,11 +77,10 @@ class PlaneImmersion(Frozen):
 
     def __init__(self, graph: Graph, positions: dict, polylines: dict):
         object.__setattr__(self, "graph", graph)
-        # vertex id -> Point and edge id -> Polyline, read-only copies
-        positions = MappingProxyType(dict(positions))
-        polylines = MappingProxyType(dict(polylines))
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "polylines", polylines)
+        # read-only copies: vertex id -> Point, edge id -> Polyline
+        positions, polylines = dict(positions), dict(polylines)
+        object.__setattr__(self, "positions", MappingProxyType(positions))
+        object.__setattr__(self, "polylines", MappingProxyType(polylines))
         object.__setattr__(self, "_bbox", None)
         # Tolerances.tau_abs -> the GenericityReport last validated under it
         object.__setattr__(self, "_reports", {})

@@ -57,7 +57,7 @@ def test_vertex_ids_outside_range_are_refused():
     g = complete_graph(4)
     for v in (0, -1, 5):
         for read in (g.incident_edges, g.degree, g.steps,
-                     lambda v: star(g, v)):
+                     lambda u: star(g, u)):
             with pytest.raises(GraphError, match=f"unknown vertex {v}"):
                 read(v)
 
