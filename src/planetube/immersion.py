@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
@@ -40,14 +41,19 @@ germs, bends that double back and near-parallel crossings."""
 
 class Tolerances:
     """Numeric policy for genericity predicates: an absolute distance
-    tolerance tau_abs, finite and positive, replaces TAU_REL * bbox
-    diagonal when set."""
+    tolerance tau_abs, a finite and positive int or float kept as a float,
+    replaces TAU_REL * bbox diagonal when set."""
     __slots__ = ("tau_abs",)
 
     def __init__(self, tau_abs: float | None = None):
-        if tau_abs is not None and not 0.0 < tau_abs < math.inf:
-            raise ImmersionError(
-                f"tolerance must be finite and positive, got {tau_abs}")
+        if tau_abs is not None:
+            # not a bool, a string (a bare TypeError) or an int past floats
+            if (isinstance(tau_abs, bool)
+                    or not isinstance(tau_abs, (int, float))
+                    or not 0.0 < tau_abs <= sys.float_info.max):
+                raise ImmersionError(
+                    f"tolerance must be finite and positive, got {tau_abs!r}")
+            tau_abs = float(tau_abs)
         self.tau_abs = tau_abs
 
     def tau_for(self, diag: float) -> float:
@@ -68,7 +74,8 @@ class PlaneImmersion(Frozen):
     each tolerance, keyed by `Tolerances.tau_abs` (None for the default
     relative tau), and `invariant.prepare` reads that report instead of
     validating again.  `validate_generic` itself always recomputes, as the
-    oracle and the fallback, and overwrites the record.  A kept report is
+    oracle and the fallback of `moves.revalidate`, and overwrites the
+    record.  A kept report is
     shared with every later reader: its fields are read-only by type (a
     NamedTuple), and readers leave the lists and dicts in them as they are.
     It holds the drawing's segment index for as long as the drawing lives.
@@ -253,8 +260,8 @@ class GenericityReport(NamedTuple):
     the drawing: its segment index, the angle of each germ by vertex and
     edge id, the least angle between two germs at a vertex, each edge's
     bend turns summed tail to head, and the segment rows (s, t), s first in
-    `_all_segments` order, of each crossing, by which `revalidate` merges a
-    splice's crossings."""
+    `_all_segments` order, of each crossing, by which `moves.revalidate`
+    keys a splice's crossings."""
     passed: bool
     violations: list
     crossings: list
@@ -511,15 +518,15 @@ def _pairs_meeting(index: _SegmentIndex, fresh) -> list:
     among the boxes `fresh`, sorted, each once.
 
     Each fresh box is tested against the boxes whose left edges lie no
-    further right than its right edge, from the first box whose right edge,
-    or that of a box before it, reaches its left edge.  Two boxes that the
-    sweep pairs overlap in x, so this finds every pair the sweep keeps; a
-    pair of two fresh boxes is found from both."""
-    boxes, lefts = index.boxes, index.lefts
-    reach = list(accumulate(map(itemgetter(1), boxes), max))
+    further right than its right edge and no further left than its left
+    edge less the widest box's width and tau, which covers the rounding of
+    that bound.  Two boxes that the sweep pairs overlap in x, so this finds
+    every pair the sweep keeps; a pair of two fresh boxes is found from
+    both."""
+    boxes, lefts, reach = index.boxes, index.lefts, index.wide + index.tau
     pairs = []
     for x0, x1, y0, y1, s in fresh:
-        for _, u1, v0, v1, t in boxes[bisect_left(reach, x0):
+        for _, u1, v0, v1, t in boxes[bisect_left(lefts, x0 - reach):
                                       bisect_right(lefts, x1)]:
             if (x0 <= u1 and v0 <= y1 and y0 <= v1 and t is not s
                     and _may_touch(s, t)):
@@ -544,20 +551,26 @@ def _near(points, r: float):
     return near
 
 
-def _cyclic_order(v: int, angles: dict) -> tuple[CyclicOrder, float]:
-    """Counterclockwise order of the germ angles (edge id -> radians) at v,
-    and the least counterclockwise gap between consecutive germs, capped at
-    pi: the least angle between two germs at v.  Raises NotGenericError
-    when two germs collide, that is when a gap is below ANGLE_TOL."""
-    ring = sorted((a, e) for e, a in angles.items())
-    least = math.pi
-    for (a1, e1), (a2, e2) in zip(ring, ring[1:] + [(ring[0][0] + 2 * math.pi,
-                                                     ring[0][1])]):
-        if a2 - a1 < ANGLE_TOL:         # sorted, so no gap is negative
-            raise NotGenericError(
-                f"coincident germ angles at vertex {v}: edges {e1}, {e2}")
-        least = min(least, a2 - a1)
-    return CyclicOrder.from_sequence(v, [e for _, e in ring]), least
+def _cyclic_orders(germs: dict, violations: list) -> tuple[dict, float]:
+    """Step (e): the counterclockwise order of the germ angles (vertex ->
+    edge id -> radians) at each vertex, and theta, the least angle between
+    two germs at a vertex, capped at pi.  Where two germs collide, closer
+    than ANGLE_TOL, the vertex gets a "germ-collision" violation instead."""
+    orders, theta = {}, math.pi
+    for v, angles in germs.items():
+        ring = sorted((a, e) for e, a in angles.items())
+        least = math.pi
+        for (a1, e1), (a2, e2) in zip(ring, ring[1:] + [
+                (ring[0][0] + 2 * math.pi, ring[0][1])]):
+            if a2 - a1 < ANGLE_TOL:     # sorted, so no gap is negative
+                violations.append(("germ-collision", "coincident germ angles "
+                                   f"at vertex {v}: edges {e1}, {e2}"))
+                break
+            least = min(least, a2 - a1)
+        else:
+            orders[v] = CyclicOrder.from_sequence(v, [e for _, e in ring])
+            theta = min(theta, least)
+    return orders, theta
 
 
 def validate_generic(f: PlaneImmersion,
@@ -598,10 +611,8 @@ def validate_generic(f: PlaneImmersion,
     could not have fired or lowered the minimum, so the report is that of
     the all-pairs scans.
 
-    `revalidate`, the entry for a drawing spliced from a validated one,
-    shares every step: the edge pass (`_edge_pass`), the pair test
-    (`_test_pairs`) and the finish, steps (e), (c), (d) and the scale
-    (`_finish`).  This function is its fallback and its oracle.
+    `moves.revalidate` derives a splice's report from its input's with the
+    same edge pass and pair test; this function is its fallback and oracle.
 
     Every call validates f in full and keeps the new report on f under
     tol's `tau_abs`, over the one kept before (`PlaneImmersion`), where
@@ -636,77 +647,16 @@ def validate_generic(f: PlaneImmersion,
     return report
 
 
-def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
-               tol: Tolerances | None = None) -> GenericityReport:
-    """`validate_generic(g, tol)`, derived from `report`, f's report under
-    tol, where g has f's graph and vertex positions and differs from f only
-    in the edges whose `Polyline` objects it replaced: a curl or Whitney
-    pair splices one edge.
-
-    The rows, boxes, bend turns and germ angles of every other edge carry
-    over from the report, and so do the crossings of two such edges, each
-    kept with its segment pair.  Only the replaced edges are read
-    (`_edge_pass`, with step (a)), and only pairs with one of their
-    segments are tested (`_pairs_meeting`, `_test_pairs`); the crossings
-    then merge in pair order, which is the order of `find_crossings`.
-    Steps (e), (c), (d) and the scale run on the whole result (`_finish`).
-
-    The report is `validate_generic`'s own when f's report did not pass,
-    when tau or the index's largest coordinate changes (the splice grew
-    the bounding box), or when step (a) finds a violation on a replaced
-    edge, whose germ may then have no angle.  Past step (a), f's pairs have
-    no violation, so those of the replaced edges' pairs come out in the
-    full order.  The derived report is not kept on g: only a full validation
-    is (`PlaneImmersion`)."""
-    tol = tol or Tolerances()
-    tau = tol.tau_for(g.bbox_diagonal())
-    if not report.passed or tau != report.tau:
-        return validate_generic(g, tol)
-    old = report.index
-    edges = [e for e in g.graph.edges
-             if g.polylines[e.id] is not f.polylines[e.id]]
-    new, fresh, violations, new_turns, ends = _read_edges(g, tau, edges)
-    if violations:
-        return validate_generic(g, tol)
-    turns, germs = {**report.turns, **new_turns}, dict(report.germs)
-    for (v, eid), u in ends.items():
-        germs[v] = {**germs[v], eid: geo.angle_of(u)}
-    rebuilt = {e.id for e in edges}
-    # rows sort by edge id, then position along the edge
-    segs = sorted([s for s in old.segs if s.edge not in rebuilt] + new)
-    index = _SegmentIndex(g, tau, segs, [box for box in old.boxes
-                                         if box[4].edge not in rebuilt]
-                          + fresh)
-    if index.big != old.big:
-        return validate_generic(g, tol)
-
-    crossings, pairs, cviol = _test_pairs(index, _pairs_meeting(index, fresh))
-    merged = sorted([(p, c) for p, c in zip(report.pairs, report.crossings)
-                     if p[0].edge not in rebuilt and p[1].edge not in rebuilt]
-                    + list(zip(pairs, crossings)), key=itemgetter(0))
-    return _finish(g, index, turns, germs, [c for _, c in merged],
-                   [p for p, _ in merged], violations, cviol)
-
-
 def _finish(f: PlaneImmersion, index: _SegmentIndex, turns: dict,
             germs: dict, crossings: list, pairs: list, violations: list,
             cviol: list) -> GenericityReport:
     """The report of f from its index, bend turns, germ angles, crossings
     with their segment pairs, the violations of step (a) and those of step
     (b), `cviol`: runs step (e), which goes between the two, then steps
-    (c), (d) and the scale."""
+    (c), (d) and the scale, each on the whole drawing."""
     tau = index.tau
 
-    # (e) distinct germ angles; theta is the least angle between two germs
-    # at a vertex
-    orders, theta = {}, math.pi
-    for v, at in germs.items():
-        try:
-            orders[v], gap = _cyclic_order(v, at)
-        except NotGenericError as exc:
-            violations.append(("germ-collision", str(exc)))
-        else:
-            theta = min(theta, gap)
+    orders, theta = _cyclic_orders(germs, violations)
     violations.extend(cviol)
 
     if crossings:

@@ -11,24 +11,28 @@ genericity report of its output to the next.  A script's input is
 validated once in full, and so is each attempt of a perturbation: a full
 validation reads each segment once, in one pass per edge.  A curl or
 Whitney pair changes one edge inside a disk clear of every other strand,
-so its output's report is derived from its input's
-(`immersion.revalidate`), which runs that pass on the spliced edge alone,
-and equals the full one.  The room a curl or Whitney pair needs is
-measured through the input report's segment index, so no move walks the
-polylines to find its clearance, and a chain too small for that room is
-refused before it is spliced.
+so its output's report is derived from its input's (`revalidate`), at the
+cost of the rows, crossings and bends the splice added, and equals the
+full one.  The room a curl or Whitney pair needs is measured through the
+input report's segment index, so no move walks the polylines to find its
+clearance, and a chain too small for that room is refused before it is
+spliced.
 """
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import attrgetter, itemgetter, sub
 from typing import NamedTuple
 
-from . import geometry as geo
+from . import geometry as geo, immersion
 from .geometry import KINK_CLEARANCE, Polyline, kink_waypoints
 from .immersion import (PlaneImmersion, Tolerances, ImmersionError,
-                        GenericityReport, revalidate, validate_generic)
+                        GenericityReport, validate_generic,
+                        _SegmentIndex, _cyclic_orders, _edge_pass,
+                        _min_clearance, _pairs_meeting, _test_pairs)
 
 
 class MoveError(ImmersionError):
@@ -122,8 +126,8 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
     and a curl's sign are known to be good.  A curl or Whitney pair splices
     its chain into rec.edge at arclength rec.t, sized by the room there
     (`_local_clearance`) over 4 or 6, and derives the output's report from
-    f's (`immersion.revalidate`).  It is refused for insufficient clearance
-    when its chain's own strands would come within tau
+    f's (`revalidate`).  It is refused for insufficient clearance when its
+    chain's own strands would come within tau
     (`geometry.KINK_CLEARANCE`), or when its own loops leave the output's
     germ angles too shallow for its scale: the two strands of each loop's
     crossing lie 6.4 r apart along the edge, which caps the output's
@@ -157,6 +161,159 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
     g = PlaneImmersion(f.graph, f.positions, polylines)
     return g, _generic(revalidate(g, f, report, tol),
                        f"{what} broke genericity")
+
+
+def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
+               tol: Tolerances | None = None) -> GenericityReport:
+    """`immersion.validate_generic(g, tol)`, derived from `report`, f's
+    report under tol, where g has f's graph and positions and differs from
+    f in the polyline of one edge, as a curl or Whitney pair splices a
+    chain into one segment.  A passing report costs its new rows, crossings
+    and bends, plus C-level copies of f's index lists.  The spliced edge is
+    read again (`_edge_pass`); its rows that match f's at either end by
+    geometry (a, b, ends) stand for them, and only pairs with a new row are
+    tested (`_pairs_meeting`).  Steps (c) and (d) test the new crossings
+    against the vertices, nearby bends and every crossing, and the new
+    bends against every crossing; step (e) runs only when a germ angle
+    changed.  Epsilon is half the least new clearance term when that is
+    below f's epsilon, exact since every term the splice left alone is at
+    least 2 epsilon_f, else half `_min_clearance` of g.
+
+    Any other case gets the full validation's report: f's report did not
+    pass, not one edge changed, tau or the largest coordinate changed, or a
+    step finds a violation among the new features.  So the report always
+    equals a full one field for field.  It is not kept on g: only a full
+    validation is (`PlaneImmersion`)."""
+    tol = tol or Tolerances()
+    return (_splice_report(g, f, report, tol)
+            or immersion.validate_generic(g, tol))
+
+
+def _splice_report(g, f, report, tol) -> GenericityReport | None:
+    """g's passing report as `revalidate` derives it, or None."""
+    edges = [e for e in g.graph.edges
+             if g.polylines[e.id] is not f.polylines[e.id]]
+    if not report.passed or len(edges) != 1:
+        return None
+    e, old, tau, violations = edges[0], report.index, report.tau, []
+    eid, pl = e.id, g.polylines[e.id]
+    rows, boxes, turn, tail, head = _edge_pass(e, pl, tau, violations)
+    lo = bisect_left(old.segs, eid, key=attrgetter("edge"))
+    was = old.segs[lo:bisect_right(old.segs, eid, lo, key=attrgetter("edge"))]
+    # the first p and the last q rows match f's; f's rows from p up to
+    # `after` are those the splice replaced
+    n, p, q = min(len(rows), len(was)), 0, 0
+    while p < n and rows[p][2:5] == was[p][2:5]:
+        p += 1
+    while q < n - p and rows[~q][2:5] == was[~q][2:5]:
+        q += 1
+    new, fresh, after = rows[p:len(rows) - q], boxes[p:len(rows) - q], \
+        len(was) - q
+    # g's bounding box is f's and the new points', unless the splice dropped
+    # some of f's
+    x0, x1, y0, y1 = g.bbox if after > p + 1 else f.bbox
+    xs, ys = [x0, x1] + [s.b[0] for s in new], [y0, y1] + [s.b[1] for s in new]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    if (violations or tol.tau_for(math.hypot(x1 - x0, y1 - y0)) != tau
+            or max(-x0, x1, -y0, y1) != old.big):
+        return None
+
+    # f's index, copied, with the boxes of the rows that moved replaced in
+    # place, those of the rows the splice replaced dropped and the new ones
+    # inserted where they sort; renew maps f's row to g's, or to None
+    spliced, lefts, renew, gone = old.boxes.copy(), old.lefts.copy(), {}, []
+    for w, row, box in zip(was[p:], [None] * (after - p) + rows[len(new) + p:],
+                           [None] * (after - p) + boxes[len(new) + p:]):
+        k = bisect_left(old.lefts, min(w.a[0], w.b[0]) - tau)
+        while old.boxes[k][4] is not w:
+            k += 1
+        renew[id(w)] = row
+        if row:
+            spliced[k] = box
+        else:
+            gone.append(k)
+    for k in reversed(sorted(gone)):
+        del spliced[k], lefts[k]
+    for box in fresh:
+        k = bisect_right(spliced, box)
+        spliced.insert(k, box)
+        lefts.insert(k, box[0])
+    index = object.__new__(_SegmentIndex)
+    index.segs = old.segs[:lo + p] + rows[p:] + old.segs[lo + len(was):]
+    index.boxes, index.lefts, index.tau, index.big = spliced, lefts, tau, \
+        old.big
+    index.wide = max([old.wide] + [box[1] - box[0] for box in fresh])
+    if any(old.boxes[k][1] - old.lefts[k] == old.wide for k in gone):
+        index.wide = max(map(sub, map(itemgetter(1), spliced), lefts))
+
+    kept, moved = [], []
+    for (s, t), c in zip(report.pairs, report.crossings):
+        s2, t2 = renew.get(id(s), s), renew.get(id(t), t)
+        if s2 is s and t2 is t:
+            kept.append(((s, t), c))
+        elif s2 and t2:
+            moved.append((s2, t2))
+    found, pairs, cviol = _test_pairs(index, _pairs_meeting(index, fresh))
+    again, repairs, rviol = _test_pairs(index, moved)
+    if cviol or rviol:
+        return None
+    merged = sorted(kept + list(zip(repairs, again)) + list(zip(pairs, found)),
+                    key=itemgetter(0))
+    crossings = [c for _, c in merged]
+
+    # (e) only when a germ of the edge changed its angle
+    germs, orders, theta = report.germs, report.cyclic_orders, report.theta
+    angles = {e.tail: geo.angle_of(tail), e.head: geo.angle_of(head)}
+    if any(germs[v][eid].hex() != a.hex() for v, a in angles.items()):
+        germs = {**germs, **{v: {**germs[v], eid: a}
+                             for v, a in angles.items()}}
+        orders, theta = _cyclic_orders(germs, violations)
+        if violations:
+            return None
+
+    # (c), (d) and the new clearance terms, below f's least term
+    points = [c.point for c in crossings]
+    positions = [g.positions[v] for v in g.graph.vertices()]
+    best = min(2.0 * report.epsilon, geo.dist(pl.points[0], pl.points[1]),
+               geo.dist(pl.points[-2], pl.points[-1]), pl.length / 2.0)
+    for c in again + found:
+        if c.first.edge == c.second.edge:
+            best = min(best, abs(c.first.arclength - c.second.arclength)
+                       / 2.0)
+    for c in found:
+        k = crossings.index(c)
+        apart = min(map(math.dist, repeat(c.point),
+                        points[:k] + points[k + 1:]), default=math.inf)
+        clear = min(map(math.dist, repeat(c.point), positions))
+        if apart < tau or clear < tau:
+            return None
+        best = min(best, apart, clear)
+        # a bend within tau of the crossing has its box in this window
+        if any(s.index and math.dist(c.point, s.a) < tau for *_, s in
+               index.boxes[bisect_left(lefts, c.point[0] - index.wide - tau):
+                           bisect_right(lefts, c.point[0] + tau)]):
+            return None
+    bends = [s.a for s in new if s.index]
+    if any(min(map(math.dist, repeat(q), bends), default=math.inf) < tau
+           for q in points):
+        return None
+    # each distance a box test skips is at least best (`_SegmentIndex`)
+    for v, (px, py) in zip(g.graph.vertices(), positions):
+        for x0, x1, y0, y1, s in fresh:
+            if (x0 - px < best and px - x1 < best and y0 - py < best
+                    and py - y1 < best and v not in s.ends):
+                best = min(best, geo.point_segment_distance((px, py), s.a,
+                                                            s.b))
+    eps = 0.5 * best
+    if eps >= report.epsilon:
+        eps = 0.5 * _min_clearance(g, index, crossings)
+    if eps <= tau or 2.0 * eps * math.sin(theta / 2.0) <= 8.0 * tau:
+        return None
+    return GenericityReport(
+        passed=True, violations=[], crossings=crossings,
+        cyclic_orders=orders, epsilon=eps, tau=tau, index=index,
+        germs=germs, theta=theta, turns={**report.turns, eid: turn},
+        pairs=[pair for pair, _ in merged])
 
 
 def _perturb(f, report, seed, delta, tol):

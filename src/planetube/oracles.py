@@ -9,7 +9,7 @@ its pruning; all_pairs_crossings keeps its own copy of the full pair test,
 without the validator's line-side reject.
 report_differences names the fields, hidden ones included, in which two
 genericity reports differ: it checks a splice's derived report
-(`immersion.revalidate`) against the full `validate_generic`.
+(`moves.revalidate`) against the full `validate_generic`.
 betti_oracle recomputes the tube's first Betti number from the boundary
 matrix by exact elimination.
 tube_tree walks the canonical spanning tree of the tube breadth first,

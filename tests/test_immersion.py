@@ -564,7 +564,13 @@ def test_absolute_tolerance_override():
     f = standard_curve(1)
     report = validate_generic(f, Tolerances(tau_abs=1e-9))
     assert report.tau == 1e-9 and report.passed
-    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+    # an int is kept as a float, which the report and its floats' text read
+    whole = validate_generic(planar_k4(), Tolerances(1))
+    assert type(whole.tau) is float and whole.tau.hex() == "0x1.0000000000000p+0"
+    assert report_differences(whole, validate_generic(planar_k4(),
+                                                      Tolerances(1.0))) == []
+    for bad in (-1.0, 0.0, float("nan"), float("inf"), True, False, "1e-3",
+                [1e-3], 10 ** 400, -1):
         with pytest.raises(ImmersionError, match="finite and positive"):
             Tolerances(tau_abs=bad)
 

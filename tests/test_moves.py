@@ -219,10 +219,10 @@ def counted_validations(monkeypatch):
 
 def recorded_splices(monkeypatch):
     """List that records, from now on, each splice output of `moves` with
-    the report derived for it (`immersion.revalidate`) and whether deriving
-    it fell back to a full validation."""
+    the report derived for it (`moves.revalidate`) and whether deriving it
+    fell back to a full validation (`immersion.validate_generic`)."""
     seen, fallbacks = [], []
-    derive, full = immersion.revalidate, immersion.validate_generic
+    derive, full = moves.revalidate, immersion.validate_generic
 
     def counting(f, tol=None):
         fallbacks.append(f)
@@ -237,6 +237,25 @@ def recorded_splices(monkeypatch):
     monkeypatch.setattr(immersion, "validate_generic", counting)
     monkeypatch.setattr(moves, "revalidate", recording)
     return seen
+
+
+def whole_drawing_scans(monkeypatch):
+    """List that records, from now on, each call of the whole-drawing
+    finish and clearance scan of a validation, by name."""
+    calls = []
+
+    def counted(name, real):
+        def count(*args):
+            calls.append(name)
+            return real(*args)
+        return count
+
+    for module, name in ((immersion, "_finish"),
+                         (immersion, "_min_clearance"),
+                         (moves, "_min_clearance")):
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+    return calls
 
 
 def k4_family_script(rng):
@@ -353,6 +372,45 @@ def test_splice_reports_match_full_validation(monkeypatch):
     assert sum(len(r.crossings) for _, r, _ in splices) > 400
 
 
+def test_interior_splices_check_only_what_they_added(monkeypatch):
+    # a curl or Whitney pair inside an edge that leaves the bounding box as
+    # it is gets its report with no full validation, no whole-drawing
+    # finish and no whole-drawing clearance scan (`moves.revalidate`)
+    splices = recorded_splices(monkeypatch)
+    whole = whole_drawing_scans(monkeypatch)
+    rng = random.Random(8)
+    derived = 0
+    for f in [random_bent_kn(rng, n) for n in (4, 5, 6)] + [planar_k4()]:
+        report = validate_generic(f)
+        records = []
+        for eid in rng.sample([e.id for e in f.graph.edges], 3):
+            cum = f.polylines[eid].cum
+            # off the first and last segment where the edge has more, the
+            # Whitney pair head-ward of the curl, so that the curl's site
+            # still lies where it was found
+            if len(cum) > 3:
+                k, j = sorted(rng.sample(range(1, len(cum) - 2), 2))
+                sites = [cum[i] + rng.uniform(0.2, 0.8) * (cum[i + 1] - cum[i])
+                         for i in (j, k)]
+            else:
+                sites = [cum[-1] * 0.7, cum[-1] * 0.3]
+            records += [MoveRecord("whitney_pair", edge=eid, t=sites[0]),
+                        MoveRecord("curl", edge=eid, t=sites[1],
+                                   sign=rng.choice((-1, 1)))]
+        for rec in records:
+            whole.clear()
+            try:
+                g, out = moves._move(f, report, rec, None)
+            except MoveError:
+                continue
+            if g.bbox == f.bbox:
+                assert whole == [] and not splices[-1][2]
+                derived += 1
+            assert report_differences(out, validate_generic(g)) == []
+            f, report = g, out
+    assert derived >= 15
+
+
 def test_splice_checker_compares_with_a_new_validation(monkeypatch, capsys):
     # scripts/check_splice_reports.py checks each derived report against a
     # full validation of its own: a derived report one ulp off in epsilon
@@ -396,11 +454,11 @@ def test_splice_fallbacks_match_full_validation(monkeypatch):
         assert report_differences(report, validate_generic(h, tol)) == []
     # a curl next to vertex 1 whose own loop leaves a scale too small for
     # the germ angles there is refused up front; its splice, made here,
-    # gets a full validation's failing report, whether that report falls
-    # back (tau changes) or is derived (tau fixed)
+    # gets a full validation's failing report, as every splice that does
+    # not pass does, whether tau changes or not
     at_k4 = Tolerances(tau_abs=validate_generic(k4).tau)
     for t in (4e-4, 5e-4):
-        for tol, fell_back in ((None, True), (at_k4, False)):
+        for tol in (None, at_k4):
             report = validate_generic(k4, tol)
             pl, i, u = moves._locate(k4, 1, t)
             r = moves._local_clearance(k4, report, 1, i, t) / 4.0
@@ -414,7 +472,50 @@ def test_splice_fallbacks_match_full_validation(monkeypatch):
             derived = moves.revalidate(g, k4, report, tol)
             assert not derived.passed
             assert report_differences(derived, validate_generic(g, tol)) == []
-            assert splices[-1][2] == fell_back
+            assert splices[-1][2]
+    # splices built by hand at a fixed tau, one for each check of the new
+    # features, fall back; the last two get derived reports: a splice in
+    # the only segment of an edge, which turns its germs (step (e) runs
+    # again), and one whose least new clearance term is not below the
+    # input's epsilon (`_min_clearance` of the output)
+    whole = whole_drawing_scans(monkeypatch)
+    hairpin = drawing({1: (-1.0, 0.0), 2: (2.0, 0.0)}, [(1, 2)],
+                      {1: [(0.0, 0.0), (0.1, 0.1), (1.0, 0.0)]})
+    shallow = drawing({1: (-1.0, 0.0), 2: (-2.0, -1.0), 3: (-2.0, -0.004),
+                       4: (2.0, 0.004)}, [(1, 2), (3, 4), (2, 3)],
+                      {1: [(0.6, 0.0), (0.6, -1.0)]})
+    for kind, f, eid, i, chain, tau in (
+            # a new crossing within tau of the old bend (0, 0), which no
+            # clearance term measures
+            ("crossing-at-bend", hairpin, 1, 2,
+             [(-0.101, -0.1), (0.5, -0.5)], 1e-3),
+            # a chain bend within tau of the old crossing (0, 0), with its
+            # new crossings at least 50 tau from it and from each other
+            ("crossing-at-bend", shallow, 1, 1,
+             [(-5e-6, 2e-6), (-0.5, -0.002), (-0.5, -0.5)], 1e-5),
+            ("crossing-at-vertex", hairpin, 1, 2,
+             [(-0.9995, 0.5), (-0.9995, -0.5), (0.5, -0.5)], 1e-3),
+            ("triple-point", shallow, 1, 1, [(3e-6, 0.3), (3e-6, -0.3)],
+             1e-5),
+            (None, k4, 6, 0, [(3.05, 3.3)], 1e-5),
+            ("least term", k4, 1, 0, [(3.0, -0.001)], 1e-5)):
+        tol = Tolerances(tau_abs=tau)
+        report = validate_generic(f, tol)
+        pts = f.polylines[eid].points
+        g = PlaneImmersion(f.graph, f.positions, {
+            **f.polylines, eid: Polyline(pts[:i + 1] + chain + pts[i + 1:])})
+        whole.clear()
+        derived, scans = moves.revalidate(g, f, report, tol), list(whole)
+        full = validate_generic(g, tol)
+        assert report_differences(derived, full) == []
+        fell_back = kind not in (None, "least term")
+        assert splices[-1][2] == fell_back
+        assert [v for v, _ in full.violations][:1] == \
+            ([kind] if fell_back else [])
+        if not fell_back:
+            tail = f.graph.edge(eid).tail
+            assert derived.germs[tail][eid] != report.germs[tail][eid]
+            assert scans == (["_min_clearance"] if kind else [])
 
 
 def test_apply_moves_rejects_non_generic_input():
