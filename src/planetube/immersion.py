@@ -187,6 +187,28 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _search_points(data: dict) -> None:
+    """Refuses, by field, the first point that is not two float numbers."""
+    for where, pts in chain(
+            ((f"vertex {k} position", [p])
+             for k, p in data["positions"].items()),
+            ((f"edge {k} polyline", pl)
+             for k, pl in data["polylines"].items())):
+        for p in pts:
+            if not isinstance(p, (list, tuple)):
+                raise ImmersionError(f"{where}: {p!r} is not a point")
+            if len(p) != 2:
+                raise ImmersionError(f"{where}: point {p!r} needs exactly "
+                                     "two coordinates")
+            for x in p:
+                if type(x) in _NOT_NUMBERS:
+                    raise ImmersionError(
+                        f"{where}: coordinate {x!r} is not a number")
+                if type(x) is int and abs(x) > sys.float_info.max:
+                    raise ImmersionError(
+                        f"{where}: a coordinate is too large for a float")
+
+
 def immersion_from_json_dict(data: dict) -> PlaneImmersion:
     gd = _object(_object(data, "immersion")["graph"], "graph")
     g = validate_graph(gd["vertices"], gd["edges"])
@@ -204,27 +226,17 @@ def immersion_from_json_dict(data: dict) -> PlaneImmersion:
     # are searched for it only when the points' types or sizes show one
     if (set(map(type, points)) - {list, tuple} or set(map(len, points)) - {2}
             or _NOT_NUMBERS & set(map(type, chain.from_iterable(points)))):
-        for where, pts in chain(
-                ((f"vertex {k} position", [p])
-                 for k, p in data["positions"].items()),
-                ((f"edge {k} polyline", pl)
-                 for k, pl in data["polylines"].items())):
-            for p in pts:
-                if not isinstance(p, (list, tuple)):
-                    raise ImmersionError(f"{where}: {p!r} is not a point")
-                if len(p) != 2:
-                    raise ImmersionError(f"{where}: point {p!r} needs "
-                                         "exactly two coordinates")
-                for x in p:
-                    if type(x) in _NOT_NUMBERS:
-                        raise ImmersionError(
-                            f"{where}: coordinate {x!r} is not a number")
+        _search_points(data)
     vid = _key_ids(data["positions"], "positions", "vertex", g.vertices())
     eid = _key_ids(data["polylines"], "polylines", "edge",
                    range(1, g.num_edges + 1))
-    positions = {vid[k]: tuple(map(float, v))
-                 for k, v in data["positions"].items()}
-    polylines = {eid[k]: Polyline(v) for k, v in data["polylines"].items()}
+    try:
+        positions = {vid[k]: (float(x), float(y))
+                     for k, (x, y) in data["positions"].items()}
+        polylines = {eid[k]: Polyline(v) for k, v in data["polylines"].items()}
+    except OverflowError:       # an int too large for a float
+        _search_points(data)
+        raise
     return PlaneImmersion(g, positions, polylines)
 
 
@@ -341,69 +353,71 @@ def _edge_pass(e, pl: Polyline, tau: float, violations: list):
                                            if n else None)
 
 
-def _read_edges(f: PlaneImmersion, tau: float, edges):
-    """`_edge_pass` on each of the edges of f, in order: (their rows, their
-    boxes, step (a)'s violations, bend turns by edge id, germs by (vertex,
+class _SegmentIndex(NamedTuple):
+    """The segments of a drawing (`_all_segments`), each in a box widened by
+    tau on every side, the boxes sorted by left edge once for every scan of
+    segments near a point or a segment: `find_crossings`, `_min_clearance`
+    and `moves._local_clearance`.  A full validation builds it
+    (`_read_edges`); a splice builds its output's from its input's report
+    and the one changed edge alone (`moves.revalidate`), and as a box holds
+    its row, not the row's position, the boxes of the other edges carry
+    over as they are.  `big`, the largest absolute coordinate, scales the
+    rounding allowance of `find_crossings`' line-side reject."""
+    segs: list                  # `_all_segments` order
+    boxes: list                 # (x0, x1, y0, y1, row), sorted
+    lefts: list                 # x0 of each box
+    tau: float
+    bbox: tuple                 # `PlaneImmersion.bbox`
+    wide: float                 # the widest box's x1 - x0
+
+    @property
+    def big(self) -> float:
+        return max(-self.bbox[0], self.bbox[1], -self.bbox[2], self.bbox[3])
+
+    def nearest(self, pos: Point, best: float, skip) -> float:
+        """The least of best and the distance from pos to each segment s
+        with `skip(s)` false, box-testing (`_nearest`) only the boxes whose
+        left edges lie from best plus the widest box's width left of pos to
+        best right of it.  tau covers the rounding of those bounds and of
+        `geometry.point_segment_distance`, in absolute coordinates, while it
+        exceeds a few units of 2^-53 M, M = `big`, as `validate_generic`
+        requires (`TAU_FLOOR`)."""
+        lo = bisect_left(self.lefts, pos[0] - best - self.wide - self.tau)
+        hi = bisect_right(self.lefts, pos[0] + best + self.tau)
+        return _nearest(self.boxes[lo:hi], pos, best, skip)
+
+
+def _nearest(boxes, pos: Point, best: float, skip) -> float:
+    """The least of best and the distance from pos to the segment s of each
+    box nearer pos than the least so far, with `skip(s)` false."""
+    px, py = pos
+    for x0, x1, y0, y1, s in boxes:
+        if (x0 - px < best and px - x1 < best and y0 - py < best
+                and py - y1 < best and not skip(s)):
+            best = min(best, geo.point_segment_distance(pos, s.a, s.b))
+    return best
+
+
+def _read_edges(f: PlaneImmersion, tau: float):
+    """`_edge_pass` on each edge of f, in order: (f's segment index under
+    tau, step (a)'s violations, bend turns by edge id, germs by (vertex,
     edge id))."""
     segs, boxes, violations, turns, ends = [], [], [], {}, {}
-    for e in edges:
+    for e in f.graph.edges:
         rows, bx, turns[e.id], ends[e.tail, e.id], ends[e.head, e.id] = \
             _edge_pass(e, f.polylines[e.id], tau, violations)
         segs += rows
         boxes += bx
-    return segs, boxes, violations, turns, ends
+    boxes.sort()
+    lefts = list(map(itemgetter(0), boxes))
+    wide = max(map(operator.sub, map(itemgetter(1), boxes), lefts))
+    return (_SegmentIndex(segs, boxes, lefts, tau, f.bbox, wide), violations,
+            turns, ends)
 
 
 def _all_segments(f: PlaneImmersion) -> list[_Segment]:
     """Every polyline segment (`_edge_pass`), edge by edge."""
-    return _read_edges(f, 0.0, f.graph.edges)[0]
-
-
-class _SegmentIndex:
-    """The segments of a drawing (`_all_segments`), each in a box widened by
-    tau on every side, the boxes sorted by left edge once for every scan of
-    segments near a point or a segment: `find_crossings`, `_min_clearance`
-    and `moves._local_clearance`.  A box holds its segment row, not the
-    row's position, so the boxes of an edge that a splice leaves alone carry
-    over to the splice's index as they are.  `segs` and `boxes`, f's rows
-    and a list of their boxes, which is sorted in place, are given when the
-    caller has read f (`_edge_pass`).  `big` is the drawing's largest
-    absolute coordinate, which scales the rounding allowance of
-    `find_crossings`' line-side reject."""
-
-    def __init__(self, f: PlaneImmersion, tau: float, segs=None, boxes=None):
-        if segs is None:
-            segs, boxes = _read_edges(f, tau, f.graph.edges)[:2]
-        boxes.sort()
-        self.segs, self.boxes, self.tau = segs, boxes, tau
-        self.lefts = list(map(itemgetter(0), boxes))
-        self.wide = max(map(operator.sub, map(itemgetter(1), boxes),
-                            self.lefts))
-        x0, x1, y0, y1 = f.bbox
-        self.big = max(-x0, x1, -y0, y1)
-
-    def nearest(self, pos: Point, best: float, skip) -> float:
-        """The least of best and the distance from pos to each segment s
-        with `skip(s)` false.
-
-        A distance is measured only where the segment's widened box is
-        nearer pos than the least so far, and only the run of boxes, found
-        by bisection, whose left edges lie between that least plus the
-        widest box's width to the left of pos and that least to its right
-        is box-tested.  A skipped distance is at least the x-offset or box
-        gap, so it could not lower the minimum.  tau covers the rounding in
-        `geometry.point_segment_distance` and in the bisection bounds, both
-        in absolute coordinates, only while tau exceeds a few units of
-        2^-53 M, M the largest absolute coordinate (`big`), which
-        `validate_generic` requires (`TAU_FLOOR`)."""
-        px, py = pos
-        lo = bisect_left(self.lefts, px - best - self.wide - self.tau)
-        hi = bisect_right(self.lefts, px + best + self.tau)
-        for x0, x1, y0, y1, s in self.boxes[lo:hi]:
-            if (x0 - px < best and px - x1 < best and y0 - py < best
-                    and py - y1 < best and not skip(s)):
-                best = min(best, geo.point_segment_distance(pos, s.a, s.b))
-        return best
+    return _read_edges(f, 0.0)[0].segs
 
 
 def _beside(s: _Segment, p: Point, q: Point, far: float) -> bool:
@@ -593,40 +607,34 @@ def validate_generic(f: PlaneImmersion,
     builds the segment's row (its length and direction) and tau-widened
     box, runs step (a), sums the edge's bend turns and takes its two unit
     germs; the rows and boxes, sorted once, make the segment index
-    (`_SegmentIndex`).  Step (e) keeps each germ as one angle
+    (`_read_edges`).  Step (e) keeps each germ as one angle
     (`geometry.angle_of`), in a table per vertex and edge: the cyclic
     orders, the germ-collision test and the least germ angle, which bounds
     the scale, are all read from it, and the invariant's cochain reads it
-    and the turns off the report.  The moves read the segment index and
-    the least germ angle there too.  The scans over pairs of features are
-    pruned.  Segments are pair-tested only where their widened boxes
-    overlap and they are not graph neighbours, which are dropped in the
-    sweep (`find_crossings`); a pair that does not cross has its four
+    and the turns off the report, as the moves read the segment index and
+    the least germ angle.  The scans over pairs of features are pruned.
+    Segments are pair-tested only where their widened boxes overlap and
+    they are not graph neighbours, which are dropped in the sweep
+    (`find_crossings`); a pair that does not cross has its four
     endpoint-to-segment distances measured only when neither segment lies
-    at least 2 tau + 2^-40 M (M the largest absolute coordinate) to one
-    side of the other's line, an exact reject (`_check_pair`).  A crossing
-    is measured only against the vertices, bends and crossings within 2 tau
-    of it in x, and `_min_clearance` skips the distances its running
-    minimum already bounds.  Each skipped test
-    could not have fired or lowered the minimum, so the report is that of
-    the all-pairs scans.
+    at least 2 tau + 2^-40 M to one side of the other's line, an exact
+    reject (`_check_pair`).  A crossing is measured only against the
+    vertices, bends and crossings within 2 tau of it in x, and
+    `_min_clearance` skips the distances its running minimum already
+    bounds.  Each skipped test could not have fired or lowered the
+    minimum, so the report is that of the all-pairs scans.
 
-    `moves.revalidate` derives a splice's report from its input's with the
-    same edge pass and pair test; this function is its fallback and oracle.
-
-    Every call validates f in full and keeps the new report on f under
-    tol's `tau_abs`, over the one kept before (`PlaneImmersion`), where
-    `invariant.prepare` reads it.  The report is shared: no field of it can
-    be reassigned, its readers leave the lists and dicts in it as they
-    are, and through it f holds its segment index for as long as f
-    lives.
+    `moves.revalidate` derives a splice's report from its input's report
+    and the one changed edge alone, with the same edge pass and pair test;
+    this function is its fallback and oracle.  Every call validates f in
+    full and keeps the report on f under tol's `tau_abs`, over the one kept
+    before (`PlaneImmersion`), where `invariant.prepare` reads it.
     """
     tol = tol or Tolerances()
     tau = tol.tau_for(f.bbox_diagonal())
     # (a) local injectivity of each polyline, in the pass that reads its
     # rows, boxes, bend turns and the germs at both ends
-    segs, boxes, violations, turns, ends = _read_edges(f, tau, f.graph.edges)
-    index = _SegmentIndex(f, tau, segs, boxes)
+    index, violations, turns, ends = _read_edges(f, tau)
     if tau <= TAU_FLOOR * index.big:
         violations.insert(0, (
             "tolerance-below-resolution",
@@ -639,23 +647,8 @@ def validate_generic(f: PlaneImmersion,
                  for e in f.graph.incident_edges(v)}
              for v in f.graph.vertices() if v not in stubs}
 
-    # (b) crossings transversal, interior
+    # (b) crossings transversal, interior; their violations follow (e)'s
     crossings, pairs, cviol = find_crossings(index)
-    report = _finish(f, index, turns, germs, crossings, pairs, violations,
-                     cviol)
-    f._reports[tol.tau_abs] = report
-    return report
-
-
-def _finish(f: PlaneImmersion, index: _SegmentIndex, turns: dict,
-            germs: dict, crossings: list, pairs: list, violations: list,
-            cviol: list) -> GenericityReport:
-    """The report of f from its index, bend turns, germ angles, crossings
-    with their segment pairs, the violations of step (a) and those of step
-    (b), `cviol`: runs step (e), which goes between the two, then steps
-    (c), (d) and the scale, each on the whole drawing."""
-    tau = index.tau
-
     orders, theta = _cyclic_orders(germs, violations)
     violations.extend(cviol)
 
@@ -698,10 +691,12 @@ def _finish(f: PlaneImmersion, index: _SegmentIndex, turns: dict,
                      "tolerance"))
                 eps = 0.0
 
-    return GenericityReport(
+    report = GenericityReport(
         passed=not violations, violations=violations, crossings=crossings,
         cyclic_orders=orders, epsilon=eps, tau=tau, index=index, germs=germs,
         theta=theta, turns=turns, pairs=pairs)
+    f._reports[tol.tau_abs] = report
+    return report
 
 
 def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,

@@ -11,12 +11,12 @@ genericity report of its output to the next.  A script's input is
 validated once in full, and so is each attempt of a perturbation: a full
 validation reads each segment once, in one pass per edge.  A curl or
 Whitney pair changes one edge inside a disk clear of every other strand,
-so its output's report is derived from its input's (`revalidate`), at the
-cost of the rows, crossings and bends the splice added, and equals the
-full one.  The room a curl or Whitney pair needs is measured through the
-input report's segment index, so no move walks the polylines to find its
-clearance, and a chain too small for that room is refused before it is
-spliced.
+so its output's report is derived from its input's report and the one
+changed edge alone (`revalidate`), at the cost of the rows, crossings and
+bends the splice added, and equals the full one.  The room a curl or
+Whitney pair needs is measured through the input report's segment index,
+so no move walks the polylines to find its clearance, and a chain too
+small for that room is refused before it is spliced.
 """
 from __future__ import annotations
 
@@ -30,9 +30,9 @@ from typing import NamedTuple
 from . import geometry as geo, immersion
 from .geometry import KINK_CLEARANCE, Polyline, kink_waypoints
 from .immersion import (PlaneImmersion, Tolerances, ImmersionError,
-                        GenericityReport, validate_generic,
-                        _SegmentIndex, _cyclic_orders, _edge_pass,
-                        _min_clearance, _pairs_meeting, _test_pairs)
+                        GenericityReport, validate_generic, _SegmentIndex,
+                        _cyclic_orders, _edge_pass, _min_clearance, _nearest,
+                        _pairs_meeting, _test_pairs)
 
 
 class MoveError(ImmersionError):
@@ -59,6 +59,12 @@ class MoveRecord(NamedTuple):
                 raise MoveError(f"move {key} must be a number, not {x!r}")
             return x
 
+        def real(key):
+            try:
+                return float(number(key, 0.0))
+            except OverflowError:       # an int too large for a float
+                raise MoveError(f"move {key} is too large for a float") from None
+
         def whole(key):
             x = number(key)
             if isinstance(x, float) and not x.is_integer():
@@ -69,10 +75,10 @@ class MoveRecord(NamedTuple):
             return MoveRecord(
                 kind=d["kind"],
                 edge=whole("edge"),
-                t=float(number("t", 0.0)),
+                t=real("t"),
                 sign=whole("sign"),
                 seed=whole("seed"),
-                delta=float(number("delta")) if "delta" in d else None,
+                delta=real("delta") if "delta" in d else None,
             )
         except TypeError as exc:        # a null, list or object for a number
             raise MoveError(f"malformed move record {d}: {exc}") from None
@@ -168,16 +174,19 @@ def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
     """`immersion.validate_generic(g, tol)`, derived from `report`, f's
     report under tol, where g has f's graph and positions and differs from
     f in the polyline of one edge, as a curl or Whitney pair splices a
-    chain into one segment.  A passing report costs its new rows, crossings
-    and bends, plus C-level copies of f's index lists.  The spliced edge is
-    read again (`_edge_pass`); its rows that match f's at either end by
-    geometry (a, b, ends) stand for them, and only pairs with a new row are
-    tested (`_pairs_meeting`).  Steps (c) and (d) test the new crossings
-    against the vertices, nearby bends and every crossing, and the new
-    bends against every crossing; step (e) runs only when a germ angle
-    changed.  Epsilon is half the least new clearance term when that is
-    below f's epsilon, exact since every term the splice left alone is at
-    least 2 epsilon_f, else half `_min_clearance` of g.
+    chain into one segment.  Its only inputs are `report` and the changed
+    edge: of f it reads only which polyline changed.  A passing report
+    costs its new rows, crossings and bends, plus C-level copies of f's
+    index lists.  The spliced edge is read again (`_edge_pass`); its rows
+    that match f's at either end by geometry (a, b, ends) stand for them,
+    its boxes from the first new row on replace f's in `report.index`, and
+    the bounding box there grows by the new points.  Only pairs with a new
+    row are tested (`_pairs_meeting`).  Steps (c) and (d) test the new
+    crossings against the vertices, nearby bends and every crossing, and
+    the new bends against every crossing; step (e) runs only when a germ
+    angle changed.  Epsilon is half the least new clearance term when that
+    is below f's epsilon, exact since every term the splice left alone is
+    at least 2 epsilon_f, else half `_min_clearance` of g.
 
     Any other case gets the full validation's report: f's report did not
     pass, not one edge changed, tau or the largest coordinate changed, or a
@@ -209,42 +218,40 @@ def _splice_report(g, f, report, tol) -> GenericityReport | None:
         q += 1
     new, fresh, after = rows[p:len(rows) - q], boxes[p:len(rows) - q], \
         len(was) - q
-    # g's bounding box is f's and the new points', unless the splice dropped
-    # some of f's
-    x0, x1, y0, y1 = g.bbox if after > p + 1 else f.bbox
+    # g's bounding box is f's, from its report, and the new points', unless
+    # the splice dropped some of f's
+    x0, x1, y0, y1 = g.bbox if after > p + 1 else old.bbox
     xs, ys = [x0, x1] + [s.b[0] for s in new], [y0, y1] + [s.b[1] for s in new]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    bbox = x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     if (violations or tol.tau_for(math.hypot(x1 - x0, y1 - y0)) != tau
             or max(-x0, x1, -y0, y1) != old.big):
         return None
 
-    # f's index, copied, with the boxes of the rows that moved replaced in
-    # place, those of the rows the splice replaced dropped and the new ones
-    # inserted where they sort; renew maps f's row to g's, or to None
-    spliced, lefts, renew, gone = old.boxes.copy(), old.lefts.copy(), {}, []
-    for w, row, box in zip(was[p:], [None] * (after - p) + rows[len(new) + p:],
-                           [None] * (after - p) + boxes[len(new) + p:]):
-        k = bisect_left(old.lefts, min(w.a[0], w.b[0]) - tau)
-        while old.boxes[k][4] is not w:
+    # f's index, copied: a moved row's box has f's corners and sorts where
+    # f's did, so it takes its place, and a replaced row's gives way to the
+    # new ones; renew maps f's row to g's, or to None
+    later = [None] * (after - p) + boxes[len(rows) - q:]
+    renew = dict(zip(map(id, was[p:]), [box and box[4] for box in later]))
+    spliced, lefts, cut = old.boxes.copy(), old.lefts.copy(), 0.0
+    for w, box in zip(was[p:], later):
+        k = bisect_left(lefts, min(w.a[0], w.b[0]) - tau)
+        while spliced[k][4] is not w:
             k += 1
-        renew[id(w)] = row
-        if row:
+        if box:
             spliced[k] = box
         else:
-            gone.append(k)
-    for k in reversed(sorted(gone)):
-        del spliced[k], lefts[k]
+            cut = max(cut, spliced[k][1] - lefts[k])
+            del spliced[k], lefts[k]
     for box in fresh:
         k = bisect_right(spliced, box)
         spliced.insert(k, box)
         lefts.insert(k, box[0])
-    index = object.__new__(_SegmentIndex)
-    index.segs = old.segs[:lo + p] + rows[p:] + old.segs[lo + len(was):]
-    index.boxes, index.lefts, index.tau, index.big = spliced, lefts, tau, \
-        old.big
-    index.wide = max([old.wide] + [box[1] - box[0] for box in fresh])
-    if any(old.boxes[k][1] - old.lefts[k] == old.wide for k in gone):
-        index.wide = max(map(sub, map(itemgetter(1), spliced), lefts))
+    wide = max([old.wide] + [box[1] - box[0] for box in fresh])
+    if cut == old.wide:             # the widest box may be gone
+        wide = max(map(sub, map(itemgetter(1), spliced), lefts))
+    index = _SegmentIndex(old.segs[:lo + p] + rows[p:]
+                          + old.segs[lo + len(was):], spliced, lefts, tau,
+                          bbox, wide)
 
     kept, moved = [], []
     for (s, t), c in zip(report.pairs, report.crossings):
@@ -297,13 +304,8 @@ def _splice_report(g, f, report, tol) -> GenericityReport | None:
     if any(min(map(math.dist, repeat(q), bends), default=math.inf) < tau
            for q in points):
         return None
-    # each distance a box test skips is at least best (`_SegmentIndex`)
-    for v, (px, py) in zip(g.graph.vertices(), positions):
-        for x0, x1, y0, y1, s in fresh:
-            if (x0 - px < best and px - x1 < best and y0 - py < best
-                    and py - y1 < best and v not in s.ends):
-                best = min(best, geo.point_segment_distance((px, py), s.a,
-                                                            s.b))
+    for v, pos in zip(g.graph.vertices(), positions):
+        best = _nearest(fresh, pos, best, lambda s: v in s.ends)
     eps = 0.5 * best
     if eps >= report.epsilon:
         eps = 0.5 * _min_clearance(g, index, crossings)

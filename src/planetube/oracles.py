@@ -277,7 +277,8 @@ def report_differences(a: GenericityReport, b: GenericityReport) -> list:
     order; empty when they agree.  Floats are compared by their exact text
     (`repr`, `float.hex`), so -0.0 and 0.0 differ; the hidden fields (germ
     angles, turns, crossing pairs and the segment index) are compared
-    too."""
+    too, the index's bounding box by value: the sign of a zero in it
+    depends on the order its points were read, and nothing reads it."""
     def table(d):
         return repr(sorted(d.items()))
 
@@ -297,6 +298,7 @@ def report_differences(a: GenericityReport, b: GenericityReport) -> list:
         "index.boxes": lambda r: repr(r.index.boxes),
         "index.lefts": lambda r: repr(r.index.lefts),
         "index.wide": lambda r: r.index.wide.hex(),
+        "index.bbox": lambda r: r.index.bbox,
         "index.big": lambda r: r.index.big.hex(),
     }
     return [name for name, read in fields.items() if read(a) != read(b)]

@@ -314,6 +314,16 @@ def test_malformed_input_gives_json_errors(tmp_path, capsys):
         (["validate", k4_with("bend_text.json", lambda d: d["polylines"]["4"]
                               .insert(1, [3.0, "0.5"]))],
          "edge 4 polyline: coordinate '0.5' is not a number"),
+        # an integer too large for a float is refused by its field
+        (["invariant", k4_with("v1_huge.json", at_vertex_1(10 ** 400))],
+         "vertex 1 position: a coordinate is too large for a float"),
+        (["validate", k4_with("bend_huge.json", lambda d: d["polylines"]["4"]
+                              .insert(1, [3.0, -10 ** 400]))],
+         "edge 4 polyline: a coordinate is too large for a float"),
+        (moves("t_huge.json", dict(curl, t=10 ** 400)),
+         "move t is too large for a float"),
+        (moves("delta_huge.json", {"kind": "perturb", "delta": 10 ** 400}),
+         "move delta is too large for a float"),
         (["rank", graph_file("end_bool.json", 2, [[True, 2]])],
          "edge 1: [True, 2] is not a pair of vertex ids"),
         (["rank", graph_file("count_bool.json", True, [[1, 2]])],

@@ -14,7 +14,7 @@ from planetube.immersion import (PlaneImmersion, ImmersionError,
                                  immersion_from_json_dict, validate_generic,
                                  restrict, reflect, map_points,
                                  standard_curve, standard_star, planar_k4,
-                                 to_svg, find_crossings, _SegmentIndex,
+                                 to_svg, find_crossings, _read_edges,
                                  _min_clearance, _pairs_meeting, _edge_pass,
                                  ANGLE_TOL)
 from planetube.invariant import wu
@@ -356,7 +356,7 @@ def pruning_cases():
 
 def test_pruned_scans_match_all_pairs():
     for f, tau in pruning_cases():
-        index = _SegmentIndex(f, tau)
+        index = _read_edges(f, tau)[0]
         crossings, _, violations = find_crossings(index)
         assert (crossings, violations) == all_pairs_crossings(f, tau)
         assert _min_clearance(f, index, crossings) \
@@ -375,7 +375,7 @@ def test_sweep_drops_graph_neighbours(monkeypatch):
     pair_test = immersion._check_pair
     monkeypatch.setattr(immersion, "_check_pair", check_pair)
     for f, tau in pruning_cases():
-        find_crossings(_SegmentIndex(f, tau))
+        find_crossings(_read_edges(f, tau)[0])
     assert seen
     for s, t in seen:
         assert not (s.edge == t.edge and abs(t.index - s.index) <= 1)
@@ -396,7 +396,7 @@ def test_splice_query_finds_the_sweeps_pairs(monkeypatch):
     found = 0
     for f, tau in pruning_cases():
         seen.clear()
-        index = _SegmentIndex(f, tau)
+        index = _read_edges(f, tau)[0]
         find_crossings(index)
         for e in f.graph.edges:
             fresh = [box for box in index.boxes if box[4].edge == e.id]

@@ -241,7 +241,7 @@ def recorded_splices(monkeypatch):
 
 def whole_drawing_scans(monkeypatch):
     """List that records, from now on, each call of the whole-drawing
-    finish and clearance scan of a validation, by name."""
+    clearance scan of a validation, by name."""
     calls = []
 
     def counted(name, real):
@@ -250,8 +250,7 @@ def whole_drawing_scans(monkeypatch):
             return real(*args)
         return count
 
-    for module, name in ((immersion, "_finish"),
-                         (immersion, "_min_clearance"),
+    for module, name in ((immersion, "_min_clearance"),
                          (moves, "_min_clearance")):
         monkeypatch.setattr(module, name,
                             counted(name, getattr(module, name)))
@@ -374,14 +373,16 @@ def test_splice_reports_match_full_validation(monkeypatch):
 
 def test_interior_splices_check_only_what_they_added(monkeypatch):
     # a curl or Whitney pair inside an edge that leaves the bounding box as
-    # it is gets its report with no full validation, no whole-drawing
-    # finish and no whole-drawing clearance scan (`moves.revalidate`)
+    # it is gets its report with no full validation and no whole-drawing
+    # clearance scan (`moves.revalidate`); when its input came from an
+    # earlier derived splice, it takes that input's bounding box from the
+    # input's report and never computes it
     splices = recorded_splices(monkeypatch)
     whole = whole_drawing_scans(monkeypatch)
     rng = random.Random(8)
-    derived = 0
+    derived = chained = 0
     for f in [random_bent_kn(rng, n) for n in (4, 5, 6)] + [planar_k4()]:
-        report = validate_generic(f)
+        report, spliced = validate_generic(f), False
         records = []
         for eid in rng.sample([e.id for e in f.graph.edges], 3):
             cum = f.polylines[eid].cum
@@ -403,12 +404,18 @@ def test_interior_splices_check_only_what_they_added(monkeypatch):
                 g, out = moves._move(f, report, rec, None)
             except MoveError:
                 continue
-            if g.bbox == f.bbox:
+            if spliced:
+                assert f._bbox is None
+                chained += 1
+            # the checks read a new drawing with g's tables, so that g's
+            # own bounding box stays uncomputed for the next splice
+            h = PlaneImmersion(g.graph, g.positions, g.polylines)
+            if h.bbox == f.bbox:
                 assert whole == [] and not splices[-1][2]
                 derived += 1
-            assert report_differences(out, validate_generic(g)) == []
-            f, report = g, out
-    assert derived >= 15
+            assert report_differences(out, validate_generic(h)) == []
+            f, report, spliced = g, out, not splices[-1][2]
+    assert derived >= 15 and chained >= 10
 
 
 def test_splice_checker_compares_with_a_new_validation(monkeypatch, capsys):
