@@ -188,7 +188,7 @@ def _object(value, name: str) -> dict:
 
 
 def _search_points(data: dict) -> None:
-    """Refuses, by field, the first point that is not two float numbers."""
+    """Refuses, by field, the first point not of two numbers a float holds."""
     for where, pts in chain(
             ((f"vertex {k} position", [p])
              for k, p in data["positions"].items()),
