@@ -112,13 +112,18 @@ class Polyline:
         points = list(points)       # read again below to name a bad point
         try:
             pts = [(float(x), float(y)) for x, y in points]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             for p in points:
                 try:
                     x, y = p
                 except (TypeError, ValueError):
                     raise ValueError(f"polyline point {p!r} is not an "
                                      "(x, y) pair") from None
+                try:
+                    float(x), float(y)
+                except OverflowError:   # an int too large for a float
+                    raise ValueError(f"polyline point {p!r} has a coordinate "
+                                     "too large for a float") from None
             raise
         if len(pts) < 2:
             raise ValueError("polyline needs at least two points")

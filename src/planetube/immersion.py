@@ -70,16 +70,15 @@ class PlaneImmersion(Frozen):
     reaches the drawing; a `Polyline`'s own `points` list stays mutable,
     and readers leave it as it is.
 
-    A drawing keeps the report `validate_generic` last computed for it under
-    each tolerance, keyed by `Tolerances.tau_abs` (None for the default
-    relative tau), and `invariant.prepare` reads that report instead of
-    validating again.  `validate_generic` itself always recomputes, as the
-    oracle and the fallback of `moves.revalidate`, and overwrites the
-    record.  A kept report is
-    shared with every later reader: its fields are read-only by type (a
+    A drawing keeps one genericity report per tolerance (`_report`): the
+    last that `validate_generic` computed for it, or that `moves.revalidate`
+    derived for it as a splice's output.  `invariant.prepare` and the moves
+    read it instead of validating again; `validate_generic` always
+    recomputes, as the oracle, and overwrites it.  A kept report is shared
+    with every later reader: its fields are read-only by type (a
     NamedTuple), and readers leave the lists and dicts in them as they are.
     It holds the drawing's segment index for as long as the drawing lives.
-    Copies and pickles start with no record."""
+    Copies and pickles start with no report."""
     __slots__ = ("graph", "positions", "polylines", "_bbox", "_reports")
 
     def __init__(self, graph: Graph, positions: dict, polylines: dict):
@@ -89,8 +88,7 @@ class PlaneImmersion(Frozen):
         object.__setattr__(self, "positions", MappingProxyType(positions))
         object.__setattr__(self, "polylines", MappingProxyType(polylines))
         object.__setattr__(self, "_bbox", None)
-        # Tolerances.tau_abs -> the GenericityReport last validated under it
-        object.__setattr__(self, "_reports", {})
+        object.__setattr__(self, "_reports", {})   # see _report
         for v in graph.vertices():
             if v not in positions:
                 raise ImmersionError(f"missing position for vertex {v}")
@@ -110,10 +108,15 @@ class PlaneImmersion(Frozen):
                 raise ImmersionError(
                     f"edge {e.id}: polyline does not end at head position")
 
-    def _kept_report(self, tol: Tolerances | None):
-        """The report `validate_generic` last computed for this drawing
-        under tol, or None when it has not validated it under tol."""
-        return self._reports.get(None if tol is None else tol.tau_abs)
+    def _report(self, tol: Tolerances | None,
+                report: GenericityReport | None = None) -> GenericityReport:
+        """The report kept under tol, by `Tolerances.tau_abs` (None for the
+        default tau): `report`, kept over the last, when given; else the one
+        kept, or when none is, `validate_generic`'s, which it keeps."""
+        key = tol and tol.tau_abs
+        if report is not None:
+            self._reports[key] = report
+        return self._reports.get(key) or validate_generic(self, tol)
 
     def __getstate__(self):
         """What `copy` and `pickle` save: every slot but the reports, the
@@ -234,7 +237,7 @@ def immersion_from_json_dict(data: dict) -> PlaneImmersion:
         positions = {vid[k]: (float(x), float(y))
                      for k, (x, y) in data["positions"].items()}
         polylines = {eid[k]: Polyline(v) for k, v in data["polylines"].items()}
-    except OverflowError:       # an int too large for a float
+    except (OverflowError, ValueError):     # an int past the floats
         _search_points(data)
         raise
     return PlaneImmersion(g, positions, polylines)
@@ -306,11 +309,11 @@ def _edge_pass(e, pl: Polyline, tau: float, violations: list):
     """Edge e drawn as pl, read once, tail to head: (its segment rows, each
     row's bounding box widened by tau on every side as (least x, greatest
     x, least y, greatest y, row), its bend turns summed, its tail germ, its
-    head germ), each germ a unit vector, or None at length 0.  Rows sort as
-    the edge id, then the position along the edge: the order of
-    `_all_segments`.  Step (a) of `validate_generic` rides along: the
-    edge's degenerate segments, then the bends where it doubles back, are
-    appended to `violations`."""
+    head germ), each germ the angle of its unit vector
+    (`geometry.angle_of`), or None at length 0.  Rows sort as the edge id,
+    then the position along the edge: the order of `_all_segments`.  Step
+    (a) of `validate_generic` rides along: the edge's degenerate segments,
+    then the bends where it doubles back, are appended to `violations`."""
     pts, cum = pl.points, pl.cum
     last = len(pts) - 2
     first_ends = frozenset((e.tail, e.head) if last == 0 else (e.tail,))
@@ -349,8 +352,8 @@ def _edge_pass(e, pl: Polyline, tau: float, violations: list):
     violations += back
     # the head germ is (a - b) / length, not -u: a germ along -x then reads
     # (-1.0, 0.0), at angle pi, and not (-1.0, -0.0), at -pi
-    return rows, boxes, total, rows[0].u, (((ax - bx) / n, (ay - by) / n)
-                                           if n else None)
+    return rows, boxes, total, rows[0].u and geo.angle_of(rows[0].u), (
+        geo.angle_of(((ax - bx) / n, (ay - by) / n)) if n else None)
 
 
 class _SegmentIndex(NamedTuple):
@@ -400,8 +403,8 @@ def _nearest(boxes, pos: Point, best: float, skip) -> float:
 
 def _read_edges(f: PlaneImmersion, tau: float):
     """`_edge_pass` on each edge of f, in order: (f's segment index under
-    tau, step (a)'s violations, bend turns by edge id, germs by (vertex,
-    edge id))."""
+    tau, step (a)'s violations, bend turns by edge id, germ angles by
+    (vertex, edge id))."""
     segs, boxes, violations, turns, ends = [], [], [], {}, {}
     for e in f.graph.edges:
         rows, bx, turns[e.id], ends[e.tail, e.id], ends[e.head, e.id] = \
@@ -605,30 +608,29 @@ def validate_generic(f: PlaneImmersion,
 
     Each segment is read once, in one pass per edge (`_edge_pass`) that
     builds the segment's row (its length and direction) and tau-widened
-    box, runs step (a), sums the edge's bend turns and takes its two unit
-    germs; the rows and boxes, sorted once, make the segment index
-    (`_read_edges`).  Step (e) keeps each germ as one angle
-    (`geometry.angle_of`), in a table per vertex and edge: the cyclic
-    orders, the germ-collision test and the least germ angle, which bounds
-    the scale, are all read from it, and the invariant's cochain reads it
-    and the turns off the report, as the moves read the segment index and
-    the least germ angle.  The scans over pairs of features are pruned.
-    Segments are pair-tested only where their widened boxes overlap and
-    they are not graph neighbours, which are dropped in the sweep
-    (`find_crossings`); a pair that does not cross has its four
+    box, runs step (a), sums the edge's bend turns and takes the angles of
+    its two germs; the rows and boxes, sorted once, make the segment index
+    (`_read_edges`).  Step (e) keeps the germ angles in a table per vertex
+    and edge: the cyclic orders, the germ-collision test and the least germ
+    angle, which bounds the scale, are read from it, and the invariant's
+    cochain reads it and the turns off the report, as the moves read the
+    segment index and the least germ angle.  The scans over pairs of
+    features are pruned.  Segments are pair-tested only where their widened
+    boxes overlap and they are not graph neighbours, which are dropped in
+    the sweep (`find_crossings`); a pair that does not cross has its four
     endpoint-to-segment distances measured only when neither segment lies
     at least 2 tau + 2^-40 M to one side of the other's line, an exact
     reject (`_check_pair`).  A crossing is measured only against the
     vertices, bends and crossings within 2 tau of it in x, and
     `_min_clearance` skips the distances its running minimum already
-    bounds.  Each skipped test could not have fired or lowered the
-    minimum, so the report is that of the all-pairs scans.
+    bounds.  Each skipped test could not have fired or lowered the minimum,
+    so the report is that of the all-pairs scans.
 
     `moves.revalidate` derives a splice's report from its input's report
     and the one changed edge alone, with the same edge pass and pair test;
     this function is its fallback and oracle.  Every call validates f in
-    full and keeps the report on f under tol's `tau_abs`, over the one kept
-    before (`PlaneImmersion`), where `invariant.prepare` reads it.
+    full and keeps the report on f, over the one kept before
+    (`PlaneImmersion._report`).
     """
     tol = tol or Tolerances()
     tau = tol.tau_for(f.bbox_diagonal())
@@ -640,11 +642,10 @@ def validate_generic(f: PlaneImmersion,
             "tolerance-below-resolution",
             f"tau {tau} is at most 2^-48 M = {TAU_FLOOR * index.big}, M = "
             f"{index.big} the largest absolute coordinate"))
-    # each germ as its angle, at the vertices where every germ has a
-    # direction (a germ of length 0 is a degenerate segment)
-    stubs = {v for (v, _), u in ends.items() if u is None}
-    germs = {v: {e: geo.angle_of(ends[v, e])
-                 for e in f.graph.incident_edges(v)}
+    # the germ angles at the vertices where every germ has a direction (a
+    # germ of length 0 is a degenerate segment)
+    stubs = {v for (v, _), a in ends.items() if a is None}
+    germs = {v: {e: ends[v, e] for e in f.graph.incident_edges(v)}
              for v in f.graph.vertices() if v not in stubs}
 
     # (b) crossings transversal, interior; their violations follow (e)'s
@@ -691,12 +692,10 @@ def validate_generic(f: PlaneImmersion,
                      "tolerance"))
                 eps = 0.0
 
-    report = GenericityReport(
+    return f._report(tol, GenericityReport(
         passed=not violations, violations=violations, crossings=crossings,
         cyclic_orders=orders, epsilon=eps, tau=tau, index=index, germs=germs,
-        theta=theta, turns=turns, pairs=pairs)
-    f._reports[tol.tau_abs] = report
-    return report
+        theta=theta, turns=turns, pairs=pairs))
 
 
 def _min_clearance(f: PlaneImmersion, index: _SegmentIndex,

@@ -65,7 +65,7 @@ except ImportError:
 
 from .graphs import EdgeCycle, Graph
 from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
-                        NotGenericError, validate_generic, standard_star)
+                        NotGenericError, standard_star)
 from .tube import (TubeComplex, BasisLabel,
                    build_symmetric_tube, tube_spanning_tree, wu_basis,
                    basis_cycle, tube_cycle_over_graph_cycle,
@@ -214,13 +214,13 @@ class InvariantContext(NamedTuple):
 
 def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
             eps: float | None = None) -> InvariantContext:
-    """Validate f, fetch its graph's plan and compute its cochain from the
-    genericity report: the bend turns and germs the validation read.
+    """Fetch f's genericity report and its graph's plan, and compute the
+    cochain from the report: the bend turns and germs the validation read.
 
-    The report is the one f keeps from its last validation under tol
-    (`PlaneImmersion`), when there is one, so a drawing validated, then
-    evaluated, is validated once; otherwise `validate_generic` computes
-    and keeps it.  The context shares that report, whose fields are
+    The report is the one f keeps under tol (`PlaneImmersion._report`),
+    validated and kept there only when f has none.  So a drawing that was
+    validated, or that a move made, is not validated again to be
+    evaluated.  The context shares that report, whose fields are
     read-only by type and whose lists and dicts it leaves as they are.
 
     `eps` defaults to the suggested scale and must lie in (0, suggested];
@@ -229,9 +229,7 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
     because no exact angle depends on it; only the tracer in `oracles`
     works at scale eps.
     """
-    report = f._kept_report(tol)
-    if report is None:
-        report = validate_generic(f, tol)
+    report = f._report(tol)
     if not report.passed:
         raise NotGenericError(
             "immersion is not generic: "
@@ -277,7 +275,9 @@ def coordinate(ctx: InvariantContext, label: BasisLabel) -> int:
 def wu(f: PlaneImmersion, tol: Tolerances | None = None,
        eps: float | None = None) -> WuVector:
     ctx = prepare(f, tol, eps)
-    coords = tuple(coordinate(ctx, b) for b in ctx.plan.labels)
+    # tuple() of a list: of a generator, it is allocated at a guessed size
+    # and shrunk, stranding memory in CPython's tuple free lists
+    coords = tuple([coordinate(ctx, b) for b in ctx.plan.labels])
     return WuVector(ctx.plan.names, coords, conventions_fingerprint(f.graph))
 
 

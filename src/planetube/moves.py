@@ -6,17 +6,18 @@ regular-homotopy move and must leave the invariant fixed.  perturb jitters
 interior bend points.  Each is a one-record call into the one move engine,
 `_move`, which `apply_moves` runs once per record of a script, so a move
 does the same alone and in a script.  Every move starts and ends on a
-generic drawing and fails loudly otherwise, and each move hands the
-genericity report of its output to the next.  A script's input is
-validated once in full, and so is each attempt of a perturbation: a full
-validation reads each segment once, in one pass per edge.  A curl or
-Whitney pair changes one edge inside a disk clear of every other strand,
-so its output's report is derived from its input's report and the one
-changed edge alone (`revalidate`), at the cost of the rows, crossings and
-bends the splice added, and equals the full one.  The room a curl or
-Whitney pair needs is measured through the input report's segment index,
-so no move walks the polylines to find its clearance, and a chain too
-small for that room is refused before it is spliced.
+generic drawing and fails loudly otherwise.  A move reads its input's
+genericity report off the input (`PlaneImmersion._report`), which validates
+in full only when it keeps none, and its output keeps its own, so neither a
+later move nor `invariant.wu` validates it again.  A full validation reads
+each segment once, in one pass per edge.  A curl or Whitney pair changes
+one edge inside a disk clear of every other strand, so its output's report
+is derived from its input's report and the one changed edge alone
+(`revalidate`), at the cost of the rows, crossings and bends the splice
+added, and equals the full one.  The room a curl or Whitney pair needs is
+measured through the input report's segment index, so no move walks the
+polylines to find its clearance, and a chain too small for that room is
+refused before it is spliced.
 """
 from __future__ import annotations
 
@@ -98,14 +99,13 @@ def _locate(f: PlaneImmersion, eid: int, t: float):
     return pl, i, geo.unit(geo.sub(b, a))
 
 
-def _local_clearance(f: PlaneImmersion, report: GenericityReport, eid: int,
+def _local_clearance(report: GenericityReport, pl: Polyline, eid: int,
                      i: int, t: float) -> float:
-    """Room around arclength t of edge eid: the least of the report's
-    epsilon, the slack to the containing segment's ends and the distance to
-    every other strand, measured through the report's segment index
-    (`immersion._SegmentIndex.nearest`) with the containing segment
+    """Room around arclength t of edge eid, drawn as pl: the least of the
+    report's epsilon, the slack to the containing segment's ends and the
+    distance to every other strand, measured through the report's segment
+    index (`immersion._SegmentIndex.nearest`) with the containing segment
     skipped."""
-    pl = f.polylines[eid]
     best = min(report.epsilon, t - pl.cum[i], pl.cum[i + 1] - t)
     return report.index.nearest(pl.point_at(t), best,
                                 lambda s: s.edge == eid and s.index == i)
@@ -125,18 +125,18 @@ def _whitney_chain(center, u, r):
     return kink_waypoints(c1, u, r, +1) + kink_waypoints(c2, u, r, -1)
 
 
-def _move(f: PlaneImmersion, report: GenericityReport | None,
-          rec: MoveRecord, tol: Tolerances | None):
-    """(g, report of g): the one move engine.  `report` is f's genericity
-    report under tol, or None to validate f here, once the record's kind
-    and a curl's sign are known to be good.  A curl or Whitney pair splices
-    its chain into rec.edge at arclength rec.t, sized by the room there
+def _move(f: PlaneImmersion, rec: MoveRecord,
+          tol: Tolerances | None) -> PlaneImmersion:
+    """The drawing rec makes of f: the one move engine.  It reads f's
+    report under tol (`PlaneImmersion._report`) once the record's kind and
+    a curl's sign are known to be good.  A curl or Whitney pair splices its
+    chain into rec.edge at arclength rec.t, sized by the room there
     (`_local_clearance`) over 4 or 6, and derives the output's report from
-    f's (`revalidate`).  It is refused for insufficient clearance when its
-    chain's own strands would come within tau
-    (`geometry.KINK_CLEARANCE`), or when its own loops leave the output's
-    germ angles too shallow for its scale: the two strands of each loop's
-    crossing lie 6.4 r apart along the edge, which caps the output's
+    f's (`revalidate`), which the output keeps.  It is refused for
+    insufficient clearance when its chain's own strands would come within
+    tau (`geometry.KINK_CLEARANCE`), or when its own loops leave the
+    output's germ angles too shallow for its scale: the two strands of each
+    loop's crossing lie 6.4 r apart along the edge, which caps the output's
     epsilon at 1.6 r, and its germs are f's, so the germ-angle test of
     `immersion.validate_generic` would fail once 2 (1.6 r) sin(theta / 2)
     is at most 8 tau, theta f's least germ angle (`GenericityReport`).  A
@@ -146,15 +146,13 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
         raise MoveError("curl sign must be +1 or -1")
     if kind not in ("curl", "whitney_pair", "perturb"):
         raise MoveError(f"unknown move kind {kind!r}")
-    if report is None:
-        verb = "perturb" if kind == "perturb" else "move"
-        report = _generic(validate_generic(f, tol),
-                          f"cannot {verb} a non-generic immersion")
+    verb = "perturb" if kind == "perturb" else "move"
+    report = _generic(f._report(tol), f"cannot {verb} a non-generic immersion")
     if kind == "perturb":
-        return _perturb(f, report, rec.seed, rec.delta, tol)
+        return _perturb(f, rec.seed, rec.delta, tol)
     what, room = ("curl", 4.0) if kind == "curl" else ("Whitney pair", 6.0)
     pl, i, u = _locate(f, eid, t)
-    r = _local_clearance(f, report, eid, i, t) / room
+    r = _local_clearance(report, pl, eid, i, t) / room
     if (KINK_CLEARANCE * r <= report.tau
             or 3.2 * r * math.sin(report.theta / 2.0) <= 8.0 * report.tau):
         raise MoveError(
@@ -165,8 +163,8 @@ def _move(f: PlaneImmersion, report: GenericityReport | None,
     polylines = dict(f.polylines)
     polylines[eid] = Polyline(pl.points[:i + 1] + chain + pl.points[i + 1:])
     g = PlaneImmersion(f.graph, f.positions, polylines)
-    return g, _generic(revalidate(g, f, report, tol),
-                       f"{what} broke genericity")
+    _generic(revalidate(g, f, report, tol), f"{what} broke genericity")
+    return g
 
 
 def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
@@ -191,11 +189,11 @@ def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
     Any other case gets the full validation's report: f's report did not
     pass, not one edge changed, tau or the largest coordinate changed, or a
     step finds a violation among the new features.  So the report always
-    equals a full one field for field.  It is not kept on g: only a full
-    validation is (`PlaneImmersion`)."""
+    equals a full one field for field, and g keeps it
+    (`PlaneImmersion._report`)."""
     tol = tol or Tolerances()
-    return (_splice_report(g, f, report, tol)
-            or immersion.validate_generic(g, tol))
+    return g._report(tol, _splice_report(g, f, report, tol)
+                     or immersion.validate_generic(g, tol))
 
 
 def _splice_report(g, f, report, tol) -> GenericityReport | None:
@@ -270,7 +268,7 @@ def _splice_report(g, f, report, tol) -> GenericityReport | None:
 
     # (e) only when a germ of the edge changed its angle
     germs, orders, theta = report.germs, report.cyclic_orders, report.theta
-    angles = {e.tail: geo.angle_of(tail), e.head: geo.angle_of(head)}
+    angles = {e.tail: tail, e.head: head}
     if any(germs[v][eid].hex() != a.hex() for v, a in angles.items()):
         germs = {**germs, **{v: {**germs[v], eid: a}
                              for v, a in angles.items()}}
@@ -318,16 +316,17 @@ def _splice_report(g, f, report, tol) -> GenericityReport | None:
         pairs=[pair for pair, _ in merged])
 
 
-def _perturb(f, report, seed, delta, tol):
-    """(g, report of g): the engine's perturbation branch, on f and its
-    report."""
+def _perturb(f, seed, delta, tol):
+    """The engine's perturbation branch: f jittered, keeping the report of
+    the attempt that passed."""
+    report = f._report(tol)
     if delta is None:
         delta = report.epsilon / 8.0
     # written so that NaN fails too
     if not 0.0 <= delta < report.epsilon / 4.0 + 1e-30:
         raise MoveError(f"delta must lie in [0, epsilon/4 = {report.epsilon / 4.0}]")
     if delta == 0.0:
-        return f, report
+        return f
     # uniform(lo, hi) is lo + (hi - lo) * random(), so these draws are
     # uniform(0, 2 pi) and uniform(0, 1) bit for bit, without their frames
     r, turn = random.Random(seed).random, 2.0 * math.pi
@@ -344,7 +343,7 @@ def _perturb(f, report, seed, delta, tol):
         g = PlaneImmersion(f.graph, f.positions, polylines)
         check = validate_generic(g, tol)
         if check.passed and len(check.crossings) == len(report.crossings):
-            return g, check
+            return g
         delta /= 2.0
     raise MoveError("perturbation could not preserve genericity")
 
@@ -353,14 +352,13 @@ def insert_curl(f: PlaneImmersion, eid: int, t: float, sign: int,
                 tol: Tolerances | None = None) -> PlaneImmersion:
     """One small loop at arclength t of edge eid, adding `sign` to the
     turning of any traversal that runs the edge tail to head."""
-    return _move(f, None, MoveRecord("curl", edge=eid, t=t, sign=sign),
-                 tol)[0]
+    return _move(f, MoveRecord("curl", edge=eid, t=t, sign=sign), tol)
 
 
 def whitney_pair(f: PlaneImmersion, eid: int, t: float,
                  tol: Tolerances | None = None) -> PlaneImmersion:
     """Two opposite curls side by side; a regular-homotopy move."""
-    return _move(f, None, MoveRecord("whitney_pair", edge=eid, t=t), tol)[0]
+    return _move(f, MoveRecord("whitney_pair", edge=eid, t=t), tol)
 
 
 def perturb(f: PlaneImmersion, seed: int, delta: float | None = None,
@@ -368,20 +366,17 @@ def perturb(f: PlaneImmersion, seed: int, delta: float | None = None,
     """Jitter every interior bend point by at most delta, keeping vertices
     fixed; halves delta and retries (up to 8 times) if genericity breaks.
     delta must lie in [0, epsilon/4); None means epsilon/8."""
-    return _move(f, None, MoveRecord("perturb", seed=seed, delta=delta),
-                 tol)[0]
+    return _move(f, MoveRecord("perturb", seed=seed, delta=delta), tol)
 
 
 def apply_moves(f: PlaneImmersion, records,
                 tol: Tolerances | None = None) -> PlaneImmersion:
     """Apply MoveRecords (or their JSON dicts) in order, each through
-    `_move`.  The input is validated by the first move, and every later move
-    starts from the report of the drawing the move before it made."""
-    report = None
+    `_move`, each move's output the next one's input."""
     for rec in records:
         if isinstance(rec, dict):
             rec = MoveRecord.from_json_dict(rec)
         elif not isinstance(rec, MoveRecord):
             raise MoveError(f"move record {rec!r} is not an object")
-        f, report = _move(f, report, rec, tol)
+        f = _move(f, rec, tol)
     return f

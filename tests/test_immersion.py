@@ -64,6 +64,12 @@ def test_polyline_points_are_pairs():
                 Polyline(points)
             assert str(exc.value) == \
                 f"polyline point {p!r} is not an (x, y) pair"
+    # an int past the floats is refused as a ValueError naming its point
+    for p in ((10 ** 400, 0.0), (0, -10 ** 400)):
+        with pytest.raises(ValueError) as exc:
+            Polyline([p, (0.0, 0.0)])
+        assert str(exc.value) == f"polyline point {p!r} has a coordinate " \
+            "too large for a float"
     assert Polyline([[0, 0], ("1.5", 2)]).points == [(0.0, 0.0), (1.5, 2.0)]
 
 
@@ -413,7 +419,9 @@ def test_edge_pass_matches_the_plain_formulas():
     # translations and zero-length segments among them): each row's box is
     # the min and max of its ends widened by tau, its length is
     # `geometry.dist`, the turn sum adds `geometry.turn_angle` over the
-    # bends tail to head, and the violations come in step (a)'s order
+    # bends tail to head, the violations come in step (a)'s order, and the
+    # germs are the angles (`geometry.angle_of`) of the first segment's
+    # direction and of the last one's reversed, None at length 0
     rng = random.Random(15)
     cases, curls = pruning_cases(), 0
     for n in (3, 4, 5):
@@ -468,8 +476,10 @@ def test_edge_pass_matches_the_plain_formulas():
             assert total.hex() == stepwise.hex()
             assert violations == degenerate + back
             a, b = pts[-1], pts[-2]
-            assert repr((tail, head)) == repr((
-                dirs[0], geo.unit(geo.sub(b, a)) if geo.dist(a, b) else None))
+            germs = (dirs[0], geo.unit(geo.sub(b, a)) if geo.dist(a, b)
+                     else None)
+            assert repr((tail, head)) == repr(tuple(
+                u and geo.angle_of(u) for u in germs))
             for kind, _ in violations:
                 seen[kind] += 1
             seen["bends"] += len(turns)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import planetube
-from planetube import geometry, invariant
+from planetube import geometry
 from planetube.geometry import angle_of, dist
 from planetube.graphs import (EdgeCycle, Frozen, star, complete_graph,
                               path_graph, star_graph, validate_graph)
@@ -35,8 +35,8 @@ from planetube.oracles import (omega, pair_path, winding,
 from planetube.tube import (W, Z, basis_cycle, tube_cycle_over_graph_cycle,
                             cycle_is_closed, swap_parity)
 
-from conftest import (resample_midpoints, random_k4, random_bent_kn,
-                      random_tube_cycle)
+from conftest import (counted_validations, resample_midpoints, random_k4,
+                      random_bent_kn, random_tube_cycle)
 
 
 K3_CYCLE = ((3, 1), (2, -1), (1, 1))       # v2 -> v3 -> v1 -> v2
@@ -211,15 +211,9 @@ def test_wu_computes_each_angle_once(monkeypatch):
 def test_wu_reads_the_report_its_drawing_keeps(monkeypatch):
     # a drawing validated, then evaluated, is validated once: wu right after
     # validate_generic under the same tolerance validates zero times, and
-    # once after a validation under another; copies keep no report
-    calls = []
-    real = invariant.validate_generic
-
-    def counting(f, tol=None):
-        calls.append(f)
-        return real(f, tol)
-
-    monkeypatch.setattr(invariant, "validate_generic", counting)
+    # once after a validation under another; copies keep no report.  The
+    # count is of every full validation, the test's own included
+    calls = counted_validations(monkeypatch)
     f = random_bent_kn(random.Random(4), 5)
     expected, fixed = wu(copy.deepcopy(f)), Tolerances(tau_abs=1e-6)
     report = validate_generic(f)
@@ -228,11 +222,12 @@ def test_wu_reads_the_report_its_drawing_keeps(monkeypatch):
     ctx = prepare(f, eps=report.epsilon / 10)
     assert ctx.report is report and calls == []
     validate_generic(f, fixed)
-    assert wu(f, fixed) == expected and calls == []
+    assert wu(f, fixed) == expected and calls == [f]
+    calls.clear()
     g = copy.deepcopy(f)
     validate_generic(g, fixed)
-    assert wu(g) == expected and calls == [g]
-    assert wu(g) == expected and calls == [g]
+    assert wu(g) == expected and calls == [g, g]
+    assert wu(g) == expected and calls == [g, g]
     calls.clear()
     for h in (copy.copy(f), pickle.loads(pickle.dumps(f))):
         assert wu(h, fixed) == expected and calls == [h]

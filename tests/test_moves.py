@@ -19,7 +19,7 @@ from planetube.invariant import wu, prepare, equivalent
 from planetube.moves import (MoveError, MoveRecord, insert_curl,
                              whitney_pair, perturb, apply_moves)
 
-from conftest import drawing, random_bent_kn
+from conftest import counted_validations, drawing, random_bent_kn
 
 
 def crossings(f):
@@ -58,8 +58,8 @@ def test_a_chain_that_would_touch_itself_is_refused():
     k4 = planar_k4()
     report = validate_generic(k4)
     for t in (1e-4, 2e-4, 3e-4):
-        _, i, _ = moves._locate(k4, 1, t)
-        r = moves._local_clearance(k4, report, 1, i, t) / 4.0
+        pl, i, _ = moves._locate(k4, 1, t)
+        r = moves._local_clearance(report, pl, 1, i, t) / 4.0
         assert report.tau < r and KINK_CLEARANCE * r <= report.tau
         with pytest.raises(MoveError, match="insufficient clearance for a "
                                             "curl"):
@@ -83,7 +83,7 @@ def test_a_loop_that_caps_the_scale_is_refused():
         for t in [k * 5e-5 for k in range(1, 30)] \
                 + [length - k * 5e-5 for k in range(1, 30)]:
             pl, i, u = moves._locate(f, 1, t)
-            room = moves._local_clearance(f, report, 1, i, t)
+            room = moves._local_clearance(report, pl, 1, i, t)
             for rec, chain in (
                     (MoveRecord("curl", edge=1, t=t, sign=+1),
                      kink_waypoints(pl.point_at(t), u, room / 4.0, +1)),
@@ -95,7 +95,7 @@ def test_a_loop_that_caps_the_scale_is_refused():
                     **f.polylines, 1: Polyline(pl.points[:i + 1] + chain
                                                + pl.points[i + 1:])})
                 try:
-                    out, _ = moves._move(f, report, rec, None)
+                    out = moves._move(f, rec, None)
                 except MoveError as exc:
                     assert "insufficient clearance" in str(exc)
                     check = validate_generic(g)
@@ -203,20 +203,6 @@ def test_random_curl_positions_shift_by_sign(seed):
     assert wu(g).coords == (base + sign,)
 
 
-def counted_validations(monkeypatch):
-    """List that records each drawing `moves` validates in full from now
-    on."""
-    calls = []
-    real = moves.validate_generic
-
-    def counting(f, tol=None):
-        calls.append(f)
-        return real(f, tol)
-
-    monkeypatch.setattr(moves, "validate_generic", counting)
-    return calls
-
-
 def recorded_splices(monkeypatch):
     """List that records, from now on, each splice output of `moves` with
     the report derived for it (`moves.revalidate`) and whether deriving it
@@ -277,8 +263,10 @@ def k4_family_script(rng):
 
 def test_apply_moves_validates_each_drawing_once(monkeypatch):
     # a script validates its input in full once, and so each attempt of a
-    # perturbation; each splice output gets a report derived from its
-    # input's, equal to the full validation of that output
+    # perturbation and each splice that falls back; each splice output gets
+    # a report derived from its input's, equal to the full validation of
+    # that output.  The output of the public moves keeps its report, so
+    # perturbing it validates only the perturbation's attempts
     calls = counted_validations(monkeypatch)
     splices = recorded_splices(monkeypatch)
     rng = random.Random(5)
@@ -287,11 +275,12 @@ def test_apply_moves_validates_each_drawing_once(monkeypatch):
         seed = rng.randint(0, 10**6)
         calls.clear()
         perturbed = perturb(chained, seed)
-        attempts = len(calls) - 1
+        attempts = len(calls)
         calls.clear()
         splices.clear()
         g = apply_moves(planar_k4(), script)
-        assert len(calls) == 1 and len(splices) == len(script)
+        fallbacks = sum(fell_back for *_, fell_back in splices)
+        assert len(calls) == 1 + fallbacks and len(splices) == len(script)
         for h, report, _ in splices:
             assert report_differences(report, validate_generic(h)) == []
         assert json.dumps(g.to_json_dict()) == \
@@ -299,7 +288,7 @@ def test_apply_moves_validates_each_drawing_once(monkeypatch):
         calls.clear()
         g = apply_moves(planar_k4(), script + [{"kind": "perturb",
                                                 "seed": seed}])
-        assert len(calls) == 1 + attempts
+        assert len(calls) == 1 + fallbacks + attempts
         assert json.dumps(g.to_json_dict()) == \
             json.dumps(perturbed.to_json_dict())
     calls.clear()
@@ -356,13 +345,12 @@ def test_splice_reports_match_full_validation(monkeypatch):
         assert validate_generic(far).violations[0][0] == \
             "tolerance-below-resolution"
     for f, records in cases:
-        report = validate_generic(f)
         for rec in records:
             # each move starts from the report derived for the one before;
             # a splice too close to a vertex or a germ may be refused, or
             # break genericity, and then its report is checked all the same
             try:
-                f, report = moves._move(f, report, rec, None)
+                f = moves._move(f, rec, None)
             except MoveError:
                 pass
     for g, report, _ in splices:
@@ -382,7 +370,8 @@ def test_interior_splices_check_only_what_they_added(monkeypatch):
     rng = random.Random(8)
     derived = chained = 0
     for f in [random_bent_kn(rng, n) for n in (4, 5, 6)] + [planar_k4()]:
-        report, spliced = validate_generic(f), False
+        validate_generic(f)         # kept on f: no move validates it
+        spliced = False
         records = []
         for eid in rng.sample([e.id for e in f.graph.edges], 3):
             cum = f.polylines[eid].cum
@@ -401,7 +390,7 @@ def test_interior_splices_check_only_what_they_added(monkeypatch):
         for rec in records:
             whole.clear()
             try:
-                g, out = moves._move(f, report, rec, None)
+                g = moves._move(f, rec, None)
             except MoveError:
                 continue
             if spliced:
@@ -413,32 +402,112 @@ def test_interior_splices_check_only_what_they_added(monkeypatch):
             if h.bbox == f.bbox:
                 assert whole == [] and not splices[-1][2]
                 derived += 1
-            assert report_differences(out, validate_generic(h)) == []
-            f, report, spliced = g, out, not splices[-1][2]
+            assert report_differences(splices[-1][1],
+                                      validate_generic(h)) == []
+            f, spliced = g, not splices[-1][2]
     assert derived >= 15 and chained >= 10
 
 
-def test_splice_checker_compares_with_a_new_validation(monkeypatch, capsys):
-    # scripts/check_splice_reports.py checks each derived report against a
-    # full validation of its own: a derived report one ulp off in epsilon
-    # fails it, by name
+def splice_checker():
+    """scripts/check_splice_reports.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "scripts" / \
         "check_splice_reports.py"
     spec = importlib.util.spec_from_file_location("check_splice_reports",
                                                   path)
     checker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checker)
+    return checker
+
+
+def benchmark_outputs():
+    """The outputs of the edit_dense benchmark scripts of seed 1."""
+    return [apply_moves(immersion.immersion_from_json_dict(e["drawing"]),
+                        e["moves"])
+            for e in splice_checker().load_corpus().edit_dense(1)]
+
+
+def chained_outputs():
+    """Each drawing that a chain of curls, Whitney pairs and perturbations
+    makes of bent K4 and K5 and of the embedded K4, and the kind of the
+    move that made it."""
+    rng, out = random.Random(21), []
+    for f in [random_bent_kn(rng, n) for n in (4, 5)] + [planar_k4()]:
+        for rec in splice_sites(f, rng) + [
+                MoveRecord("perturb", seed=rng.randint(0, 10**6))]:
+            try:
+                f = apply_moves(f, [rec])
+            except MoveError:       # no room at the site
+                continue
+            out.append((f, rec.kind))
+    return out
+
+
+def test_wu_of_a_move_output_validates_nothing(monkeypatch):
+    # a move's output keeps its report, and wu reads it.  The edit_dense
+    # scripts of seed 1 validate in full each input and each perturbation
+    # attempt, 16 drawings, as when move outputs kept no report
+    calls = counted_validations(monkeypatch)
+    outputs = benchmark_outputs()
+    assert len(calls) == 16 and len(outputs) == 9
+    for g in outputs + [g for g, _ in chained_outputs()]:
+        calls.clear()
+        wu(g)
+        assert calls == []
+
+
+def test_a_curl_on_a_move_output_validates_nothing(monkeypatch):
+    # the next move reads its input's kept report too: a curl on a move's
+    # output validates nothing in full, unless its own splice falls back
+    calls = counted_validations(monkeypatch)
+    splices = recorded_splices(monkeypatch)
+    curled = 0
+    for g in benchmark_outputs() + [g for g, _ in chained_outputs()]:
+        for eid in range(1, g.graph.num_edges + 1):
+            calls.clear()
+            try:
+                insert_curl(g, eid, g.polylines[eid].length * 0.37, +1)
+            except MoveError:
+                continue
+            assert len(calls) == splices[-1][2]
+            curled += not calls
+            break
+    assert curled > 20
+
+
+def test_move_outputs_keep_their_full_reports():
+    # the report each move output keeps, a curl's, a Whitney pair's or a
+    # perturbation's, equals a full validation of a new drawing with the
+    # output's tables
+    outputs = chained_outputs()
+    assert {kind for _, kind in outputs} == {"curl", "whitney_pair",
+                                             "perturb"}
+    for g in benchmark_outputs() + [g for g, _ in outputs]:
+        h = PlaneImmersion(g.graph, g.positions, g.polylines)
+        assert report_differences(g._reports[None], validate_generic(h)) == []
+    assert len(outputs) > 15
+
+
+def test_splice_checker_compares_with_a_new_validation(monkeypatch, capsys):
+    # scripts/check_splice_reports.py checks each derived report against a
+    # full validation of its own: a derived report one ulp off in epsilon
+    # fails it, by name
+    checker = splice_checker()
     derive = moves.revalidate
 
     def one_ulp_up(g, f, report, tol=None):
         out = derive(g, f, report, tol)
         return out._replace(epsilon=math.nextafter(out.epsilon, math.inf))
 
-    monkeypatch.setattr(moves, "revalidate", one_ulp_up)
-    assert checker.main(["--seeds", "1"]) == 1
-    line = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert line["seed"] == 1 and line["differ"] == ["epsilon"]
-    assert moves.revalidate is one_ulp_up
+    def a_copy(g, f, report, tol=None):
+        return derive(g, f, report, tol)._replace()
+
+    # and a derived report that its output does not keep fails it too
+    for wrong, differ in ((one_ulp_up, ["epsilon"]), (a_copy, ["kept"])):
+        monkeypatch.setattr(moves, "revalidate", wrong)
+        assert checker.main(["--seeds", "1"]) == 1
+        line = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert line["seed"] == 1 and line["differ"] == differ
+        assert moves.revalidate is wrong
 
 
 def test_splice_fallbacks_match_full_validation(monkeypatch):
@@ -468,7 +537,7 @@ def test_splice_fallbacks_match_full_validation(monkeypatch):
         for tol in (None, at_k4):
             report = validate_generic(k4, tol)
             pl, i, u = moves._locate(k4, 1, t)
-            r = moves._local_clearance(k4, report, 1, i, t) / 4.0
+            r = moves._local_clearance(report, pl, 1, i, t) / 4.0
             chain = kink_waypoints(pl.point_at(t), u, r, +1)
             g = PlaneImmersion(k4.graph, k4.positions, {
                 **k4.polylines,
@@ -571,7 +640,7 @@ def test_pruned_local_clearance_matches_every_segment():
                     if (e.id, j) != (eid, i):
                         brute = min(brute, point_segment_distance(
                             center, pts[j], pts[j + 1]))
-            assert moves._local_clearance(f, report, eid, i, t) == \
+            assert moves._local_clearance(report, pl, eid, i, t) == \
                 min(report.epsilon, brute)
             nearer += brute < report.epsilon
     assert nearer > 100
