@@ -14,7 +14,7 @@ would change with the box, and such a splice would always fall back.
 
 Each report a curl or Whitney pair derives for its output
 (`moves.revalidate`) is compared with a full validation
-(`immersion.validate_generic`), field by field, hidden fields included
+(`genericity.validate_generic`), field by field, hidden fields included
 (`oracles.report_differences`).  The full validation reads a new drawing
 with the output's tables, so that the output keeps its derived report for
 the next move; the check also asks that it does keep that report
@@ -32,8 +32,9 @@ import json
 import sys
 from pathlib import Path
 
-from planetube import immersion, moves
-from planetube.immersion import PlaneImmersion, Tolerances
+from planetube import genericity, immersion, moves
+from planetube.genericity import Tolerances
+from planetube.immersion import PlaneImmersion
 from planetube.moves import MoveError, MoveRecord
 from planetube.oracles import report_differences
 
@@ -72,7 +73,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     args = ap.parse_args(argv)
     corpus = load_corpus()
-    derive, full = moves.revalidate, immersion.validate_generic
+    derive, full = moves.revalidate, genericity.validate_generic
     # (output, its derived report, whether it grew the box, fell back)
     splices, fallbacks = [], []
 
@@ -82,11 +83,11 @@ def main(argv=None) -> int:
 
     def checking(g, f, report, tol=None):
         fallbacks.clear()
-        immersion.validate_generic = falling_back
+        genericity.validate_generic = falling_back
         try:
             out = derive(g, f, report, tol)
         finally:
-            immersion.validate_generic = full
+            genericity.validate_generic = full
         h = PlaneImmersion(g.graph, g.positions, g.polylines)
         differ = report_differences(out, full(h, tol))
         if differ:

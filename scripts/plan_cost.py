@@ -26,7 +26,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import random_bent_kn  # noqa: E402
 
-from planetube.immersion import validate_generic  # noqa: E402
+from planetube.genericity import validate_generic  # noqa: E402
 from planetube.invariant import wu, wu_plan  # noqa: E402
 from planetube.tube import rank  # noqa: E402
 

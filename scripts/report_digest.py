@@ -6,7 +6,7 @@ the plans of small graphs.
 
 builds the wu_curls and edit_dense corpora of each seed with
 `perfbench/corpus.py`, validates every drawing and its mirror image
-(`immersion.validate_generic`), runs each edit_dense move script on both
+(`genericity.validate_generic`), runs each edit_dense move script on both
 (`moves.apply_moves`) and validates its output, and prints the SHA-256 of
 all of it: every report field, hidden ones included, with each segment in
 a box or crossing pair written as its (edge, index) key and every float
@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 
 from census_report import connected_graphs
-from planetube import immersion, invariant, moves, tube
+from planetube import genericity, immersion, invariant, moves, tube
 from planetube.graphs import complete_graph
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
@@ -95,17 +95,17 @@ def main() -> int:
 
     for f in (immersion.planar_k4(), immersion.standard_star((1, 2, 3, 4))):
         for g in (f, immersion.reflect(f)):
-            add(report_fields(immersion.validate_generic(g)))
+            add(report_fields(genericity.validate_generic(g)))
     for seed in args.seeds:
         for e in corpus.wu_curls(seed) + corpus.edit_dense(seed):
             f = immersion.immersion_from_json_dict(e["drawing"])
             for g in (f, immersion.reflect(f)):
-                add(report_fields(immersion.validate_generic(g)))
+                add(report_fields(genericity.validate_generic(g)))
                 if "moves" in e:
                     out = moves.apply_moves(g, e["moves"])
                     add(plain([pl.points for _, pl
                                in sorted(out.polylines.items())]))
-                    add(report_fields(immersion.validate_generic(out)))
+                    add(report_fields(genericity.validate_generic(out)))
     for g in [*connected_graphs(5), *map(complete_graph, range(3, 11))]:
         add(plan_fields(g))
     print(digest.hexdigest())

@@ -7,9 +7,9 @@ from .graphs import (Graph, Edge, EdgeCycle, SpanningTree, GraphError,
 from .tube import (SymmetricTube, TubeComplex, TubeError,
                    build_symmetric_tube, tube_spanning_tree, rank, wu_basis,
                    basis_cycle, tube_cycle_over_graph_cycle)
-from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
-                        ImmersionError, NotGenericError, CyclicOrder,
-                        immersion_from_json_dict, validate_generic, restrict,
+from .genericity import (Tolerances, GenericityReport, ImmersionError,
+                         NotGenericError, CyclicOrder, validate_generic)
+from .immersion import (PlaneImmersion, immersion_from_json_dict, restrict,
                         reflect, map_points, standard_curve, standard_star,
                         planar_k4, to_svg)
 from .invariant import (WuVector, WindingError, wu, prepare,

@@ -13,9 +13,9 @@ import sys
 
 from .graphs import GraphError, EdgeCycle, validate_graph
 from .tube import rank, to_dot, to_json_dict
-from .immersion import (Tolerances, ImmersionError, immersion_from_json_dict,
-                        validate_generic, standard_curve, standard_star,
-                        planar_k4, to_svg)
+from .genericity import Tolerances, ImmersionError, validate_generic
+from .immersion import (immersion_from_json_dict, standard_curve,
+                        standard_star, planar_k4, to_svg)
 from .invariant import WindingError, prepare, wu, wu_plan, equivalent, \
     rotation_number_on_cycle
 from .moves import MoveError, apply_moves

@@ -64,8 +64,8 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .graphs import EdgeCycle, Graph
-from .immersion import (PlaneImmersion, Tolerances, GenericityReport,
-                        NotGenericError, standard_star)
+from .genericity import GenericityReport, NotGenericError, Tolerances
+from .immersion import PlaneImmersion, standard_star
 from .tube import (TubeComplex, BasisLabel,
                    build_symmetric_tube, tube_spanning_tree, wu_basis,
                    basis_cycle, tube_cycle_over_graph_cycle,

@@ -9,12 +9,9 @@ does the same alone and in a script.  Every move starts and ends on a
 generic drawing and fails loudly otherwise.  A move reads its input's
 genericity report off the input (`PlaneImmersion._report`), which validates
 in full only when it keeps none, and its output keeps its own, so neither a
-later move nor `invariant.wu` validates it again.  A full validation reads
-each segment once, in one pass per edge.  A curl or Whitney pair changes
-one edge inside a disk clear of every other strand, so its output's report
-is derived from its input's report and the one changed edge alone
-(`revalidate`), at the cost of the rows, crossings and bends the splice
-added, and equals the full one.  The room a curl or Whitney pair needs is
+later move nor `invariant.wu` validates it again: a curl or Whitney pair
+changes one edge, and its output's report is derived from its input's
+(`genericity.revalidate`).  The room a curl or Whitney pair needs is
 measured through the input report's segment index, so no move walks the
 polylines to find its clearance, and a chain too small for that room is
 refused before it is spliced.
@@ -23,17 +20,14 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
-from itertools import repeat
-from operator import attrgetter, itemgetter, sub
+from bisect import bisect_left
 from typing import NamedTuple
 
-from . import geometry as geo, immersion
+from . import geometry as geo
+from .genericity import (GenericityReport, ImmersionError, Tolerances,
+                         revalidate, validate_generic)
 from .geometry import KINK_CLEARANCE, Polyline, kink_waypoints
-from .immersion import (PlaneImmersion, Tolerances, ImmersionError,
-                        GenericityReport, validate_generic, _SegmentIndex,
-                        _cyclic_orders, _edge_pass, _min_clearance, _nearest,
-                        _pairs_meeting, _test_pairs)
+from .immersion import PlaneImmersion
 
 
 class MoveError(ImmersionError):
@@ -104,7 +98,7 @@ def _local_clearance(report: GenericityReport, pl: Polyline, eid: int,
     """Room around arclength t of edge eid, drawn as pl: the least of the
     report's epsilon, the slack to the containing segment's ends and the
     distance to every other strand, measured through the report's segment
-    index (`immersion._SegmentIndex.nearest`) with the containing segment
+    index (`genericity._SegmentIndex.nearest`) with the containing segment
     skipped."""
     best = min(report.epsilon, t - pl.cum[i], pl.cum[i + 1] - t)
     return report.index.nearest(pl.point_at(t), best,
@@ -138,7 +132,7 @@ def _move(f: PlaneImmersion, rec: MoveRecord,
     output's germ angles too shallow for its scale: the two strands of each
     loop's crossing lie 6.4 r apart along the edge, which caps the output's
     epsilon at 1.6 r, and its germs are f's, so the germ-angle test of
-    `immersion.validate_generic` would fail once 2 (1.6 r) sin(theta / 2)
+    `genericity.validate_generic` would fail once 2 (1.6 r) sin(theta / 2)
     is at most 8 tau, theta f's least germ angle (`GenericityReport`).  A
     perturbation runs `_perturb`."""
     kind, eid, t = rec.kind, rec.edge, rec.t
@@ -165,155 +159,6 @@ def _move(f: PlaneImmersion, rec: MoveRecord,
     g = PlaneImmersion(f.graph, f.positions, polylines)
     _generic(revalidate(g, f, report, tol), f"{what} broke genericity")
     return g
-
-
-def revalidate(g: PlaneImmersion, f: PlaneImmersion, report: GenericityReport,
-               tol: Tolerances | None = None) -> GenericityReport:
-    """`immersion.validate_generic(g, tol)`, derived from `report`, f's
-    report under tol, where g has f's graph and positions and differs from
-    f in the polyline of one edge, as a curl or Whitney pair splices a
-    chain into one segment.  Its only inputs are `report` and the changed
-    edge: of f it reads only which polyline changed.  A passing report
-    costs its new rows, crossings and bends, plus C-level copies of f's
-    index lists.  The spliced edge is read again (`_edge_pass`); its rows
-    that match f's at either end by geometry (a, b, ends) stand for them,
-    its boxes from the first new row on replace f's in `report.index`, and
-    the bounding box there grows by the new points.  Only pairs with a new
-    row are tested (`_pairs_meeting`).  Steps (c) and (d) test the new
-    crossings against the vertices, nearby bends and every crossing, and
-    the new bends against every crossing; step (e) runs only when a germ
-    angle changed.  Epsilon is half the least new clearance term when that
-    is below f's epsilon, exact since every term the splice left alone is
-    at least 2 epsilon_f, else half `_min_clearance` of g.
-
-    Any other case gets the full validation's report: f's report did not
-    pass, not one edge changed, tau or the largest coordinate changed, or a
-    step finds a violation among the new features.  So the report always
-    equals a full one field for field, and g keeps it
-    (`PlaneImmersion._report`)."""
-    tol = tol or Tolerances()
-    return g._report(tol, _splice_report(g, f, report, tol)
-                     or immersion.validate_generic(g, tol))
-
-
-def _splice_report(g, f, report, tol) -> GenericityReport | None:
-    """g's passing report as `revalidate` derives it, or None."""
-    edges = [e for e in g.graph.edges
-             if g.polylines[e.id] is not f.polylines[e.id]]
-    if not report.passed or len(edges) != 1:
-        return None
-    e, old, tau, violations = edges[0], report.index, report.tau, []
-    eid, pl = e.id, g.polylines[e.id]
-    rows, boxes, turn, tail, head = _edge_pass(e, pl, tau, violations)
-    lo = bisect_left(old.segs, eid, key=attrgetter("edge"))
-    was = old.segs[lo:bisect_right(old.segs, eid, lo, key=attrgetter("edge"))]
-    # the first p and the last q rows match f's; f's rows from p up to
-    # `after` are those the splice replaced
-    n, p, q = min(len(rows), len(was)), 0, 0
-    while p < n and rows[p][2:5] == was[p][2:5]:
-        p += 1
-    while q < n - p and rows[~q][2:5] == was[~q][2:5]:
-        q += 1
-    new, fresh, after = rows[p:len(rows) - q], boxes[p:len(rows) - q], \
-        len(was) - q
-    # g's bounding box is f's, from its report, and the new points', unless
-    # the splice dropped some of f's
-    x0, x1, y0, y1 = g.bbox if after > p + 1 else old.bbox
-    xs, ys = [x0, x1] + [s.b[0] for s in new], [y0, y1] + [s.b[1] for s in new]
-    bbox = x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    if (violations or tol.tau_for(math.hypot(x1 - x0, y1 - y0)) != tau
-            or max(-x0, x1, -y0, y1) != old.big):
-        return None
-
-    # f's index, copied: a moved row's box has f's corners and sorts where
-    # f's did, so it takes its place, and a replaced row's gives way to the
-    # new ones; renew maps f's row to g's, or to None
-    later = [None] * (after - p) + boxes[len(rows) - q:]
-    renew = dict(zip(map(id, was[p:]), [box and box[4] for box in later]))
-    spliced, lefts, cut = old.boxes.copy(), old.lefts.copy(), 0.0
-    for w, box in zip(was[p:], later):
-        k = bisect_left(lefts, min(w.a[0], w.b[0]) - tau)
-        while spliced[k][4] is not w:
-            k += 1
-        if box:
-            spliced[k] = box
-        else:
-            cut = max(cut, spliced[k][1] - lefts[k])
-            del spliced[k], lefts[k]
-    for box in fresh:
-        k = bisect_right(spliced, box)
-        spliced.insert(k, box)
-        lefts.insert(k, box[0])
-    wide = max([old.wide] + [box[1] - box[0] for box in fresh])
-    if cut == old.wide:             # the widest box may be gone
-        wide = max(map(sub, map(itemgetter(1), spliced), lefts))
-    index = _SegmentIndex(old.segs[:lo + p] + rows[p:]
-                          + old.segs[lo + len(was):], spliced, lefts, tau,
-                          bbox, wide)
-
-    kept, moved = [], []
-    for (s, t), c in zip(report.pairs, report.crossings):
-        s2, t2 = renew.get(id(s), s), renew.get(id(t), t)
-        if s2 is s and t2 is t:
-            kept.append(((s, t), c))
-        elif s2 and t2:
-            moved.append((s2, t2))
-    found, pairs, cviol = _test_pairs(index, _pairs_meeting(index, fresh))
-    again, repairs, rviol = _test_pairs(index, moved)
-    if cviol or rviol:
-        return None
-    merged = sorted(kept + list(zip(repairs, again)) + list(zip(pairs, found)),
-                    key=itemgetter(0))
-    crossings = [c for _, c in merged]
-
-    # (e) only when a germ of the edge changed its angle
-    germs, orders, theta = report.germs, report.cyclic_orders, report.theta
-    angles = {e.tail: tail, e.head: head}
-    if any(germs[v][eid].hex() != a.hex() for v, a in angles.items()):
-        germs = {**germs, **{v: {**germs[v], eid: a}
-                             for v, a in angles.items()}}
-        orders, theta = _cyclic_orders(germs, violations)
-        if violations:
-            return None
-
-    # (c), (d) and the new clearance terms, below f's least term
-    points = [c.point for c in crossings]
-    positions = [g.positions[v] for v in g.graph.vertices()]
-    best = min(2.0 * report.epsilon, geo.dist(pl.points[0], pl.points[1]),
-               geo.dist(pl.points[-2], pl.points[-1]), pl.length / 2.0)
-    for c in again + found:
-        if c.first.edge == c.second.edge:
-            best = min(best, abs(c.first.arclength - c.second.arclength)
-                       / 2.0)
-    for c in found:
-        k = crossings.index(c)
-        apart = min(map(math.dist, repeat(c.point),
-                        points[:k] + points[k + 1:]), default=math.inf)
-        clear = min(map(math.dist, repeat(c.point), positions))
-        if apart < tau or clear < tau:
-            return None
-        best = min(best, apart, clear)
-        # a bend within tau of the crossing has its box in this window
-        if any(s.index and math.dist(c.point, s.a) < tau for *_, s in
-               index.boxes[bisect_left(lefts, c.point[0] - index.wide - tau):
-                           bisect_right(lefts, c.point[0] + tau)]):
-            return None
-    bends = [s.a for s in new if s.index]
-    if any(min(map(math.dist, repeat(q), bends), default=math.inf) < tau
-           for q in points):
-        return None
-    for v, pos in zip(g.graph.vertices(), positions):
-        best = _nearest(fresh, pos, best, lambda s: v in s.ends)
-    eps = 0.5 * best
-    if eps >= report.epsilon:
-        eps = 0.5 * _min_clearance(g, index, crossings)
-    if eps <= tau or 2.0 * eps * math.sin(theta / 2.0) <= 8.0 * tau:
-        return None
-    return GenericityReport(
-        passed=True, violations=[], crossings=crossings,
-        cyclic_orders=orders, epsilon=eps, tau=tau, index=index,
-        germs=germs, theta=theta, turns={**report.turns, eid: turn},
-        pairs=[pair for pair, _ in merged])
 
 
 def _perturb(f, seed, delta, tol):

@@ -9,7 +9,7 @@ its pruning; all_pairs_crossings keeps its own copy of the full pair test,
 without the validator's line-side reject.
 report_differences names the fields, hidden ones included, in which two
 genericity reports differ: it checks a splice's derived report
-(`moves.revalidate`) against the full `validate_generic`.
+(`genericity.revalidate`) against the full `validate_generic`.
 betti_oracle recomputes the tube's first Betti number from the boundary
 matrix by exact elimination.
 tube_tree walks the canonical spanning tree of the tube breadth first,
@@ -44,9 +44,9 @@ from typing import NamedTuple
 from . import geometry as geo
 from .geometry import Point
 from .graphs import EdgeCycle, Graph, bfs_tree, tree_path
-from .immersion import (ANGLE_TOL, Crossing, GenericityReport,
-                        ImmersionError, PlaneImmersion, StrandPoint,
-                        _all_segments)
+from .genericity import (ANGLE_TOL, Crossing, GenericityReport,
+                         ImmersionError, StrandPoint, _all_segments)
+from .immersion import PlaneImmersion
 from .tube import (SymmetricTube, TubeComplex, TubeEdge, TubeError,
                    cycle_is_closed)
 from .invariant import (WindingError, INTEGER_TOL, InvariantContext, _row,
@@ -206,7 +206,7 @@ def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
 
 def _pair_test(s, t, tau: float, crossings, violations) -> None:
     """The genericity pair test of two segments, s before t, with none of
-    `immersion._check_pair`'s shortcuts: graph neighbours pass, any other
+    `genericity._check_pair`'s shortcuts: graph neighbours pass, any other
     pair either crosses properly or has its four endpoint-to-segment
     distances measured."""
     if (s.edge == t.edge and t.index - s.index <= 1) or s.ends & t.ends:
@@ -236,7 +236,7 @@ def _pair_test(s, t, tau: float, crossings, violations) -> None:
 
 
 def all_pairs_crossings(f: PlaneImmersion, tau: float):
-    """`immersion.find_crossings` without pruning or shortcuts: the full
+    """`genericity.find_crossings` without pruning or shortcuts: the full
     pair test (`_pair_test`) on every segment pair (i, j), i < j, in
     order."""
     segs = _all_segments(f)
@@ -248,7 +248,7 @@ def all_pairs_crossings(f: PlaneImmersion, tau: float):
 
 
 def min_clearance_oracle(f: PlaneImmersion, crossings) -> float:
-    """`immersion._min_clearance` without pruning: the least of every
+    """`genericity._min_clearance` without pruning: the least of every
     vertex-segment, crossing-vertex and crossing-crossing distance, half
     arclength gap of a self-crossing, germ length and half edge length."""
     best = math.inf

@@ -4,26 +4,26 @@ import random
 
 import pytest
 
-from planetube import immersion
+from planetube import genericity
 from planetube.geometry import Polyline
 from planetube.graphs import (Graph, GraphError, validate_graph,
                               complete_graph, tree_path)
-from planetube.immersion import (PlaneImmersion, ImmersionError,
-                                 validate_generic)
+from planetube.genericity import ImmersionError, validate_generic
+from planetube.immersion import PlaneImmersion
 from planetube.oracles import adjacency, tube_tree
 
 
 def counted_validations(monkeypatch):
     """List that records each drawing validated in full from now on,
     whatever the entry path: a full validation reads the drawing's edges
-    once (`immersion._read_edges`)."""
-    calls, real = [], immersion._read_edges
+    once (`genericity._read_edges`)."""
+    calls, real = [], genericity._read_edges
 
     def counting(f, tau):
         calls.append(f)
         return real(f, tau)
 
-    monkeypatch.setattr(immersion, "_read_edges", counting)
+    monkeypatch.setattr(genericity, "_read_edges", counting)
     return calls
 
 

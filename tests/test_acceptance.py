@@ -17,9 +17,9 @@ from planetube.graphs import (EdgeCycle, star, star_graph, complete_graph,
 from planetube.tube import (Z, W, build_symmetric_tube, tube_spanning_tree,
                             rank, wu_basis, basis_cycle, cycle_is_closed,
                             tube_cycle_over_graph_cycle)
-from planetube.immersion import (validate_generic, reflect, map_points,
-                                 restrict, standard_curve, standard_star,
-                                 planar_k4)
+from planetube.genericity import validate_generic
+from planetube.immersion import (reflect, map_points, restrict,
+                                 standard_curve, standard_star, planar_k4)
 from planetube.invariant import (wu, prepare, star_wu, equivalent,
                                  evaluate_on_tube_cycle,
                                  rotation_number_on_cycle)

@@ -6,17 +6,17 @@ from itertools import accumulate
 
 import pytest
 
-from planetube import geometry as geo, immersion
+from planetube import geometry as geo, genericity
 from planetube.geometry import Polyline, kink_waypoints
 from planetube.graphs import EdgeCycle, complete_graph, star, validate_graph
-from planetube.immersion import (PlaneImmersion, ImmersionError,
-                                 NotGenericError, Tolerances, CyclicOrder,
-                                 immersion_from_json_dict, validate_generic,
+from planetube.genericity import (ImmersionError, NotGenericError, Tolerances,
+                                  CyclicOrder, validate_generic,
+                                  find_crossings, _read_edges, _min_clearance,
+                                  _pairs_meeting, _edge_pass, ANGLE_TOL)
+from planetube.immersion import (PlaneImmersion, immersion_from_json_dict,
                                  restrict, reflect, map_points,
                                  standard_curve, standard_star, planar_k4,
-                                 to_svg, find_crossings, _read_edges,
-                                 _min_clearance, _pairs_meeting, _edge_pass,
-                                 ANGLE_TOL)
+                                 to_svg)
 from planetube.invariant import wu
 from planetube.moves import MoveError, insert_curl, whitney_pair
 from planetube.oracles import (all_pairs_crossings, min_clearance_oracle,
@@ -378,8 +378,8 @@ def test_sweep_drops_graph_neighbours(monkeypatch):
         seen.append((s, t))
         return pair_test(s, t, *rest)
 
-    pair_test = immersion._check_pair
-    monkeypatch.setattr(immersion, "_check_pair", check_pair)
+    pair_test = genericity._check_pair
+    monkeypatch.setattr(genericity, "_check_pair", check_pair)
     for f, tau in pruning_cases():
         find_crossings(_read_edges(f, tau)[0])
     assert seen
@@ -397,8 +397,8 @@ def test_splice_query_finds_the_sweeps_pairs(monkeypatch):
         seen.append((s, t))
         return pair_test(s, t, *rest)
 
-    pair_test = immersion._check_pair
-    monkeypatch.setattr(immersion, "_check_pair", check_pair)
+    pair_test = genericity._check_pair
+    monkeypatch.setattr(genericity, "_check_pair", check_pair)
     found = 0
     for f, tau in pruning_cases():
         seen.clear()

@@ -19,9 +19,9 @@ from planetube import geometry
 from planetube.geometry import angle_of, dist
 from planetube.graphs import (EdgeCycle, Frozen, star, complete_graph,
                               path_graph, star_graph, validate_graph)
-from planetube.immersion import (PlaneImmersion, Tolerances, reflect,
-                                 map_points, standard_curve, standard_star,
-                                 planar_k4, validate_generic)
+from planetube.genericity import Tolerances, validate_generic
+from planetube.immersion import (PlaneImmersion, reflect, map_points,
+                                 standard_curve, standard_star, planar_k4)
 from planetube.invariant import (WindingError, wu, prepare,
                                  evaluate_on_tube_cycle, equivalent,
                                  star_wu, rotation_number_on_cycle,

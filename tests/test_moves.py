@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planetube import immersion, moves
+from planetube import genericity, immersion, moves
 from planetube.geometry import (KINK_CLEARANCE, Polyline, kink_waypoints,
                                 point_segment_distance)
-from planetube.immersion import (PlaneImmersion, Tolerances, validate_generic,
-                                 standard_curve, standard_star, planar_k4,
-                                 map_points, reflect)
+from planetube.genericity import Tolerances, validate_generic
+from planetube.immersion import (PlaneImmersion, standard_curve,
+                                 standard_star, planar_k4, map_points, reflect)
 from planetube.oracles import report_differences, trace_cycle, turning_number
 from planetube.graphs import EdgeCycle, fundamental_cycle
 from planetube.invariant import wu, prepare, equivalent
@@ -206,9 +206,9 @@ def test_random_curl_positions_shift_by_sign(seed):
 def recorded_splices(monkeypatch):
     """List that records, from now on, each splice output of `moves` with
     the report derived for it (`moves.revalidate`) and whether deriving it
-    fell back to a full validation (`immersion.validate_generic`)."""
+    fell back to a full validation (`genericity.validate_generic`)."""
     seen, fallbacks = [], []
-    derive, full = moves.revalidate, immersion.validate_generic
+    derive, full = moves.revalidate, genericity.validate_generic
 
     def counting(f, tol=None):
         fallbacks.append(f)
@@ -220,7 +220,7 @@ def recorded_splices(monkeypatch):
         seen.append((g, out, bool(fallbacks)))
         return out
 
-    monkeypatch.setattr(immersion, "validate_generic", counting)
+    monkeypatch.setattr(genericity, "validate_generic", counting)
     monkeypatch.setattr(moves, "revalidate", recording)
     return seen
 
@@ -236,10 +236,8 @@ def whole_drawing_scans(monkeypatch):
             return real(*args)
         return count
 
-    for module, name in ((immersion, "_min_clearance"),
-                         (moves, "_min_clearance")):
-        monkeypatch.setattr(module, name,
-                            counted(name, getattr(module, name)))
+    monkeypatch.setattr(genericity, "_min_clearance",
+                        counted("_min_clearance", genericity._min_clearance))
     return calls
 
 
