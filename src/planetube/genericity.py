@@ -182,12 +182,13 @@ class _SegmentIndex(NamedTuple):
     """The segments of a drawing (`_all_segments`), each in a box widened by
     tau on every side, the boxes sorted by left edge once for every scan of
     segments near a point or a segment: `find_crossings`, `_min_clearance`
-    and `moves._local_clearance`.  A full validation builds it
-    (`_read_edges`); a splice builds its output's from its input's report
-    and the one changed edge alone (`revalidate`), and as a box holds
-    its row, not the row's position, the boxes of the other edges carry
-    over as they are.  `big`, the largest absolute coordinate, scales the
-    rounding allowance of `find_crossings`' line-side reject."""
+    and `moves._local_clearance`.  One constructor (`_index`) builds it,
+    for a full validation from every edge's rows (`_read_edges`) and for a
+    splice from its input's rows and the one changed edge's
+    (`revalidate`): as a box holds its row, not the row's position, the
+    boxes of the other edges carry over as they are.  `big`, the largest
+    absolute coordinate, scales the rounding allowance of `find_crossings`'
+    line-side reject."""
     segs: list                  # `_all_segments` order
     boxes: list                 # (x0, x1, y0, y1, row), sorted
     lefts: list                 # x0 of each box
@@ -233,11 +234,17 @@ def _read_edges(f, tau: float):
             _edge_pass(e, f.polylines[e.id], tau, violations)
         segs += rows
         boxes += bx
+    return _index(segs, boxes, tau, f.bbox), violations, turns, ends
+
+
+def _index(segs: list, boxes: list, tau: float, bbox) -> _SegmentIndex:
+    """The segment index of the rows segs, in `_all_segments` order, and
+    their tau-widened boxes, in a drawing whose bounding box is bbox: the
+    boxes sorted in place, their left edges and the widest box's width."""
     boxes.sort()
     lefts = list(map(itemgetter(0), boxes))
     wide = max(map(sub, map(itemgetter(1), boxes), lefts))
-    return (_SegmentIndex(segs, boxes, lefts, tau, f.bbox, wide), violations,
-            turns, ends)
+    return _SegmentIndex(segs, boxes, lefts, tau, bbox, wide)
 
 
 def _all_segments(f) -> list[_Segment]:
@@ -412,6 +419,19 @@ def _cyclic_orders(germs: dict, violations: list) -> tuple[dict, float]:
     return orders, theta
 
 
+def _no_scale(eps: float, theta: float, tau: float) -> str | None:
+    """Why no scale eps fits a drawing whose least germ angle is theta, or
+    None when it fits."""
+    if eps <= tau:
+        return "feature clearances below tolerance"
+    # pair samples near a vertex sit at scale eps along two germs; their
+    # separation 2 eps sin(theta/2) must clear tau with room for
+    # downscaling eps
+    if 2.0 * eps * math.sin(theta / 2.0) <= 8.0 * tau:
+        return "germ angles too shallow for the drawing tolerance"
+    return None
+
+
 def validate_generic(f, tol: Tolerances | None = None) -> GenericityReport:
     """Genericity report of f: its violations in the order of the steps
     below, its crossings, cyclic orders, tau and, when it passes, the
@@ -500,18 +520,10 @@ def validate_generic(f, tol: Tolerances | None = None) -> GenericityReport:
     eps = 0.0
     if not violations:
         eps = 0.5 * _min_clearance(f, index, crossings)
-        if eps <= tau:
-            violations.append(("no-scale", "feature clearances below tolerance"))
+        why = _no_scale(eps, theta, tau)
+        if why:
+            violations.append(("no-scale", why))
             eps = 0.0
-        else:
-            # pair samples near a vertex sit at scale eps along two germs;
-            # their separation 2 eps sin(theta/2) must clear tau with room
-            # for downscaling eps
-            if 2.0 * eps * math.sin(theta / 2.0) <= 8.0 * tau:
-                violations.append(
-                    ("no-scale", "germ angles too shallow for the drawing "
-                     "tolerance"))
-                eps = 0.0
 
     return f._report(tol, GenericityReport(
         passed=not violations, violations=violations, crossings=crossings,
@@ -562,12 +574,13 @@ def revalidate(g, f, report: GenericityReport,
     f in the polyline of one edge, as a curl or Whitney pair splices a
     chain into one segment.  Its only inputs are `report` and the changed
     edge: of f it reads only which polyline changed.  A passing report
-    costs its new rows, crossings and bends, plus C-level copies of f's
-    index lists.  The spliced edge is read again (`_edge_pass`); its rows
-    that match f's at either end by geometry (a, b, ends) stand for them,
-    its boxes from the first new row on replace f's in `report.index`, and
-    the bounding box there grows by the new points.  Only pairs with a new
-    row are tested (`_pairs_meeting`).  Steps (c) and (d) test the new
+    costs its new rows, crossings and bends, plus one sort of a nearly
+    sorted list of boxes.  The spliced edge is read again (`_edge_pass`);
+    its rows that match f's at either end by geometry (a, b, ends) stand
+    for them, and the validator's constructor (`_index`) builds g's index
+    from f's boxes with the edge's boxes from the first new row on
+    replaced by g's, and from f's bounding box grown by the new points.
+    Only pairs with a new row are tested (`_pairs_meeting`).  Steps (c) and (d) test the new
     crossings against the vertices, nearby bends and every crossing, and
     the new bends against every crossing; step (e) runs only when a germ
     angle changed.  Epsilon is half the least new clearance term when that
@@ -613,31 +626,14 @@ def _splice_report(g, f, report, tol) -> GenericityReport | None:
             or max(-x0, x1, -y0, y1) != old.big):
         return None
 
-    # f's index, copied: a moved row's box has f's corners and sorts where
-    # f's did, so it takes its place, and a replaced row's gives way to the
-    # new ones; renew maps f's row to g's, or to None
-    later = [None] * (after - p) + boxes[len(rows) - q:]
-    renew = dict(zip(map(id, was[p:]), [box and box[4] for box in later]))
-    spliced, lefts, cut = old.boxes.copy(), old.lefts.copy(), 0.0
-    for w, box in zip(was[p:], later):
-        k = bisect_left(lefts, min(w.a[0], w.b[0]) - tau)
-        while spliced[k][4] is not w:
-            k += 1
-        if box:
-            spliced[k] = box
-        else:
-            cut = max(cut, spliced[k][1] - lefts[k])
-            del spliced[k], lefts[k]
-    for box in fresh:
-        k = bisect_right(spliced, box)
-        spliced.insert(k, box)
-        lefts.insert(k, box[0])
-    wide = max([old.wide] + [box[1] - box[0] for box in fresh])
-    if cut == old.wide:             # the widest box may be gone
-        wide = max(map(sub, map(itemgetter(1), spliced), lefts))
-    index = _SegmentIndex(old.segs[:lo + p] + rows[p:]
-                          + old.segs[lo + len(was):], spliced, lefts, tau,
-                          bbox, wide)
+    # f's rows and boxes of the edge from p on give way to g's; renew maps
+    # each such row of f to g's, or to None
+    index = _index(old.segs[:lo + p] + rows[p:] + old.segs[lo + len(was):],
+                   [box for box in old.boxes
+                    if box[4].edge != eid or box[4].index < p] + boxes[p:],
+                   tau, bbox)
+    renew = dict(zip(map(id, was[p:]),
+                     [None] * (after - p) + rows[len(rows) - q:]))
 
     kept, moved = [], []
     for (s, t), c in zip(report.pairs, report.crossings):
@@ -683,8 +679,9 @@ def _splice_report(g, f, report, tol) -> GenericityReport | None:
         best = min(best, apart, clear)
         # a bend within tau of the crossing has its box in this window
         if any(s.index and math.dist(c.point, s.a) < tau for *_, s in
-               index.boxes[bisect_left(lefts, c.point[0] - index.wide - tau):
-                           bisect_right(lefts, c.point[0] + tau)]):
+               index.boxes[bisect_left(index.lefts,
+                                       c.point[0] - index.wide - tau):
+                           bisect_right(index.lefts, c.point[0] + tau)]):
             return None
     bends = [s.a for s in new if s.index]
     if any(min(map(math.dist, repeat(q), bends), default=math.inf) < tau
@@ -695,10 +692,9 @@ def _splice_report(g, f, report, tol) -> GenericityReport | None:
     eps = 0.5 * best
     if eps >= report.epsilon:
         eps = 0.5 * _min_clearance(g, index, crossings)
-    if eps <= tau or 2.0 * eps * math.sin(theta / 2.0) <= 8.0 * tau:
+    if _no_scale(eps, theta, tau):
         return None
-    return GenericityReport(
-        passed=True, violations=[], crossings=crossings,
-        cyclic_orders=orders, epsilon=eps, tau=tau, index=index,
+    return report._replace(
+        crossings=crossings, cyclic_orders=orders, epsilon=eps, index=index,
         germs=germs, theta=theta, turns={**report.turns, eid: turn},
         pairs=[pair for pair, _ in merged])

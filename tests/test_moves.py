@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import math
@@ -506,6 +507,32 @@ def test_splice_checker_compares_with_a_new_validation(monkeypatch, capsys):
         line = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert line["seed"] == 1 and line["differ"] == differ
         assert moves.revalidate is wrong
+    # and it counts each splice that falls back to a full validation: with
+    # the derivation forced to give up, every splice does
+    monkeypatch.setattr(moves, "revalidate", derive)
+    monkeypatch.setattr(genericity, "_splice_report", lambda *args: None)
+    assert checker.main(["--seeds", "1"]) == 0
+    scripts, bends = map(json.loads, capsys.readouterr().out.splitlines())
+    assert scripts["fallbacks"] == scripts["splices"] == 12
+    assert bends["derived"] == 0 and bends["fallbacks"] == bends["splices"]
+
+
+def test_genericity_report_has_one_owner():
+    # the genericity report has one owner: `moves` imports no underscore
+    # name from a planetube module, `genericity` imports nothing from
+    # `immersion`, and `immersion.validate_generic`, which the benchmark
+    # traces, is the genericity module's validator
+    src = Path(moves.__file__).parent
+    for module, banned in (("moves", lambda m, name: name.startswith("_")),
+                           ("genericity",
+                            lambda m, name: "immersion" in (m, name))):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.startswith("planetube")):
+                m = (node.module or "").rpartition(".")[2]
+                assert not [a.name for a in node.names if banned(m, a.name)]
+    assert immersion.validate_generic is genericity.validate_generic
 
 
 def test_splice_fallbacks_match_full_validation(monkeypatch):
