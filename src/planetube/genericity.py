@@ -451,7 +451,7 @@ def validate_generic(f, tol: Tolerances | None = None) -> GenericityReport:
     builds the segment's row (its length and direction) and tau-widened
     box, runs step (a), sums the edge's bend turns and takes the angles of
     its two germs; the rows and boxes, sorted once, make the segment index
-    (`_read_edges`).  Step (e) keeps the germ angles in a table per vertex
+    (`_read_edges`, `_index`).  Step (e) keeps the germ angles in a table per vertex
     and edge: the cyclic orders, the germ-collision test and the least germ
     angle, which bounds the scale, are read from it, and the invariant's
     cochain reads it and the turns off the report, as the moves read the
@@ -467,9 +467,9 @@ def validate_generic(f, tol: Tolerances | None = None) -> GenericityReport:
     bounds.  Each skipped test could not have fired or lowered the minimum,
     so the report is that of the all-pairs scans.
 
-    `revalidate` derives a splice's report from its input's report
-    and the one changed edge alone, with the same edge pass and pair test;
-    this function is its fallback and oracle.  Every call validates f in
+    `revalidate` derives a splice's report from its input's report and the
+    one changed edge alone, with the same edge pass, index constructor and
+    pair test; this function is its fallback and oracle.  Every call validates f in
     full and keeps the report on f, over the one kept before
     (`PlaneImmersion._report`).
     """
