@@ -25,26 +25,21 @@ plan's basis names, rows (`terms`), omega recipes and conventions
 fingerprint, and the graph's `tube` output, as JSON (`tube.to_json_dict`)
 and as DOT (`tube.to_dot`).  These are hashed as data, not as the
 records' reprs, so a change to how the records are written keeps it.
+The graphs come from `tests/conftest.connected_graphs_upto`, so the
+script needs the test extra (pytest).
 """
 import argparse
 import hashlib
-import importlib.util
 import json
 import sys
 from pathlib import Path
 
-from census_report import connected_graphs
+from check_splice_reports import load_corpus
 from planetube import genericity, immersion, invariant, moves, tube
 from planetube.graphs import complete_graph
 
-CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-
-
-def load_corpus():
-    spec = importlib.util.spec_from_file_location("corpus", CORPUS)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return corpus
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import connected_graphs_upto  # noqa: E402
 
 
 def plain(x):
@@ -106,7 +101,7 @@ def main() -> int:
                     add(plain([pl.points for _, pl
                                in sorted(out.polylines.items())]))
                     add(report_fields(genericity.validate_generic(out)))
-    for g in [*connected_graphs(5), *map(complete_graph, range(3, 11))]:
+    for g in [*connected_graphs_upto(5), *map(complete_graph, range(3, 11))]:
         add(plan_fields(g))
     print(digest.hexdigest())
     return 0

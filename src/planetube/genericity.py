@@ -59,10 +59,13 @@ class Tolerances:
             tau_abs = float(tau_abs)
         self.tau_abs = tau_abs
 
-    def tau_for(self, diag: float) -> float:
+    def tau_for(self, bbox) -> float:
+        """tau of a drawing whose bounding box is bbox, (least x, greatest
+        x, least y, greatest y)."""
         if self.tau_abs is not None:
             return self.tau_abs
-        return TAU_REL * max(diag, 1e-300)
+        x0, x1, y0, y1 = bbox
+        return TAU_REL * max(math.hypot(x1 - x0, y1 - y0), 1e-300)
 
 
 class StrandPoint(NamedTuple):
@@ -96,8 +99,8 @@ class GenericityReport(NamedTuple):
     hidden fields are all the moves and the invariant's cochain read of
     the drawing: its segment index, the angle of each germ by vertex and
     edge id, the least angle between two germs at a vertex, each edge's
-    bend turns summed tail to head, and the segment rows (s, t), s first in
-    `_all_segments` order, of each crossing, by which `revalidate`
+    bend turns summed tail to head, and the segment rows (s, t), s first
+    edge by edge, tail to head, of each crossing, by which `revalidate`
     keys a splice's crossings."""
     passed: bool
     violations: list
@@ -133,7 +136,7 @@ def _edge_pass(e, pl: Polyline, tau: float, violations: list):
     x, least y, greatest y, row), its bend turns summed, its tail germ, its
     head germ), each germ the angle of its unit vector
     (`geometry.angle_of`), or None at length 0.  Rows sort as the edge id,
-    then the position along the edge: the order of `_all_segments`.  Step
+    then the position along the edge: edge by edge, tail to head.  Step
     (a) of `validate_generic` rides along: the edge's degenerate segments,
     then the bends where it doubles back, are appended to `violations`."""
     pts, cum = pl.points, pl.cum
@@ -179,7 +182,7 @@ def _edge_pass(e, pl: Polyline, tau: float, violations: list):
 
 
 class _SegmentIndex(NamedTuple):
-    """The segments of a drawing (`_all_segments`), each in a box widened by
+    """The segments of a drawing (`_edge_pass`), each in a box widened by
     tau on every side, the boxes sorted by left edge once for every scan of
     segments near a point or a segment: `find_crossings`, `_min_clearance`
     and `moves._local_clearance`.  One constructor (`_index`) builds it,
@@ -189,7 +192,7 @@ class _SegmentIndex(NamedTuple):
     boxes of the other edges carry over as they are.  `big`, the largest
     absolute coordinate, scales the rounding allowance of `find_crossings`'
     line-side reject."""
-    segs: list                  # `_all_segments` order
+    segs: list                  # edge by edge, tail to head
     boxes: list                 # (x0, x1, y0, y1, row), sorted
     lefts: list                 # x0 of each box
     tau: float
@@ -238,18 +241,13 @@ def _read_edges(f, tau: float):
 
 
 def _index(segs: list, boxes: list, tau: float, bbox) -> _SegmentIndex:
-    """The segment index of the rows segs, in `_all_segments` order, and
+    """The segment index of the rows segs, edge by edge, tail to head, and
     their tau-widened boxes, in a drawing whose bounding box is bbox: the
     boxes sorted in place, their left edges and the widest box's width."""
     boxes.sort()
     lefts = list(map(itemgetter(0), boxes))
     wide = max(map(sub, map(itemgetter(1), boxes), lefts))
     return _SegmentIndex(segs, boxes, lefts, tau, bbox, wide)
-
-
-def _all_segments(f) -> list[_Segment]:
-    """Every polyline segment (`_edge_pass`), edge by edge."""
-    return _read_edges(f, 0.0)[0].segs
 
 
 def _beside(s: _Segment, p: Point, q: Point, far: float) -> bool:
@@ -274,7 +272,7 @@ def _may_touch(s: _Segment, t: _Segment) -> bool:
 def _check_pair(s: _Segment, t: _Segment, tau: float, far: float,
                 violations) -> Crossing | None:
     """Pair test of two segments that are not graph neighbours, s before t
-    in `_all_segments` order: their proper transversal crossing, or None
+    edge by edge, tail to head: their proper transversal crossing, or None
     with a near-contact or non-transversal violation appended to
     `violations` when they come closer than tau without one.
 
@@ -334,7 +332,8 @@ def _test_pairs(index: _SegmentIndex, pairs):
 def find_crossings(index: _SegmentIndex):
     """Proper transversal crossings, the segment pair (s, t) of each, and
     degeneracy violations of the index's segments, in the order of a test
-    of every pair (s, t), s before t, of `_all_segments`.
+    of every pair (s, t), s before t, of the segments taken edge by edge,
+    tail to head.
 
     Only pairs whose bounding boxes, widened by tau on every side, overlap
     are tested: with the boxes sorted by left edge, each box is paired with
@@ -474,7 +473,7 @@ def validate_generic(f, tol: Tolerances | None = None) -> GenericityReport:
     (`PlaneImmersion._report`).
     """
     tol = tol or Tolerances()
-    tau = tol.tau_for(f.bbox_diagonal())
+    tau = tol.tau_for(f.bbox)
     # (a) local injectivity of each polyline, in the pass that reads its
     # rows, boxes, bend turns and the germs at both ends
     index, violations, turns, ends = _read_edges(f, tau)
@@ -622,7 +621,7 @@ def _splice_report(g, f, report, tol) -> GenericityReport | None:
     x0, x1, y0, y1 = g.bbox if after > p + 1 else old.bbox
     xs, ys = [x0, x1] + [s.b[0] for s in new], [y0, y1] + [s.b[1] for s in new]
     bbox = x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    if (violations or tol.tau_for(math.hypot(x1 - x0, y1 - y0)) != tau
+    if (violations or tol.tau_for(bbox) != tau
             or max(-x0, x1, -y0, y1) != old.big):
         return None
 

@@ -98,20 +98,6 @@ class PlaneImmersion(Frozen):
                                (min(xs), max(xs), min(ys), max(ys)))
         return self._bbox
 
-    def bbox_diagonal(self) -> float:
-        x0, x1, y0, y1 = self.bbox
-        return math.hypot(x1 - x0, y1 - y0)
-
-    def point_from(self, eid: int, v: int, s: float) -> Point:
-        """Point at arclength s along edge eid measured from endpoint v."""
-        e = self.graph.edge(eid)
-        pl = self.polylines[eid]
-        if v == e.tail:
-            return pl.point_at(s)
-        if v == e.head:
-            return pl.point_at(pl.length - s)
-        raise ImmersionError(f"edge {eid} is not incident to vertex {v}")
-
     def to_json_dict(self) -> dict:
         return {
             "graph": self.graph.to_json_dict(),

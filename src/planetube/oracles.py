@@ -5,8 +5,9 @@ the point swap from their definition, with each tube edge's end cells, and
 census_matches_tube checks a built tube and the closed forms against it.
 all_pairs_crossings and min_clearance_oracle rerun the genericity
 validator's crossing scan and feature clearance over every pair, without
-its pruning; all_pairs_crossings keeps its own copy of the full pair test,
-without the validator's line-side reject.
+its pruning, on segments read from the polylines' points (`_segments`),
+not from the validator's rows; all_pairs_crossings keeps its own copy of
+the full pair test, without the validator's line-side reject.
 report_differences names the fields, hidden ones included, in which two
 genericity reports differ: it checks a splice's derived report
 (`genericity.revalidate`) against the full `validate_generic`.
@@ -45,7 +46,7 @@ from . import geometry as geo
 from .geometry import Point
 from .graphs import EdgeCycle, Graph, bfs_tree, tree_path
 from .genericity import (ANGLE_TOL, Crossing, GenericityReport,
-                         ImmersionError, StrandPoint, _all_segments)
+                         ImmersionError, StrandPoint)
 from .immersion import PlaneImmersion
 from .tube import (SymmetricTube, TubeComplex, TubeEdge, TubeError,
                    cycle_is_closed)
@@ -204,6 +205,30 @@ def decompose_over_basis(ctx: InvariantContext, steps) -> dict:
     return {b.name: row.get(index[b.edge[:4]], 0) for b in ctx.plan.labels}
 
 
+class _Segment(NamedTuple):
+    edge: int
+    index: int                  # position along the edge's polyline
+    a: Point
+    b: Point
+    ends: frozenset             # graph vertices the segment ends at
+    s0: float                   # arclength of a and b from the edge's tail
+    s1: float
+
+
+def _segments(f: PlaneImmersion) -> list[_Segment]:
+    """Every polyline segment of f, edge by edge, tail to head, from the
+    points and `Polyline.cum`."""
+    segs = []
+    for e in f.graph.edges:
+        pl = f.polylines[e.id]
+        last = len(pl.points) - 2
+        for i, (a, b) in enumerate(zip(pl.points, pl.points[1:])):
+            ends = frozenset([e.tail] * (i == 0) + [e.head] * (i == last))
+            segs.append(_Segment(e.id, i, a, b, ends, pl.cum[i],
+                                 pl.cum[i + 1]))
+    return segs
+
+
 def _pair_test(s, t, tau: float, crossings, violations) -> None:
     """The genericity pair test of two segments, s before t, with none of
     `genericity._check_pair`'s shortcuts: graph neighbours pass, any other
@@ -225,7 +250,9 @@ def _pair_test(s, t, tau: float, crossings, violations) -> None:
                  f"transversal crossing near {p}"))
         return
     pt, t1, t2 = hit
-    if abs(geo.cross(s.u, t.u)) < ANGLE_TOL:
+    # a segment that crosses has a length, so a direction
+    if abs(geo.cross(geo.unit(geo.sub(s.b, s.a)),
+                     geo.unit(geo.sub(t.b, t.a)))) < ANGLE_TOL:
         violations.append(
             ("non-transversal", f"edges {s.edge}/{t.edge} cross at {pt} "
              "with near-parallel strands"))
@@ -239,7 +266,7 @@ def all_pairs_crossings(f: PlaneImmersion, tau: float):
     """`genericity.find_crossings` without pruning or shortcuts: the full
     pair test (`_pair_test`) on every segment pair (i, j), i < j, in
     order."""
-    segs = _all_segments(f)
+    segs = _segments(f)
     crossings, violations = [], []
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
@@ -252,7 +279,7 @@ def min_clearance_oracle(f: PlaneImmersion, crossings) -> float:
     vertex-segment, crossing-vertex and crossing-crossing distance, half
     arclength gap of a self-crossing, germ length and half edge length."""
     best = math.inf
-    segs = _all_segments(f)
+    segs = _segments(f)
     for v in f.graph.vertices():
         pos = tuple(f.positions[v])
         for s in segs:
@@ -331,6 +358,17 @@ def omega(f: PlaneImmersion, edge: TubeEdge) -> float:
 MAX_REFINE_DEPTH = 40
 
 
+def _point_from(f: PlaneImmersion, eid: int, v: int, s: float) -> Point:
+    """Point at arclength s along edge eid measured from endpoint v."""
+    e = f.graph.edge(eid)
+    pl = f.polylines[eid]
+    if v == e.tail:
+        return pl.point_at(s)
+    if v == e.head:
+        return pl.point_at(pl.length - s)
+    raise ImmersionError(f"edge {eid} is not incident to vertex {v}")
+
+
 class PairPath(NamedTuple):
     """Closed path of unordered point pairs realizing a tube cycle."""
     immersion: PlaneImmersion
@@ -345,18 +383,17 @@ class PairPath(NamedTuple):
         if d < 0:
             t = 1.0 - t
         f = self.immersion
-        g = f.graph
         if edge.kind == "X":
             pl = f.polylines[edge.edge_a]
             s = t * (pl.length - self.eps)
             return pl.point_at(s), pl.point_at(s + self.eps)
         v = edge.vertex
-        fixed = f.point_from(edge.edge_a, v, self.eps)
+        fixed = _point_from(f, edge.edge_a, v, self.eps)
         # positive direction runs from edge.u to edge.v
         if edge.u.kind == "Z":
-            moving = f.point_from(edge.edge_b, v, t * self.eps)
+            moving = _point_from(f, edge.edge_b, v, t * self.eps)
         else:
-            moving = f.point_from(edge.edge_b, v, (1.0 - t) * self.eps)
+            moving = _point_from(f, edge.edge_b, v, (1.0 - t) * self.eps)
         return fixed, moving
 
     def seed_parameters(self, idx: int) -> list[float]:

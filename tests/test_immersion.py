@@ -318,7 +318,7 @@ def pruning_cases():
               insert_curl(flat, 1, flat.polylines[1].length / 2, +1),
               whitney_pair(insert_curl(k4, 5, k4.polylines[5].length / 2, +1),
                            6, k4.polylines[6].length / 2))
-    cases = [(f, 1e-6 * f.bbox_diagonal())
+    cases = [(f, Tolerances().tau_for(f.bbox))
              for f in (k4, k4_snapped, k5_snapped, k6, *curled)]
     cases += [(k4, 0.05), (k4, 1e-12)]
     tau = 1e-3
@@ -354,19 +354,29 @@ def pruning_cases():
                                                    (8, 12)]), tau))
     for _, _, build in VIOLATION_DRAWINGS:
         f = build()
-        cases.append((f, 1e-6 * f.bbox_diagonal()))
+        cases.append((f, Tolerances().tau_for(f.bbox)))
     moved = [(map_points(f, lambda p: (p[0] + dx, p[1] + dy)), tau)
              for dx, dy in ((1e6, -1e6), (1e12, 1e12)) for f, tau in cases]
     return cases + moved + [(reflect(f), tau) for f, tau in moved]
 
 
-def test_pruned_scans_match_all_pairs():
+def test_pruned_scans_match_all_pairs(monkeypatch):
+    # the oracles read their segments from the points, so they agree with
+    # the validator with its edge pass broken
+    cases = []
     for f, tau in pruning_cases():
         index = _read_edges(f, tau)[0]
         crossings, _, violations = find_crossings(index)
+        cases.append((f, tau, crossings, violations,
+                      _min_clearance(f, index, crossings)))
+
+    def broken(*args):
+        raise AssertionError("an oracle read the validator's rows")
+
+    monkeypatch.setattr(genericity, "_edge_pass", broken)
+    for f, tau, crossings, violations, best in cases:
         assert (crossings, violations) == all_pairs_crossings(f, tau)
-        assert _min_clearance(f, index, crossings) \
-            == min_clearance_oracle(f, crossings)
+        assert best == min_clearance_oracle(f, crossings)
 
 
 def test_sweep_drops_graph_neighbours(monkeypatch):
@@ -433,7 +443,7 @@ def test_edge_pass_matches_the_plain_formulas():
             except MoveError:       # no room at the middle of the edge
                 continue
             curls += 1
-        cases += [(g, 1e-6 * g.bbox_diagonal()) for g in (f, reflect(f))]
+        cases += [(g, Tolerances().tau_for(g.bbox)) for g in (f, reflect(f))]
     assert curls >= 3
     # an edge that doubles back, then runs through a zero-length segment,
     # whose two bends have no turn

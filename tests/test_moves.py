@@ -244,7 +244,7 @@ def whole_drawing_scans(monkeypatch):
 
 def k4_family_script(rng):
     """A script of 1-3 curls and maybe a Whitney pair on the embedded K4, as
-    scripts/run_k4_family.py draws them, and the drawing that chaining the
+    acceptance criterion 9 draws them, and the drawing that chaining the
     public moves makes of it."""
     f, script = planar_k4(), []
     for _ in range(rng.randint(1, 3)):
