@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 validation failure (malformed input, a non-finite
 coordinate or a non-generic immersion), 2 numeric failure (an `--eps` out of
 range, or a tube-cochain total that is not a whole number of half-turns).
 Payloads go to stdout; machine-readable error objects go to stderr.
+
+Each command imports the modules only it uses, so `validate`, and a file
+refused at load or as non-generic, never load the tube, the Wu cochain or
+the moves.
 """
 from __future__ import annotations
 
@@ -12,13 +16,9 @@ import json
 import sys
 
 from .graphs import GraphError, EdgeCycle, validate_graph
-from .tube import rank, to_dot, to_json_dict
-from .genericity import Tolerances, ImmersionError, validate_generic
-from .immersion import (immersion_from_json_dict, standard_curve,
-                        standard_star, planar_k4, to_svg)
-from .invariant import WindingError, prepare, wu, wu_plan, equivalent, \
-    rotation_number_on_cycle
-from .moves import MoveError, apply_moves
+from .genericity import (Tolerances, ImmersionError, WindingError,
+                         validate_generic)
+from .immersion import immersion_from_json_dict
 
 
 def _load_json(path: str):
@@ -76,6 +76,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_tube(args) -> int:
+    from .invariant import wu_plan
+    from .tube import to_dot, to_json_dict
     plan = wu_plan(_load_graph(args.graph))
     if args.dot:
         sys.stdout.write(to_dot(plan.complex))
@@ -85,12 +87,15 @@ def cmd_tube(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from .tube import rank
     g = _load_graph(args.graph)
     sys.stdout.write(f"{rank(g)}\n")
     return 0
 
 
 def cmd_basis(args) -> int:
+    from .invariant import wu_plan
+    from .tube import rank
     g = _load_graph(args.graph)
     _emit({"basis": wu_plan(g).names, "rank": rank(g)})
     return 0
@@ -98,12 +103,15 @@ def cmd_basis(args) -> int:
 
 def cmd_invariant(args) -> int:
     f = _load_immersion(args.immersion)
-    vec = wu(f, _tolerances(args), eps=args.eps)
-    _emit(vec.to_json_dict())
+    tol = _tolerances(args)
+    f.generic_report(tol)       # refuse a non-generic file before the import
+    from .invariant import wu
+    _emit(wu(f, tol, eps=args.eps).to_json_dict())
     return 0
 
 
 def cmd_equiv(args) -> int:
+    from .invariant import equivalent
     fa = _load_immersion(args.a)
     fb = _load_immersion(args.b)
     same = equivalent(fa, fb, _tolerances(args))
@@ -112,6 +120,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_rotation(args) -> int:
+    from .invariant import prepare, rotation_number_on_cycle
     f = _load_immersion(args.immersion)
     steps = tuple((abs(x), 1 if x > 0 else -1) for x in args.cycle)
     if any(x == 0 for x in args.cycle):
@@ -123,6 +132,7 @@ def cmd_rotation(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .immersion import standard_curve, standard_star, planar_k4
     if args.kind == "curve":
         f = standard_curve(args.r)
     elif args.kind == "star":
@@ -135,6 +145,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_move(args) -> int:
+    from .moves import MoveError, apply_moves
     f = _load_immersion(args.immersion)
     records = _load_json(args.moves)
     if not isinstance(records, list):
@@ -145,6 +156,7 @@ def cmd_move(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .immersion import to_svg
     f = _load_immersion(args.immersion)
     report = validate_generic(f, _tolerances(args))
     sys.stdout.write(to_svg(f, report))

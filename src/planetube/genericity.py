@@ -29,6 +29,12 @@ class NotGenericError(ImmersionError):
     pass
 
 
+class WindingError(ArithmeticError):
+    """A tube cycle's winding is not an integer number of half-turns.
+    `invariant` raises it; it lives here, with the other errors, so the
+    CLI catches it without loading `invariant`."""
+
+
 TAU_REL = 1e-6
 """Distance tolerance of the genericity predicates, relative to the drawing:
 tau = TAU_REL * bounding-box diagonal, unless `Tolerances.tau_abs` is set."""

@@ -11,8 +11,8 @@ from types import MappingProxyType
 
 from . import geometry as geo
 from .geometry import Polyline, Point
-from .genericity import (GenericityReport, ImmersionError, Tolerances,
-                         validate_generic)
+from .genericity import (GenericityReport, ImmersionError, NotGenericError,
+                         Tolerances, validate_generic)
 from .graphs import (Frozen, Graph, SubgraphMap, complete_graph, star_graph,
                      validate_graph)
 
@@ -73,6 +73,16 @@ class PlaneImmersion(Frozen):
         if report is not None:
             self._reports[key] = report
         return self._reports.get(key) or validate_generic(self, tol)
+
+    def generic_report(self, tol: Tolerances | None = None
+                       ) -> GenericityReport:
+        """The report kept under tol (`_report`), once it passed; a drawing
+        that did not raises NotGenericError naming its violations."""
+        report = self._report(tol)
+        if not report.passed:
+            raise NotGenericError("immersion is not generic: " + "; ".join(
+                f"{kind}: {msg}" for kind, msg in report.violations))
+        return report
 
     def __getstate__(self):
         """What `copy` and `pickle` save: every slot but the reports, the

@@ -64,16 +64,12 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .graphs import EdgeCycle, Graph
-from .genericity import GenericityReport, NotGenericError, Tolerances
+from .genericity import GenericityReport, Tolerances, WindingError
 from .immersion import PlaneImmersion, standard_star
 from .tube import (TubeComplex, BasisLabel,
                    build_symmetric_tube, tube_spanning_tree, wu_basis,
                    basis_cycle, tube_cycle_over_graph_cycle,
                    cycle_is_closed, swap_parity)
-
-
-class WindingError(ArithmeticError):
-    """A tube cycle's winding is not an integer number of half-turns."""
 
 
 INTEGER_TOL = 1e-6          # of pi, for the closed-cycle certificate
@@ -217,11 +213,12 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
     """Fetch f's genericity report and its graph's plan, and compute the
     cochain from the report: the bend turns and germs the validation read.
 
-    The report is the one f keeps under tol (`PlaneImmersion._report`),
-    validated and kept there only when f has none.  So a drawing that was
-    validated, or that a move made, is not validated again to be
-    evaluated.  The context shares that report, whose fields are
-    read-only by type and whose lists and dicts it leaves as they are.
+    The report is the one f keeps under tol, validated and kept there
+    only when f has none (`PlaneImmersion.generic_report`, which refuses a
+    report that did not pass).  So a drawing that was validated, or that a
+    move made, is not validated again to be evaluated.  The context shares
+    that report, whose fields are read-only by type and whose lists and
+    dicts it leaves as they are.
 
     `eps` defaults to the suggested scale and must lie in (0, suggested];
     NaN lies in no range and is refused.  The check bounds a positive eps
@@ -229,11 +226,7 @@ def prepare(f: PlaneImmersion, tol: Tolerances | None = None,
     because no exact angle depends on it; only the tracer in `oracles`
     works at scale eps.
     """
-    report = f._report(tol)
-    if not report.passed:
-        raise NotGenericError(
-            "immersion is not generic: "
-            + "; ".join(f"{kind}: {msg}" for kind, msg in report.violations))
+    report = f.generic_report(tol)
     plan = wu_plan(f.graph)
     use_eps = report.epsilon if eps is None else eps
     if not 0.0 < use_eps <= report.epsilon:

@@ -1,7 +1,14 @@
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planetube
 from planetube import invariant, tube
 from planetube.cli import main
 from planetube.graphs import complete_graph, star_graph, path_graph
@@ -435,3 +442,62 @@ def test_determinism(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["invariant", f])
     assert capsys.readouterr().out == first
+
+
+# what every command loads: the package root and the modules that read and
+# validate a file
+LOAD = {"planetube", "planetube.geometry", "planetube.graphs",
+        "planetube.genericity", "planetube.immersion"}
+COCHAIN = {"planetube.tube", "planetube.invariant"}
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    """Every subcommand once in a fresh interpreter (-S: no site hook): its
+    exit code, and the planetube modules it loaded, read from the lines
+    `-v` writes per module loaded.  In-process tests load every module at
+    collection, so only a fresh interpreter sees a command that lacks one
+    of its own imports."""
+    f = planar_k4()
+    k4 = write(tmp_path, "k4.json", f.to_json_dict())
+    graph = write(tmp_path, "k4-graph.json", f.graph.to_json_dict())
+    curve = write(tmp_path, "curve.json", standard_curve(2).to_json_dict())
+    moves = write(tmp_path, "moves.json", [
+        {"kind": "curl", "edge": 4, "t": f.polylines[4].length / 2,
+         "sign": 1}])
+    # the benchmark's two fault files: a NaN bend, refused at load, and a
+    # path whose edges cross in an X through a shared bend, not generic
+    d = f.to_json_dict()
+    d["polylines"]["1"].insert(1, [math.nan, 1.0])
+    nan_bend = write(tmp_path, "nan-bend.json", d)
+    x_bend = write(tmp_path, "x-bend.json", {
+        "graph": {"vertices": 3, "edges": [[1, 2], [2, 3]]},
+        "positions": {"1": [0.0, 0.0], "2": [6.0, 2.0], "3": [0.0, 4.0]},
+        "polylines": {"1": [[0.0, 0.0], [2.0, 2.0], [4.0, 4.0], [6.0, 2.0]],
+                      "2": [[6.0, 2.0], [4.0, 0.0], [2.0, 2.0], [0.0, 4.0]]}})
+    runs = [
+        (["validate", k4], 0, LOAD),
+        (["invariant", nan_bend], 1, LOAD),
+        (["invariant", x_bend], 1, LOAD),
+        (["invariant", k4], 0, LOAD | COCHAIN),
+        (["invariant", k4, "--eps", "0"], 2, LOAD | COCHAIN),
+        (["tube", graph], 0, LOAD | COCHAIN),
+        (["tube", "--dot", graph], 0, LOAD | COCHAIN),
+        (["rank", graph], 0, LOAD | {"planetube.tube"}),
+        (["basis", graph], 0, LOAD | COCHAIN),
+        (["equiv", k4, k4], 0, LOAD | COCHAIN),
+        (["rotation", curve, "--cycle", "3", "-2", "1"], 0, LOAD | COCHAIN),
+        (["gen", "curve"], 0, LOAD),
+        (["gen", "star"], 0, LOAD),
+        (["gen", "k4"], 0, LOAD),
+        (["move", k4, moves], 0, LOAD | {"planetube.moves"}),
+        (["render", k4, "--svg"], 0, LOAD),
+    ]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(planetube.__file__).parents[1]))
+    for argv, code, modules in runs:
+        out = subprocess.run(
+            [sys.executable, "-S", "-v", "-m", "planetube.cli", *argv],
+            capture_output=True, text=True, env=env)
+        loaded = set(re.findall(r"^import '(planetube[.\w]*)'", out.stderr,
+                                re.MULTILINE))
+        assert (out.returncode, loaded) == (code, modules), argv

@@ -508,10 +508,13 @@ def test_fingerprint_is_sha256_of_conventions():
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
-    # -S: no `site`, whose own imports could load either module first
-    code = ("import sys, planetube.cli; loaded = [m for m in ('dataclasses', "
-            "'inspect') if m in sys.modules]; "
-            "sys.exit(f'planetube.cli loads {loaded}' if loaded else 0)")
+    # -S: no `site`, whose own imports could load either module first; the
+    # CLI loads `invariant` and `moves` only in the commands that use them,
+    # so they are imported by name
+    code = ("import sys, planetube.cli, planetube.invariant, planetube.moves; "
+            "loaded = [m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules]; "
+            "sys.exit(f'the CLI modules load {loaded}' if loaded else 0)")
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(
@@ -520,7 +523,9 @@ def test_cli_import_leaves_dataclasses_unloaded():
 
 
 def test_cli_import_leaves_openssl_unloaded():
-    code = ("import importlib.util, sys, planetube.cli; print(any("
+    # `invariant` holds the digest; the CLI loads it per command
+    code = ("import importlib.util, sys, planetube.cli, planetube.invariant, "
+            "planetube.moves; print(any("
             "importlib.util.find_spec(m) for m in ('_sha2', '_sha256')), "
             "'_hashlib' in sys.modules)")
     out = subprocess.run(

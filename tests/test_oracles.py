@@ -155,7 +155,7 @@ def test_rule_rows_match_the_tree_walk():
 
 def test_package_import_leaves_oracles_unloaded():
     code = ("import sys, planetube; a = 'planetube.oracles' in sys.modules; "
-            "import planetube.cli; "
+            "import planetube.cli, planetube.invariant, planetube.moves; "
             "print(a, 'planetube.oracles' in sys.modules)")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
