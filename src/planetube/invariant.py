@@ -20,10 +20,11 @@ integer.  Coordinates over the cohomology basis:
             the winding is odd and stored as-is.  A counterclockwise
             three-spoke star gives +1.
 
-Both cycles are written by rule (`tube.basis_cycle`); the tube's spanning
-tree only names the basis and feeds the fingerprint.  The fundamental
-cycles closed through that tree, and the windings and decompositions over
-them, are references in `oracles`.
+Both cycles are written by rule (`tube.basis_cycle`), on the basis that
+one rule writes; the tube's spanning tree is every other tube edge and
+feeds the fingerprint.  The fundamental cycles closed through that tree,
+and the windings and decompositions over them, are references in
+`oracles`.
 
 What depends on the graph alone is built once per graph into one plan
 object and cached (`wu_plan`, a `WuPlan`): the tube complex, whose tube's
@@ -292,12 +293,12 @@ def equivalent(f: PlaneImmersion, g: PlaneImmersion,
     return wu(f, tol).coords == wu(g, tol).coords
 
 
-def star_wu(order, tol: Tolerances | None = None) -> tuple[int, ...]:
+def star_wu(order) -> tuple[int, ...]:
     """Wu coordinates of a canonical star immersion realizing a cyclic order
     of d >= 1 edges, from any iterable (empty for d < 3)."""
     order = list(order)
     f = standard_star(order)
     if len(order) < 3:
         return ()
-    return wu(f, tol).coords
+    return wu(f).coords
 

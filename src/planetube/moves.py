@@ -169,7 +169,8 @@ def _perturb(f, seed, delta, tol):
         delta = report.epsilon / 8.0
     # written so that NaN fails too
     if not 0.0 <= delta < report.epsilon / 4.0 + 1e-30:
-        raise MoveError(f"delta must lie in [0, epsilon/4 = {report.epsilon / 4.0}]")
+        raise MoveError("delta must lie in [0, epsilon/4 = "
+                        f"{report.epsilon / 4.0})")
     if delta == 0.0:
         return f
     # uniform(lo, hi) is lo + (hi - lo) * random(), so these draws are

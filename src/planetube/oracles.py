@@ -19,9 +19,10 @@ non-tree tube edge through it, raw_basis_windings sums those cycles and
 decompose_over_basis reads a closed cycle's non-tree multiplicities.  The
 package writes both kinds of basis cycle by rule instead
 (`tube.basis_cycle`: the lifted graph cycle for X, the vertex triangle for
-Y), and its tube tree only names the basis and feeds the fingerprint and
-the `tube` output; this walk is the independent reference the rules are
-checked against.
+Y), and its tube tree is the complement of the rule-written basis, kept
+for the fingerprint and the `tube` output; this walk is the independent
+reference the rules are checked against, and the one check that the
+complement spans the tube.
 omega recomputes one tube edge's exact angle from the polyline points,
 step by step, apart from the cochain `invariant` builds out of the
 genericity report.  The windings that `invariant` sums exactly are

@@ -15,16 +15,19 @@ are.  Each tube edge has one position, its place in `SymmetricTube.edges`,
 and `SymmetricTube.index` maps the edge's cell data `e[:4]`, a plain tuple
 such as ("Y", v, fixed, moving), to it: it is the one lookup of a tube
 edge, both from its cell data (`x_edge`, `y_edge`) and into the rows that
-`invariant` sums.  The basis is the tuple of `BasisLabel`s that `wu_basis`
-returns, one per non-tree tube edge.
+`invariant` sums.
 
-Both kinds of basis cycle are written by rule (`basis_cycle`): an X label's
-is its graph fundamental cycle lifted to the tube, a Y label's the 6-step
-triangle at its vertex.  The canonical spanning tree of the tube only
-names the basis and feeds the conventions fingerprint and the `tube`
-output; nothing here walks it.  The breadth-first walk through it, which
-closes any non-tree tube edge into its fundamental cycle, is a reference
-in `oracles`.
+The basis is written by one rule (`_basis`): an X label for each graph
+edge outside the graph's canonical spanning tree, then a Y label for each
+local pair at each vertex.  `wu_basis` returns those labels, and the
+canonical spanning tree of the tube is every other tube edge, kept for the
+conventions fingerprint and the `tube` output; nothing here walks it.
+Both kinds of basis cycle are written by rule too (`basis_cycle`): an X
+label's is its graph fundamental cycle lifted to the tube, a Y label's the
+triangle of three two-step transits at its vertex (`_transit`).  The
+breadth-first walk through the tree in `oracles` is the one check that
+this complement spans the tube, and closes any non-tree tube edge into
+its fundamental cycle.
 """
 from __future__ import annotations
 
@@ -105,10 +108,6 @@ class TubeComplex(NamedTuple):
     tree_edges: frozenset       # of TubeEdge
     graph_tree: SpanningTree
 
-    @property
-    def non_tree_edges(self) -> list[TubeEdge]:
-        return [e for e in self.tube.edges if e not in self.tree_edges]
-
 
 def build_symmetric_tube(g: Graph) -> SymmetricTube:
     cells: list[TubeVertex] = []
@@ -136,32 +135,34 @@ def build_symmetric_tube(g: Graph) -> SymmetricTube:
                          {e[:4]: i for i, e in enumerate(edges)})
 
 
-def tube_spanning_tree(tube: SymmetricTube) -> TubeComplex:
-    """Canonical spanning tree: X edges over the graph's canonical spanning
-    tree plus, per vertex, the star-pattern tree transported along the
-    neighbor order.  `invariant.wu_plan` caches the result per graph."""
+def _basis(tube: SymmetricTube, graph_tree: SpanningTree):
+    """The one basis rule: each basis label in basis order, X labels by
+    non-tree graph edge, then Y labels by vertex and local index pair."""
+    for eid in graph_tree.non_tree_edges:
+        yield BasisLabel("X", tube.x_edge(eid), f"X{eid}")
     g = tube.graph
-    graph_tree = canonical_spanning_tree(g)
-    tree: set[TubeEdge] = set()
-    for eid in graph_tree.edge_ids:
-        tree.add(tube.x_edge(eid))
     for v in g.vertices():
-        inc = g.incident_edges(v)     # i_1 < i_2 < ... < i_d
-        d = len(inc)
-        if d < 2:
-            continue
-        last = inc[-1]
-        for j in range(d - 1):
-            tree.add(tube.y_edge(v, last, inc[j]))      # fixed = i_d
-            tree.add(tube.y_edge(v, inc[j], last))      # moving = i_d
-        for j in range(d - 1):
-            for k in range(j + 1, d - 1):
-                tree.add(tube.y_edge(v, inc[j], inc[k]))  # fixed j < moving k
-    tc = TubeComplex(tube, frozenset(tree), graph_tree)
+        inc = g.incident_edges(v)
+        for j in range(1, len(inc)):      # local indices 1..d-1, j < k
+            for k in range(j + 1, len(inc)):
+                edge = tube.y_edge(v, inc[k - 1], inc[j - 1])
+                yield BasisLabel("Y", edge, f"Y{v}[{k},{j}]")
+
+
+def tube_spanning_tree(tube: SymmetricTube) -> TubeComplex:
+    """Canonical spanning tree: every tube edge that is not a basis edge.
+    It has one edge fewer than the tube has cells, and the basis repeats
+    no edge; by Euler's formula the basis then has `rank` labels.
+    `invariant.wu_plan` caches the result per graph."""
+    graph_tree = canonical_spanning_tree(tube.graph)
+    basis = [b.edge for b in _basis(tube, graph_tree)]
+    tree = frozenset(tube.edges).difference(basis)
     expected = len(tube.vertices) - 1
-    if len(tree) != expected:
-        raise TubeError(f"tube tree has {len(tree)} edges, expected {expected}")
-    return tc
+    if len(tree) != expected or len(tree) + len(basis) != len(tube.edges):
+        raise TubeError(f"tube tree has {len(tree)} edges and the basis "
+                        f"{len(basis)}, expected {expected} and "
+                        f"{len(tube.edges) - expected}")
+    return TubeComplex(tube, tree, graph_tree)
 
 
 def rank(g: Graph) -> int:
@@ -174,29 +175,9 @@ def rank(g: Graph) -> int:
 
 
 def wu_basis(tc: TubeComplex) -> tuple[BasisLabel, ...]:
-    """The basis labels of tc, one per non-tree tube edge: X labels by
-    non-tree graph edge, then Y labels by vertex and local index pair."""
-    g = tc.tube.graph
-    labels: list[BasisLabel] = []
-    for eid in tc.graph_tree.non_tree_edges:
-        e = tc.tube.x_edge(eid)
-        labels.append(BasisLabel("X", e, f"X{eid}"))
-    for v in g.vertices():
-        inc = g.incident_edges(v)
-        d = len(inc)
-        if d < 3:
-            continue
-        for j in range(1, d):           # local indices 1..d-1, j < k
-            for k in range(j + 1, d):
-                edge = tc.tube.y_edge(v, inc[k - 1], inc[j - 1])
-                labels.append(BasisLabel("Y", edge, f"Y{v}[{k},{j}]"))
-    # sanity: labels are exactly the non-tree tube edges
-    non_tree = set(tc.non_tree_edges)
-    if {b.edge for b in labels} != non_tree or len(labels) != len(non_tree):
-        raise TubeError("basis labels do not match non-tree tube edges")
-    if len(labels) != rank(g):
-        raise TubeError("basis size disagrees with rank formula")
-    return tuple(labels)
+    """The basis labels of tc, one per non-tree tube edge, as `_basis`
+    writes them."""
+    return tuple(_basis(tc.tube, tc.graph_tree))
 
 
 def basis_cycle(tc: TubeComplex, label: BasisLabel):
@@ -217,13 +198,16 @@ def basis_cycle(tc: TubeComplex, label: BasisLabel):
         return tube_cycle_over_graph_cycle(tc.tube, gamma)
     v, b, a = label.edge.vertex, label.edge.edge_a, label.edge.edge_b
     c = tc.tube.graph.incident_edges(v)[-1]
-    steps = []
-    # (fixed, moving) per step; even steps leave Z(fixed), odd steps W
-    for i, (fixed, moving) in enumerate(
-            ((b, a), (a, b), (a, c), (c, a), (c, b), (b, c))):
-        e = tc.tube.y_edge(v, fixed, moving)
-        steps.append((e, +1 if e.u.kind == "ZW"[i % 2] else -1))
-    return steps
+    return (_transit(tc.tube, v, b, a) + _transit(tc.tube, v, a, c)
+            + _transit(tc.tube, v, c, b))
+
+
+def _transit(tube: SymmetricTube, v: int, a: int, b: int):
+    """The two steps Z(v, a) -> W(v, {a, b}) -> Z(v, b): the moving point
+    leaves v along b, then the point on a returns to v."""
+    leave, back = tube.y_edge(v, a, b), tube.y_edge(v, b, a)
+    return [(leave, +1 if leave.u.kind == "Z" else -1),
+            (back, +1 if back.u.kind == "W" else -1)]
 
 
 def tube_cycle_over_graph_cycle(tube: SymmetricTube, c: EdgeCycle):
@@ -238,14 +222,10 @@ def tube_cycle_over_graph_cycle(tube: SymmetricTube, c: EdgeCycle):
     n = len(c.steps)
     for idx, (eid, d) in enumerate(c.steps):
         out.append((tube.x_edge(eid), d))
-        nxt_eid, _ = c.steps[(idx + 1) % n]
         e = g.edge(eid)
-        v = e.head if d > 0 else e.tail        # meeting vertex
-        # Z(v, eid) -> W(v, {eid, nxt}) -> Z(v, nxt)
-        y1 = tube.y_edge(v, eid, nxt_eid)      # moving point leaves v on nxt
-        out.append((y1, +1 if y1.u.kind == "Z" else -1))
-        y2 = tube.y_edge(v, nxt_eid, eid)      # moving point returns to v
-        out.append((y2, +1 if y2.u.kind == "W" else -1))
+        # at the meeting vertex, from this edge's Z cell to the next edge's
+        out += _transit(tube, e.head if d > 0 else e.tail, eid,
+                        c.steps[(idx + 1) % n][0])
     return out
 
 

@@ -10,7 +10,8 @@ from planetube.tube import (TubeError, Z, W, build_symmetric_tube,
                             tube_spanning_tree, rank, wu_basis, basis_cycle,
                             tube_cycle_over_graph_cycle, cycle_is_closed,
                             swap_parity, to_dot, to_json_dict)
-from planetube.oracles import fundamental_cycle_tube
+from planetube import tube as tube_module
+from planetube.oracles import fundamental_cycle_tube, tube_tree
 
 from conftest import random_connected_graph
 
@@ -82,7 +83,7 @@ def test_basis_cycles_closed_and_parities():
 
 def test_fundamental_tube_cycles_closed():
     tc = tube_spanning_tree(build_symmetric_tube(complete_graph(4)))
-    for e in tc.non_tree_edges:
+    for e in (b.edge for b in wu_basis(tc)):
         assert cycle_is_closed(fundamental_cycle_tube(tc, e))
     with pytest.raises(TubeError):
         fundamental_cycle_tube(tc, next(iter(tc.tree_edges)))
@@ -116,8 +117,24 @@ def test_tree_and_rank_on_random_graphs(seed):
     labels = wu_basis(tc)
     assert len(labels) == rank(g)
     assert len(tc.tree_edges) == len(tc.tube.vertices) - 1
+    # the complement of the basis spans the tube: the walk reaches every cell
+    assert len(tube_tree(tc)) == len(tc.tube.vertices)
     for label in labels:
         assert cycle_is_closed(basis_cycle(tc, label))
+
+
+def test_tree_refuses_a_basis_rule_that_repeats_an_edge(monkeypatch):
+    # a repeated basis edge leaves the complement, and so the tree's size,
+    # as they were; only the count of tree and basis edges together tells
+    rule = tube_module._basis
+
+    def repeating(tube, graph_tree):
+        labels = list(rule(tube, graph_tree))
+        return labels + labels[-1:]
+
+    monkeypatch.setattr(tube_module, "_basis", repeating)
+    with pytest.raises(TubeError):
+        tube_spanning_tree(build_symmetric_tube(complete_graph(4)))
 
 
 def test_exports_smoke():
